@@ -4,7 +4,7 @@ All numbers are serialized as strings ("-3/7", "12") because JSON numbers
 cannot carry big rationals losslessly, and every printed rational
 re-parses to the identical value.  Exit codes: 0 = PSD (or success for
 commands without a verdict), 1 = NotPSD, 2 = usage error, 3 = internal
-assertion failure.
+error.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 
 from . import kernels
 from .decider import (
@@ -361,6 +362,10 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except AssertionError as exc:
         print(f"internal assertion failed: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except Exception:
+        # a bug must not exit 1, which would read as a NotPSD verdict
+        traceback.print_exc()
         return EXIT_INTERNAL
 
 

@@ -31,7 +31,7 @@ from typing import Optional
 
 from . import kernels
 from .form import CyclicParams, eval_form, r_range, radicand, reduce_to_g
-from .quartic_rules import SpecialQuartic, discriminants, is_nonneg
+from .quartic_rules import SpecialQuartic, discriminant_rule, discriminants
 from .roots import is_nonneg_everywhere
 from .scalars import sgn
 from .unipoly import UniPoly, poly_divmod, poly_gcd, sturm_chain
@@ -40,8 +40,10 @@ __all__ = [
     "ClausePolynomials",
     "Verdict",
     "CLOSED_FORM_VARIANTS",
+    "eval_f5",
     "eval_polys",
     "decide_closed_form",
+    "closed_form_verdict",
     "decide_structural",
     "decide_oracle",
     "decide",
@@ -95,14 +97,10 @@ class Verdict:
             raise ValueError("a witness contradicts a PSD verdict")
 
 
-def eval_polys(c: CyclicParams) -> ClausePolynomials:
-    """Exact values of f1..f7 and g1..g4 at the given coefficients."""
+def eval_f5(c: CyclicParams) -> Fraction:
+    """Exact value of f5 alone, proportional to the discriminant D4 of g."""
     k, l, m, n = c.k, c.l, c.m, c.n
-    f1 = 2 + k - m - n
-    f2 = 4 * k + m + n - 8 - 2 * l
-    f3 = 1 + k + m + n + l
-    f4 = 3 * (1 + k) - m ** 2 - n ** 2 - m * n
-    f5 = (
+    return (
         -4 * k**3 * m**2 - 4 * k**3 * n**2 - 4 * k**2 * l * m**2 + 4 * k**2 * l * m * n
         - 4 * k**2 * l * n**2
         - k * l**2 * m**2 + 4 * k * l**2 * m * n - k * l**2 * n**2 + 8 * k * l * m**3
@@ -134,6 +132,16 @@ def eval_polys(c: CyclicParams) -> ClausePolynomials:
         - 32 * l * m - 32 * l * n - 16 * m**2 - 32 * m * n - 16 * n**2 + 64 * k
         - 128 * l + 64 * m + 64 * n + 128
     )
+
+
+def eval_polys(c: CyclicParams) -> ClausePolynomials:
+    """Exact values of f1..f7 and g1..g4 at the given coefficients."""
+    k, l, m, n = c.k, c.l, c.m, c.n
+    f1 = 2 + k - m - n
+    f2 = 4 * k + m + n - 8 - 2 * l
+    f3 = 1 + k + m + n + l
+    f4 = 3 * (1 + k) - m ** 2 - n ** 2 - m * n
+    f5 = eval_f5(c)
     f6 = (
         4 * k**2 + 2 * k * l - 4 * k * m - 4 * k * n + l**2 - 7 * l * m - 7 * l * n
         + 13 * m**2 - m * n + 13 * n**2 - 40 * k + 20 * l + 8 * m + 8 * n - 32
@@ -166,7 +174,13 @@ def eval_polys(c: CyclicParams) -> ClausePolynomials:
 
 
 def decide_closed_form(c: CyclicParams, variant: str = "theorem") -> Verdict:
-    """Evaluate the quantifier-free formula; three disjuncts.
+    """Evaluate the quantifier-free formula at ``c``; see ``closed_form_verdict``."""
+    return closed_form_verdict(c, eval_polys(c), variant)
+
+
+def closed_form_verdict(c: CyclicParams, P: ClausePolynomials, variant: str) -> Verdict:
+    """The quantifier-free formula read off the clause polynomials ``P`` of
+    ``c``; three disjuncts.
 
     1. Degenerate radicand (g4 = 0 and f2 = 0):
        (g1 = 0 and 1 <= m <= 4) or (g1 > 0 and g2 >= 0) or (g1 > 0 and
@@ -183,7 +197,6 @@ def decide_closed_form(c: CyclicParams, variant: str = "theorem") -> Verdict:
     if variant not in CLOSED_FORM_VARIANTS:
         raise ValueError(f"unknown closed-form variant {variant!r}")
     method = f"closed_form_{variant}"
-    P = eval_polys(c)
     m = c.m
 
     if P.g4 == 0 and P.f2 == 0:
@@ -232,43 +245,42 @@ def decide_structural(c: CyclicParams) -> Verdict:
     R = 0 collapses g to a biquadratic; a vanishing constant term f3
     collapses the decision to a quadratic factor; otherwise (f3 > 0,
     f1 > 0) the special-quartic discriminant rule applies with
-    a1_squared = R.
+    a1_squared = R.  Only f1, f3, g1, g3 of the clause polynomials are
+    read, so no other is evaluated.
     """
-    P = eval_polys(c)
+    k, l, m, n = c.k, c.l, c.m, c.n
     rad = radicand(c)
     method = "structural"
 
     if rad == 0:
-        ok, tag = _biquadratic_nonneg(P.g1, P.g3, c.k + c.m - 1)
+        g1 = k - 2 * m + 2
+        g3 = 8 + m - 2 * k
+        ok, tag = _biquadratic_nonneg(g1, g3, k + m - 1)
         return Verdict(ok, method, f"R=0/biquadratic/{tag}")
-    if P.f3 < 0:
+    f1 = 2 + k - m - n
+    f3 = 1 + k + m + n + l
+    if f3 < 0:
         return Verdict(False, method, "f3<0/g(0)<0")
-    if P.f3 == 0:
+    if f3 == 0:
         # g = t**2 * (3*f1*t**2 - sqrt(R)*t + 3*(4+m+n-l))
-        if P.f1 <= 0:
+        if f1 <= 0:
             return Verdict(False, method, "f3=0/quadratic/f1<=0")
-        tail = 4 + c.m + c.n - c.l
-        ok = rad <= 36 * P.f1 * tail
+        tail = 4 + m + n - l
+        ok = rad <= 36 * f1 * tail
         tag = "f3=0/quadratic/disc<=0" if ok else "f3=0/quadratic/disc>0"
         return Verdict(ok, method, tag)
-    if P.f1 <= 0:
+    if f1 <= 0:
         return Verdict(False, method, "f3>0/f1<=0")
     quartic = SpecialQuartic(
-        a0=3 * P.f1,
+        a0=3 * f1,
         a1_squared=rad,
         a1_sign=-1,
-        a2=3 * (4 + c.m + c.n - c.l),
-        a4=P.f3,
+        a2=3 * (4 + m + n - l),
+        a4=f3,
     )
     _, d2, d3, d4 = discriminants(quartic)
-    ok = is_nonneg(quartic)
-    if d4 > 0:
-        tag = f"f3>0/quartic-rule/D4>0/{'D2<0' if d2 < 0 else 'D3<0' if d3 < 0 else 'fail'}"
-    elif d4 == 0:
-        tag = f"f3>0/quartic-rule/D4=0/{'D3<0' if d3 < 0 else 'fail'}"
-    else:
-        tag = "f3>0/quartic-rule/D4<0"
-    return Verdict(ok, method, tag)
+    ok, rule = discriminant_rule(d2, d3, d4)
+    return Verdict(ok, method, f"f3>0/quartic-rule/{rule}")
 
 
 def decide_oracle(c: CyclicParams) -> Verdict:
@@ -410,13 +422,14 @@ def _real_cubic_roots(q: float, r: float) -> list[float]:
     )
 
 
-def _seeded_candidates(c: CyclicParams, tstar: Fraction):
-    """Rational candidate triples near the equality locus at parameter tstar.
+def _seeded_candidates(c: CyclicParams, tstar: Fraction) -> list[list[float]]:
+    """Float triples near the equality locus at parameter tstar.
 
     The reduction attains equality at x+y+z = 1, xy+yz+zx = (1-t**2)/3 and
     the xyz value where H vanishes; the real triple realizing those values
     is the root set of X**3 - X**2 + q*X - r.  Rationalizing those roots at
-    increasing precision converges into the open negative region.
+    increasing precision converges into the open negative region.  Raises
+    OverflowError when R or tstar is beyond the range of a float.
     """
     qstar = (1 - tstar * tstar) / 3
     r1, r2 = r_range(tstar)
@@ -437,11 +450,8 @@ def _seeded_candidates(c: CyclicParams, tstar: Fraction):
         if cand not in seen:
             seen.add(cand)
             candidates.append(cand)
-    for rr in candidates:
-        roots = _real_cubic_roots(float(qstar), float(rr))
-        if len(roots) < 3:
-            continue
-        yield roots
+    triples = [_real_cubic_roots(float(qstar), float(rr)) for rr in candidates]
+    return [roots for roots in triples if len(roots) == 3]
 
 
 def _seeded_search(c: CyclicParams, budget: _Budget):
@@ -449,7 +459,12 @@ def _seeded_search(c: CyclicParams, budget: _Budget):
     tstar = _find_negative_t(g, budget)
     if tstar is None:
         return None
-    for roots in _seeded_candidates(c, tstar):
+    try:
+        triples = _seeded_candidates(c, tstar)
+    except OverflowError:
+        # the floats only guide this stage; the exact stages after it still run
+        return None
+    for roots in triples:
         for denom_bound in (16, 64, 256, 1024, 4096, 16384, 65536, 2 ** 20):
             xs = [Fraction(rt).limit_denominator(denom_bound) for rt in roots]
             for triple in ((xs[0], xs[1], xs[2]), (xs[0], xs[2], xs[1])):

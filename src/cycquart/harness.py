@@ -26,9 +26,10 @@ from typing import Optional
 
 from . import kernels
 from .decider import (
-    decide_closed_form,
+    closed_form_verdict,
     decide_oracle,
     decide_structural,
+    eval_f5,
     eval_polys,
     find_witness,
     DEFAULT_WITNESS_BUDGET,
@@ -148,7 +149,7 @@ def stratum_sampler(
         return CyclicParams(k, l, m, 2 + k - m)
     if stratum == "f5_zero_near":
         batch = [CyclicParams(draw(), draw(), draw(), draw()) for _ in range(32)]
-        return min(batch, key=lambda c: (abs(eval_polys(c).f5), c.k, c.l, c.m, c.n))
+        return min(batch, key=lambda c: (abs(eval_f5(c)), c.k, c.l, c.m, c.n))
     if stratum == "case1_boundary":
         m = draw()
         gap = abs(draw()) + Fraction(1, denominator_bound)
@@ -249,7 +250,7 @@ def fuzz_compare(cfg: FuzzConfig, record_sink=None) -> DiscrepancyReport:
                 f"{structural.is_psd} vs {oracle.is_psd}"
             )
         closed = {
-            variant: decide_closed_form(c, variant)
+            variant: closed_form_verdict(c, polys, variant)
             for variant in ("theorem", "proof", "corrected")
         }
 

@@ -25,7 +25,7 @@ from fractions import Fraction
 from .scalars import QuadExt, is_perfect_square, rational_sqrt, sgn
 from .unipoly import UniPoly
 
-__all__ = ["SpecialQuartic", "discriminants", "is_nonneg"]
+__all__ = ["SpecialQuartic", "discriminants", "discriminant_rule", "is_nonneg"]
 
 
 @dataclass(frozen=True)
@@ -92,11 +92,25 @@ def discriminants(q: SpecialQuartic) -> tuple[Fraction, Fraction, Fraction, Frac
     return d1, d2, d3, d4
 
 
+def discriminant_rule(d2: Fraction, d3: Fraction, d4: Fraction) -> tuple[bool, str]:
+    """The nonnegativity rule on the discriminants, and the branch it took.
+
+    Valid only under the hypotheses of ``is_nonneg``, which callers check.
+    """
+    if d4 > 0:
+        if d2 < 0:
+            return True, "D4>0/D2<0"
+        if d3 < 0:
+            return True, "D4>0/D3<0"
+        return False, "D4>0/fail"
+    if d4 == 0:
+        return (True, "D4=0/D3<0") if d3 < 0 else (False, "D4=0/fail")
+    return False, "D4<0"
+
+
 def is_nonneg(q: SpecialQuartic) -> bool:
     """Nonnegativity on all of R, under a0 > 0, a4 > 0, a1 != 0."""
     if not (q.a0 > 0 and q.a4 > 0 and q.a1_squared != 0):
         raise ValueError("rule applies only for a0 > 0, a4 > 0, a1 != 0")
     _, d2, d3, d4 = discriminants(q)
-    if d4 > 0:
-        return d2 < 0 or d3 < 0
-    return d4 == 0 and d3 < 0
+    return discriminant_rule(d2, d3, d4)[0]

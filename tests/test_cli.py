@@ -187,3 +187,16 @@ def test_internal_assertion_exits_3(capsys, monkeypatch):
     code, _, err = run(capsys, "fuzz", "--count", "1")
     assert code == 3
     assert "internal assertion" in err
+
+
+def test_unexpected_error_exits_3_with_traceback(capsys, monkeypatch):
+    import cycquart.cli as cli_module
+
+    def boom(c, method):
+        raise RuntimeError("forced")
+
+    monkeypatch.setattr(cli_module, "decide", boom)
+    code, out, err = run(capsys, "decide", "0", "0", "0", "0")
+    assert code == 3
+    assert out == ""
+    assert "Traceback" in err and "RuntimeError: forced" in err

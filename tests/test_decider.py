@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
 
@@ -8,6 +9,7 @@ from cycquart.decider import (
     Verdict,
     _Budget,
     _find_negative_t,
+    _seeded_search,
     attach_witness,
     decide,
     decide_closed_form,
@@ -71,6 +73,21 @@ def test_discriminant_proportionality_identities():
         assert d4 == 104976 * P.f1 ** 2 * P.f3 * P.f5
         checked += 1
     assert checked > 100
+
+
+def test_discriminant_identities_hold_symbolically():
+    # the same identities as polynomial identities in Q[k, l, m, n], with
+    # the published expressions of eval_polys evaluated on symbols
+    sympy = pytest.importorskip("sympy")
+    k, l, m, n = sympy.symbols("k l m n")
+    c = SimpleNamespace(k=k, l=l, m=m, n=n)
+    P = eval_polys(c)
+    quartic = SimpleNamespace(
+        a0=3 * P.f1, a1_squared=radicand(c), a2=3 * (4 + m + n - l), a4=P.f3)
+    _, d2, d3, d4 = discriminants(quartic)
+    assert sympy.expand(d2 - 108 * P.f1 ** 2 * P.f6) == 0
+    assert sympy.expand(d3 - 324 * P.f1 ** 2 * P.f7) == 0
+    assert sympy.expand(d4 - 104976 * P.f1 ** 2 * P.f3 * P.f5) == 0
 
 
 def test_closed_form_examples():
@@ -191,6 +208,16 @@ def test_seeded_search_handles_grid_resistant_case():
     witness = find_witness(c)
     assert witness is not None
     assert eval_form(c, *witness) < 0
+
+
+@pytest.mark.parametrize("c", [
+    CyclicParams(10 ** 200, 10 ** 200, 10 ** 200, 0),
+    CyclicParams(1, 1, 10 ** 200, 0),
+    CyclicParams(0, 0, -10 ** 300, 0),
+])
+def test_seeded_search_survives_coefficients_beyond_float_range(c):
+    found = _seeded_search(c, _Budget(40000))
+    assert found is None or eval_form(c, *found) < 0
 
 
 def test_find_negative_t_sign_is_exact():

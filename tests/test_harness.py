@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from fractions import Fraction as F
@@ -119,6 +120,13 @@ def test_determinism_byte_identical_records():
     s1.pop("elapsed_seconds")
     s2.pop("elapsed_seconds")
     assert s1 == s2
+
+
+def test_records_match_pinned_fingerprint():
+    # records of an earlier release: a refactor must leave them byte-identical
+    cfg = FuzzConfig(sample_count=24, seed=99, strata=STRATA)
+    digest = hashlib.sha256(fuzz_compare(cfg).to_jsonl().encode()).hexdigest()
+    assert digest == "931d7a6828835992bbee0e5845b51176eace59dd2e51521440071722dc438e79"
 
 
 def test_report_jsonl_roundtrip(tmp_path):
