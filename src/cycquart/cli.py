@@ -14,18 +14,24 @@ import json
 import sys
 import traceback
 
-from . import kernels
 from .decider import (
     CLOSED_FORM_VARIANTS,
     DEFAULT_WITNESS_BUDGET,
+    closed_form_verdict,
     decide,
-    decide_closed_form,
     decide_oracle,
     decide_structural,
     eval_polys,
     find_witness,
 )
-from .form import CyclicParams, BcdeParams, eval_form, from_bcde, radicand, reduce_to_g
+from .form import (
+    BcdeParams,
+    CyclicParams,
+    eval_form,
+    from_bcde,
+    g_special_quartic,
+    reduce_to_g,
+)
 from .harness import STRATA, FuzzConfig, fuzz_compare
 from .quartic_rules import SpecialQuartic, discriminants, is_nonneg
 from .roots import classify_roots, is_nonneg_everywhere, revise, sign_list
@@ -95,26 +101,18 @@ def _cmd_decide(args) -> int:
 def _cmd_explain(args) -> int:
     c = _params_from_args(args)
     polys = eval_polys(c)
-    rad = radicand(c)
     reduced = reduce_to_g(c)
     verdicts = {
         "structural": decide_structural(c),
         "oracle": decide_oracle(c),
         **{
-            f"closed_{variant}": decide_closed_form(c, variant)
+            f"closed_{variant}": closed_form_verdict(c, polys, variant)
             for variant in CLOSED_FORM_VARIANTS
         },
     }
     g_discriminants = None
     if polys.f1 != 0:
-        quartic = SpecialQuartic(
-            a0=3 * polys.f1,
-            a1_squared=rad,
-            a1_sign=-1 if rad > 0 else 0,
-            a2=3 * (4 + c.m + c.n - c.l),
-            a4=polys.f3,
-        )
-        d1, d2, d3, d4 = discriminants(quartic)
+        d1, d2, d3, d4 = discriminants(g_special_quartic(c))
         g_discriminants = {
             "D1": format_rational(d1),
             "D2": format_rational(d2),
@@ -127,7 +125,7 @@ def _cmd_explain(args) -> int:
             name: format_rational(getattr(polys, name))
             for name in ("f1", "f2", "f3", "f4", "f5", "f6", "f7", "g1", "g2", "g3", "g4")
         },
-        "R": format_rational(rad),
+        "R": format_rational(reduced.radicand),
         "g_coefficients": [_coeff_string(v) for v in reduced.coeffs],
         "g_discriminants": g_discriminants,
         "verdicts": {
@@ -334,18 +332,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="JSON file with the full fuzz configuration")
     p.set_defaults(func=_cmd_fuzz)
 
-    p = sub.add_parser("kernel", help="report which grid-scan kernel is active")
-    p.set_defaults(func=_cmd_kernel)
-
     return parser
-
-
-def _cmd_kernel(args) -> int:
-    _emit(
-        {"implementation": kernels.IMPLEMENTATION, "compiled_available": kernels.HAVE_COMPILED},
-        args.pretty,
-    )
-    return EXIT_PSD
 
 
 def main(argv=None) -> int:

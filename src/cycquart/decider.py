@@ -30,11 +30,11 @@ from fractions import Fraction
 from typing import Optional
 
 from . import kernels
-from .form import CyclicParams, eval_form, r_range, radicand, reduce_to_g
-from .quartic_rules import SpecialQuartic, discriminant_rule, discriminants
+from .form import CyclicParams, eval_form, g_special_quartic, r_range, radicand, reduce_to_g
+from .quartic_rules import discriminant_rule, discriminants
 from .roots import is_nonneg_everywhere
 from .scalars import sgn
-from .unipoly import UniPoly, poly_divmod, poly_gcd, sturm_chain
+from .unipoly import UniPoly, chain_variations, squarefree_sturm
 
 __all__ = [
     "ClausePolynomials",
@@ -271,14 +271,7 @@ def decide_structural(c: CyclicParams) -> Verdict:
         return Verdict(ok, method, tag)
     if f1 <= 0:
         return Verdict(False, method, "f3>0/f1<=0")
-    quartic = SpecialQuartic(
-        a0=3 * f1,
-        a1_squared=rad,
-        a1_sign=-1,
-        a2=3 * (4 + m + n - l),
-        a4=f3,
-    )
-    _, d2, d3, d4 = discriminants(quartic)
+    _, d2, d3, d4 = discriminants(g_special_quartic(c))
     ok, rule = discriminant_rule(d2, d3, d4)
     return Verdict(ok, method, f"f3>0/quartic-rule/{rule}")
 
@@ -336,11 +329,6 @@ class _Budget:
         return self.left >= 0
 
 
-def _sign_variations(values) -> int:
-    nonzero = [s for s in values if s != 0]
-    return sum(1 for a, b in zip(nonzero, nonzero[1:]) if a != b)
-
-
 def _find_negative_t(g: UniPoly, budget: _Budget) -> Optional[Fraction]:
     """Exact rational t >= 0 with g(t) < 0, by Sturm-guided bisection.
 
@@ -353,21 +341,11 @@ def _find_negative_t(g: UniPoly, budget: _Budget) -> Optional[Fraction]:
         return None
     if sgn(g.eval(Fraction(0))) < 0:
         return Fraction(0)
-    core = poly_gcd(g, g.derivative())
-    squarefree = poly_divmod(g, core)[0] if core.degree > 0 else g
-    chain = sturm_chain(squarefree)
-
-    def variations_at(x: Fraction) -> int:
-        return _sign_variations([sgn(q.eval(x)) for q in chain])
-
-    vars_minus_inf = _sign_variations(
-        [sgn(q.leading) * ((-1) ** (q.degree % 2)) for q in chain]
-    )
-    vars_plus_inf = _sign_variations([sgn(q.leading) for q in chain])
+    chain, vars_minus_inf, vars_plus_inf = squarefree_sturm(g)
     total_roots = vars_minus_inf - vars_plus_inf
 
     top = Fraction(2)
-    while variations_at(-top) - variations_at(top) < total_roots:
+    while chain_variations(chain, -top) - chain_variations(chain, top) < total_roots:
         top *= 2
         if not budget.spend(len(chain)):
             return None
@@ -375,7 +353,7 @@ def _find_negative_t(g: UniPoly, budget: _Budget) -> Optional[Fraction]:
         return top
 
     queue: list[tuple[Fraction, Fraction, int]] = []
-    roots_up_to_top = variations_at(Fraction(0)) - variations_at(top)
+    roots_up_to_top = chain_variations(chain, Fraction(0)) - chain_variations(chain, top)
     if roots_up_to_top > 0:
         queue.append((Fraction(0), top, roots_up_to_top))
     while queue:
@@ -385,7 +363,7 @@ def _find_negative_t(g: UniPoly, budget: _Budget) -> Optional[Fraction]:
             return None
         if sgn(g.eval(mid)) < 0:
             return mid
-        vlo, vmid, vhi = variations_at(lo), variations_at(mid), variations_at(hi)
+        vlo, vmid, vhi = (chain_variations(chain, x) for x in (lo, mid, hi))
         if vlo - vmid > 0:
             queue.append((lo, mid, vlo - vmid))
         if vmid - vhi > 0:

@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .quartic_rules import SpecialQuartic
 from .scalars import QuadExt
 from .unipoly import UniPoly
 
@@ -41,6 +42,7 @@ __all__ = [
     "r_range",
     "radicand",
     "reduce_to_g",
+    "g_special_quartic",
     "symmetrized_gap",
     "h_function",
     "from_bcde",
@@ -177,6 +179,22 @@ def reduce_to_g(c: CyclicParams) -> ReducedQuartic:
         QuadExt(1 + c.k + c.m + c.n + c.l, 0, rad),
     )
     return ReducedQuartic(radicand=rad, coeffs=coeffs)
+
+
+def g_special_quartic(c: CyclicParams) -> SpecialQuartic:
+    """The reduced quartic g(t) as a special quartic, ``a1 = -sqrt(R)``.
+
+    ``a1`` is carried as ``R`` and a sign, so the discriminants of g stay
+    rational; the sign is 0 exactly when R = 0.
+    """
+    rad = radicand(c)
+    return SpecialQuartic(
+        a0=3 * (2 + c.k - c.m - c.n),
+        a1_squared=rad,
+        a1_sign=-1 if rad > 0 else 0,
+        a2=3 * (4 + c.m + c.n - c.l),
+        a4=1 + c.k + c.m + c.n + c.l,
+    )
 
 
 def symmetrized_gap(c: CyclicParams, x, y, z) -> Fraction:

@@ -34,8 +34,8 @@ from .decider import (
     find_witness,
     DEFAULT_WITNESS_BUDGET,
 )
-from .form import CyclicParams, eval_form, radicand
-from .quartic_rules import SpecialQuartic, discriminants
+from .form import CyclicParams, eval_form, g_special_quartic, radicand
+from .quartic_rules import discriminants
 from .scalars import format_rational
 
 __all__ = [
@@ -300,14 +300,7 @@ def fuzz_compare(cfg: FuzzConfig, record_sink=None) -> DiscrepancyReport:
             # exact proportionality between the clause polynomials and the
             # discriminants of g: D2 = 108*f1^2*f6, D3 = 324*f1^2*f7,
             # D4 = 104976*f1^2*f3*f5
-            quartic = SpecialQuartic(
-                a0=3 * polys.f1,
-                a1_squared=rad,
-                a1_sign=-1 if rad > 0 else 0,
-                a2=3 * (4 + c.m + c.n - c.l),
-                a4=polys.f3,
-            )
-            _, d2, d3, d4 = discriminants(quartic)
+            _, d2, d3, d4 = discriminants(g_special_quartic(c))
             identity_checked += 1
             if d2 == 108 * polys.f1 ** 2 * polys.f6:
                 identity_holds["d2"] += 1
@@ -353,7 +346,6 @@ def fuzz_compare(cfg: FuzzConfig, record_sink=None) -> DiscrepancyReport:
 
     summary = {
         "config": cfg.to_dict(),
-        "kernel": kernels.IMPLEMENTATION,
         "samples": cfg.sample_count,
         "strata_counts": strata_counts,
         "structural_oracle_disagreements": 0,

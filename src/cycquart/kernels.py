@@ -1,10 +1,14 @@
-"""Kernel selection: compiled extension when available and safe, else pure Python.
+"""Exact integer face-grid sweep of the form.
 
-The face-grid sweep over rational points is the hot loop of falsification
-and witness search (millions of exact form evaluations per fuzz run).
-Both implementations share one contract; the compiled one runs in C int64
-arithmetic, so the selector routes any call whose intermediate values
-could exceed int64 to the pure-Python kernel instead.
+The sweep falsifies PSD verdicts and finds witnesses; every point it
+reports is re-checked with Fraction arithmetic by its callers.  The form
+is evaluated at integer points (d, i, j) after clearing denominators:
+
+    E(d, i, j) = A*S4 + Bk*S22 + Bl*S211 + Bm*S31 + Bn*S13
+
+where A is the common denominator of (k, l, m, n) and Bk..Bn are the
+numerators scaled to it, so sign(E) = sign(F(1, i/d, j/d)).  Python
+integers are unbounded, so no coefficient size can overflow the sweep.
 """
 
 from __future__ import annotations
@@ -13,26 +17,9 @@ import math
 from fractions import Fraction
 from typing import Optional
 
-from . import _kernels_py
 from .form import CyclicParams, eval_form
 
-try:  # pragma: no cover - exercised only when the extension is built
-    from . import _gridscan as _compiled
-except ImportError:  # pragma: no cover
-    _compiled = None
-
-HAVE_COMPILED = _compiled is not None
-IMPLEMENTATION = "compiled" if HAVE_COMPILED else "python"
-
-_INT64_SAFE = 2 ** 62
-
-__all__ = [
-    "HAVE_COMPILED",
-    "IMPLEMENTATION",
-    "scaled_coefficients",
-    "face_scan",
-    "face_scan_with",
-]
+__all__ = ["scaled_coefficients", "face_scan", "find_negative_on_faces"]
 
 
 def scaled_coefficients(c: CyclicParams) -> tuple[int, int, int, int, int]:
@@ -50,27 +37,46 @@ def scaled_coefficients(c: CyclicParams) -> tuple[int, int, int, int, int]:
     )
 
 
-def _fits_int64(coeffs: tuple[int, int, int, int, int], d: int) -> bool:
-    bound = 5 * max(abs(x) for x in coeffs) * 3 * (d ** 4 + 2 * d ** 3)
-    return bound < _INT64_SAFE
-
-
 def face_scan(coeffs, d: int, skip_even: bool = False):
-    """Dispatch one face sweep to the best available kernel."""
-    impl = _compiled if (_compiled is not None and _fits_int64(coeffs, d)) else _kernels_py
-    return impl.face_scan(*coeffs, d, skip_even)
+    """Scan the lattice face x = d, |i|, |j| <= d.
 
-
-def face_scan_with(impl_name: str, coeffs, d: int, skip_even: bool = False):
-    """Run a specific kernel by name ('python' or 'compiled'); for tests
-    and benchmarks."""
-    if impl_name == "python":
-        return _kernels_py.face_scan(*coeffs, d, skip_even)
-    if impl_name == "compiled":
-        if _compiled is None:
-            raise ValueError("compiled kernel is not available")
-        return _compiled.face_scan(*coeffs, d, skip_even)
-    raise ValueError(f"unknown kernel implementation {impl_name!r}")
+    Returns ``(found, ni, nj, evaluated, min_i, min_j, min_value)`` where
+    ``(ni, nj)`` is the first scanned point with a negative value (0, 0
+    when none), and ``(min_i, min_j, min_value)`` track the minimum over
+    the points scanned.  ``skip_even`` drops points with both coordinates
+    even, which avoids rescanning points already covered by the face d/2.
+    """
+    A, Bk, Bl, Bm, Bn = coeffs
+    d2 = d * d
+    d3 = d2 * d
+    d4 = d2 * d2
+    evaluated = 0
+    min_i = 0
+    min_j = 0
+    min_val = None
+    for i in range(-d, d + 1):
+        i2 = i * i
+        i3 = i2 * i
+        i4 = i2 * i2
+        for j in range(-d, d + 1):
+            if skip_even and (i & 1) == 0 and (j & 1) == 0:
+                continue
+            j2 = j * j
+            s4 = d4 + i4 + j2 * j2
+            s22 = d2 * i2 + i2 * j2 + j2 * d2
+            s211 = d * i * j * (d + i + j)
+            s31 = d3 * i + i3 * j + j2 * j * d
+            s13 = d * i3 + i * j2 * j + j * d3
+            val = A * s4 + Bk * s22 + Bl * s211 + Bm * s31 + Bn * s13
+            evaluated += 1
+            if min_val is None or val < min_val:
+                min_val = val
+                min_i, min_j = i, j
+            if val < 0:
+                return True, i, j, evaluated, min_i, min_j, min_val
+    if min_val is None:
+        min_val = 0
+    return False, 0, 0, evaluated, min_i, min_j, min_val
 
 
 def find_negative_on_faces(

@@ -21,7 +21,13 @@ from fractions import Fraction
 from typing import Optional
 
 from .scalars import sgn
-from .unipoly import UniPoly, discriminant_sequence, squarefree_decompose, sturm_count
+from .unipoly import (
+    UniPoly,
+    count_sign_changes,
+    discriminant_sequence,
+    squarefree_decompose,
+    sturm_count,
+)
 
 __all__ = [
     "RootCount",
@@ -68,12 +74,6 @@ def revise(signs: list[int]) -> list[int]:
                 out[i + r] = (-1) ** ((r + 1) // 2) * s
         i = j
     return out
-
-
-def count_sign_changes(signs: list[int]) -> int:
-    """Sign changes with zeros dropped."""
-    nonzero = [s for s in signs if s != 0]
-    return sum(1 for a, b in zip(nonzero, nonzero[1:]) if a != b)
 
 
 def classify_roots(p: UniPoly) -> RootCount:

@@ -32,6 +32,9 @@ __all__ = [
     "poly_gcd",
     "squarefree_decompose",
     "sturm_chain",
+    "squarefree_sturm",
+    "chain_variations",
+    "count_sign_changes",
     "sturm_count",
     "discriminant_sequence",
     "det_bareiss",
@@ -269,23 +272,31 @@ def sturm_chain(p: UniPoly) -> list[UniPoly]:
     return chain
 
 
-def _sign_at(p: UniPoly, x) -> int:
-    return sgn(p.eval(x))
-
-
-def _sign_at_infinity(p: UniPoly, direction: int) -> int:
-    """Sign of p near +oo (direction=+1) or -oo (direction=-1)."""
-    if p.is_zero:
-        return 0
-    s = sgn(p.leading)
-    if direction < 0 and p.degree % 2 == 1:
-        s = -s
-    return s
-
-
-def _variations(signs: list[int]) -> int:
+def count_sign_changes(signs) -> int:
+    """Sign changes with zeros dropped."""
     nonzero = [s for s in signs if s != 0]
     return sum(1 for a, b in zip(nonzero, nonzero[1:]) if a != b)
+
+
+def chain_variations(chain: list[UniPoly], x) -> int:
+    """Sign changes of the chain's values at the point ``x``."""
+    return count_sign_changes([sgn(q.eval(x)) for q in chain])
+
+
+def squarefree_sturm(p: UniPoly) -> tuple[list[UniPoly], int, int]:
+    """Sturm chain of the squarefree part of ``p`` (degree >= 1), with its
+    sign changes at -oo and at +oo.
+
+    The difference of the two counts is the number of distinct real roots.
+    """
+    p = _demote(p)
+    deriv_gcd = poly_gcd(p, p.derivative())
+    if deriv_gcd.degree > 0:
+        p, _ = poly_divmod(p, deriv_gcd)
+    chain = sturm_chain(p)
+    at_plus = [sgn(q.leading) for q in chain]
+    at_minus = [-s if q.degree % 2 else s for q, s in zip(chain, at_plus)]
+    return chain, count_sign_changes(at_minus), count_sign_changes(at_plus)
 
 
 def sturm_count(
@@ -302,20 +313,12 @@ def sturm_count(
     """
     if p.is_zero:
         raise ValueError("root counting needs a nonzero polynomial")
-    p = _demote(p)
     if p.degree == 0:
         return 0
-    deriv_gcd = poly_gcd(p, p.derivative())
-    if deriv_gcd.degree > 0:
-        p, _ = poly_divmod(p, deriv_gcd)
-    chain = sturm_chain(p)
-    at_lo = [_sign_at_infinity(q, -1) for q in chain] if lo is None else [
-        _sign_at(q, lo) for q in chain
-    ]
-    at_hi = [_sign_at_infinity(q, +1) for q in chain] if hi is None else [
-        _sign_at(q, hi) for q in chain
-    ]
-    return _variations(at_lo) - _variations(at_hi)
+    chain, at_minus, at_plus = squarefree_sturm(p)
+    at_lo = at_minus if lo is None else chain_variations(chain, lo)
+    at_hi = at_plus if hi is None else chain_variations(chain, hi)
+    return at_lo - at_hi
 
 
 # -- discriminant sequence ----------------------------------------------------

@@ -171,12 +171,6 @@ def test_pretty_output(capsys):
     assert out.startswith("{\n")
 
 
-def test_kernel_command(capsys):
-    code, out, _ = run_json(capsys, "kernel")
-    assert code == 0
-    assert out["implementation"] in ("compiled", "python")
-
-
 def test_internal_assertion_exits_3(capsys, monkeypatch):
     import cycquart.cli as cli_module
 

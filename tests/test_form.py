@@ -10,6 +10,7 @@ from cycquart.form import (
     cyclic_sums,
     eval_form,
     from_bcde,
+    g_special_quartic,
     h_function,
     power_sums,
     r_range,
@@ -125,6 +126,16 @@ def test_reduce_examples():
     g = reduce_to_g(CyclicParams(0, 0, -1, 0))
     assert g.radicand == 108
     assert [v.u for v in g.coeffs] == [9, 0, 9, 0, 0]
+
+
+def test_g_special_quartic_is_the_reduced_quartic():
+    rng = random.Random(37)
+    fixed = [CyclicParams(0, 0, 0, 0), CyclicParams(2, 0, 0, 0), CyclicParams(0, 0, -1, 0)]
+    for c in fixed + [rand_params(rng) for _ in range(50)]:
+        quartic = g_special_quartic(c)
+        assert quartic.a1_squared == radicand(c)
+        assert quartic.a1_sign == (-1 if radicand(c) > 0 else 0)
+        assert quartic.to_unipoly() == reduce_to_g(c).poly
 
 
 def test_reduce_degenerate_leading():

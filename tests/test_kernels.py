@@ -1,9 +1,7 @@
 import random
 from fractions import Fraction as F
 
-import pytest
-
-from cycquart import _kernels_py, kernels
+from cycquart import kernels
 from cycquart.form import CyclicParams, eval_form
 
 
@@ -33,43 +31,29 @@ def test_scaled_coefficients_preserve_sign():
 
 def test_python_kernel_matches_direct_evaluation():
     rng = random.Random(79)
-    for _ in range(20):
-        c = rand_params(rng, span=9, den=3)
+    cases = [rand_params(rng, span=9, den=3) for _ in range(20)]
+    cases.append(CyclicParams(F(10 ** 14), F(1), F(1), F(1)))  # exact at a large scale
+    d = 3
+    for c in cases:
         coeffs = kernels.scaled_coefficients(c)
-        found, i, j, evaluated, min_i, min_j, min_val = _kernels_py.face_scan(*coeffs, 3)
-        assert evaluated >= 1
-        if found:
-            assert eval_form(c, 1, F(i, 3), F(j, 3)) < 0
-        exact_min = min(
-            eval_form(c, 1, F(a, 3), F(b, 3))
-            for a in range(-3, 4)
-            for b in range(-3, 4)
-        )
-        if not found:
-            assert eval_form(c, 1, F(min_i, 3), F(min_j, 3)) == exact_min
-
-
-@pytest.mark.skipif(not kernels.HAVE_COMPILED, reason="extension not built")
-def test_compiled_matches_python():
-    rng = random.Random(83)
-    for _ in range(30):
-        c = rand_params(rng)
-        coeffs = kernels.scaled_coefficients(c)
-        for d in (1, 2, 5, 8):
-            for skip in (False, True):
-                py = kernels.face_scan_with("python", coeffs, d, skip)
-                cc = kernels.face_scan_with("compiled", coeffs, d, skip)
-                assert py == cc
-
-
-def test_oversized_coefficients_fall_back_to_python():
-    big = CyclicParams(F(10 ** 14), F(1), F(1), F(1))
-    coeffs = kernels.scaled_coefficients(big)
-    assert not kernels._fits_int64(coeffs, 64)
-    # the dispatcher must still produce exact results
-    found, i, j, *_ = kernels.face_scan(coeffs, 2)
-    py = _kernels_py.face_scan(*coeffs, 2)
-    assert (found, i, j) == py[:3]
+        for skip in (False, True):
+            found, i, j, evaluated, min_i, min_j, min_val = kernels.face_scan(coeffs, d, skip)
+            order = [
+                (a, b)
+                for a in range(-d, d + 1)
+                for b in range(-d, d + 1)
+                if not (skip and a % 2 == 0 and b % 2 == 0)
+            ]
+            values = [eval_form(c, 1, F(a, d), F(b, d)) for a, b in order]
+            first_negative = next((idx for idx, v in enumerate(values) if v < 0), None)
+            scanned = len(order) if first_negative is None else first_negative + 1
+            assert found == (first_negative is not None)
+            assert evaluated == scanned
+            if found:
+                assert (i, j) == order[first_negative]
+            exact_min = min(values[:scanned])
+            assert (min_i, min_j) == order[values.index(exact_min)]
+            assert min_val == coeffs[0] * d ** 4 * exact_min
 
 
 def test_find_negative_on_faces_verifies_exactly():
