@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import traceback
 
@@ -42,6 +43,11 @@ EXIT_PSD = 0
 EXIT_NOT_PSD = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
+
+# argparse reads "-3/7" and "-1,0,1" as option flags: its own pattern for a
+# negative number knows only "-3" and "-.5".  No option here starts with a
+# minus and a digit, so such an argument is always a number.
+_NEGATIVE_NUMBER = re.compile(r"^-\.?\d")
 
 
 def _emit(payload: dict, pretty: bool) -> None:
@@ -332,6 +338,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="JSON file with the full fuzz configuration")
     p.set_defaults(func=_cmd_fuzz)
 
+    for each in (parser, *sub.choices.values()):
+        each._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
 
 

@@ -56,7 +56,7 @@ CLOSED_FORM_VARIANTS = ("theorem", "proof", "corrected")
 DEFAULT_WITNESS_BUDGET = 40000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClausePolynomials:
     """The eleven coefficient polynomials of the closed-form criterion.
 
@@ -81,7 +81,7 @@ class ClausePolynomials:
     g4: Fraction
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Verdict:
     """Decision outcome; a witness, when present, satisfies F(witness) < 0
     exactly and forces ``is_psd`` to be False."""

@@ -5,6 +5,8 @@ Coefficients are stored leading-first: ``[a0, a1, ..., an]`` represents
 derivatives, gcd, squarefree decomposition, Sturm chains with exact
 root counting, and the discriminant sequence computed from even-order
 leading principal minors of the discrimination matrix of (f, f').
+Root counting runs one remainder sequence per chain: gcd(p, p') is read
+off the end of the chain of p, never computed separately.
 
 Q(sqrt(R)) with a perfect-square radicand is a ring with zero divisors,
 not a field, so algorithms that rely on division (gcd chains, Sturm
@@ -288,12 +290,15 @@ def squarefree_sturm(p: UniPoly) -> tuple[list[UniPoly], int, int]:
     sign changes at -oo and at +oo.
 
     The difference of the two counts is the number of distinct real roots.
+    The chain of ``p`` itself ends at a multiple of gcd(p, p'), so the gcd
+    is read off it rather than computed by a second remainder sequence: a
+    constant last entry means ``p`` is squarefree and its chain is the
+    answer; otherwise the chain is rebuilt on ``p / gcd(p, p')``.
     """
-    p = _demote(p)
-    deriv_gcd = poly_gcd(p, p.derivative())
-    if deriv_gcd.degree > 0:
-        p, _ = poly_divmod(p, deriv_gcd)
     chain = sturm_chain(p)
+    if chain[-1].degree > 0:
+        squarefree, _ = poly_divmod(chain[0], chain[-1].monic())
+        chain = sturm_chain(squarefree)
     at_plus = [sgn(q.leading) for q in chain]
     at_minus = [-s if q.degree % 2 else s for q, s in zip(chain, at_plus)]
     return chain, count_sign_changes(at_minus), count_sign_changes(at_plus)

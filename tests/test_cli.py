@@ -43,6 +43,30 @@ def test_decide_methods(capsys):
         assert code == expected, method
 
 
+def test_decide_takes_negative_fractions_as_coefficients(capsys):
+    code, out, _ = run_json(capsys, "decide", "1/2", "-3/7", "0", "0")
+    assert code == 0
+    assert out["params"] == {"k": "1/2", "l": "-3/7", "m": "0", "n": "0"}
+    code, out, _ = run_json(capsys, "decide", "-1/2", "-3/7", "-1", "-5/4",
+                            "--method", "oracle")
+    assert out["params"] == {"k": "-1/2", "l": "-3/7", "m": "-1", "n": "-5/4"}
+    assert code == (0 if out["is_psd"] else 1)
+
+
+def test_decide_negative_integer_unchanged(capsys):
+    code, out, _ = run_json(capsys, "decide", "2", "0", "-3", "0")
+    assert code == 0
+    assert out["params"] == {"k": "2", "l": "0", "m": "-3", "n": "0"}
+    assert out["fired_clause"] == "f3=0/quadratic/disc<=0"
+
+
+def test_roots_takes_a_negative_leading_coefficient(capsys):
+    code, out, _ = run_json(capsys, "roots", "-1,0,1")
+    assert code == 0
+    assert out["coefficients"] == ["-1", "0", "1"]
+    assert out["distinct_real"] == 2
+
+
 def test_convert(capsys):
     code, out, _ = run_json(capsys, "convert", "0", "0", "0", "0")
     assert code == 0

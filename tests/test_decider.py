@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction as F
 from types import SimpleNamespace
@@ -218,6 +220,38 @@ def test_seeded_search_handles_grid_resistant_case():
 def test_seeded_search_survives_coefficients_beyond_float_range(c):
     found = _seeded_search(c, _Budget(40000))
     assert found is None or eval_form(c, *found) < 0
+
+
+def vasc_perturbations():
+    """24 inputs near Vasc's boundary forms (2,0,-3,0) and (2,0,0,-3).
+
+    Each base is moved by +-eps along one direction, eps = 10**-1..10**-6,
+    and l is then set so that f3 is eps**2 (odd exponents) or 0 (even
+    ones).  One sign of each pair is NotPSD, and every NotPSD input gets
+    past the probe points and the coarse face grids to the seeded stage,
+    whose Sturm bisection meets both squarefree and non-squarefree g.
+    """
+    direction = (F(1, 2), 0, F(1, 3), F(-1, 4))
+    inputs = []
+    for base in ((2, 0, -3, 0), (2, 0, 0, -3)):
+        for exponent in range(1, 7):
+            eps = F(1, 10 ** exponent)
+            f3 = eps ** 2 if exponent % 2 else F(0)
+            for sign in (1, -1):
+                k, _, m, n = (b + sign * eps * d for b, d in zip(base, direction))
+                inputs.append(CyclicParams(k, f3 - (1 + k + m + n), m, n))
+    return inputs
+
+
+def test_seeded_witnesses_match_pinned_fingerprint():
+    # witnesses of an earlier release: a refactor must leave them identical
+    witnesses = [find_witness(c) for c in vasc_perturbations()]
+    assert sum(w is not None for w in witnesses) == 12
+    for c, w in zip(vasc_perturbations(), witnesses):
+        assert w is None or eval_form(c, *w) < 0
+    text = json.dumps([w and [str(v) for v in w] for w in witnesses])
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "fef0054f4891160b0fa85a2c9194d6738bb5ab233524b04a7aa89faebc3a55af"
 
 
 def test_find_negative_t_sign_is_exact():

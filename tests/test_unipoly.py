@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from cycquart.quartic_rules import SpecialQuartic, discriminants
-from cycquart.scalars import QuadExt
+from cycquart.scalars import QuadExt, sgn
 from cycquart.unipoly import (
     UniPoly,
     det_bareiss,
@@ -12,6 +12,7 @@ from cycquart.unipoly import (
     poly_divmod,
     poly_gcd,
     squarefree_decompose,
+    squarefree_sturm,
     sturm_chain,
     sturm_count,
 )
@@ -124,6 +125,46 @@ def test_sturm_chain_invariants():
             assert tail.degree == 0
         else:
             assert tail.monic() == g
+
+
+def test_squarefree_sturm_matches_chain_of_quotient_by_gcd():
+    # squarefree_sturm reads gcd(p, p') off the chain of p; the result must
+    # be the chain of p / gcd(p, p') built the direct way, with the same
+    # sign changes at -oo and +oo
+    def direct(p):
+        squarefree, _ = poly_divmod(p, poly_gcd(p, p.derivative()))
+        chain = sturm_chain(squarefree)
+        at_plus = [sgn(q.leading) for q in chain]
+        at_minus = [-s if q.degree % 2 else s for q, s in zip(chain, at_plus)]
+
+        def changes(signs):
+            return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+        return chain, changes(at_minus), changes(at_plus)
+
+    def lifted(coeffs, rad):
+        return UniPoly([QuadExt(u, v, rad) for u, v in coeffs])
+
+    rng = random.Random(59)
+    cases = []
+    for _ in range(20):
+        p = rand_poly(rng, rng.randint(1, 4))
+        q = rand_poly(rng, rng.randint(1, 2))
+        cases += [p, p * p * q, p * q * q * q]
+    for rad in (7, 5, 4, 9):  # non-square and perfect-square radicands
+        root = lifted([(1, 0), (-1, 1)], rad)  # t - (1 + sqrt(rad))
+        quad = lifted([(3, 0), (0, -1), (2, 0), (0, 0), (1, 0)], rad)
+        cases += [root, quad, root * root, quad * quad, root * quad * quad]
+    cases += [UniPoly([F(-2, 3), F(5, 7)]), UniPoly([QuadExt(0, 2, 7), F(1, 3)])]
+    for p in cases:
+        chain, at_minus, at_plus = squarefree_sturm(p)
+        expected, expected_minus, expected_plus = direct(p)
+        assert chain == expected
+        assert (at_minus, at_plus) == (expected_minus, expected_plus)
+        assert chain[-1].degree == 0
+    degrees = {p.degree for p in cases}
+    assert 1 in degrees and max(degrees) >= 8
+    assert sum(poly_gcd(p, p.derivative()).degree > 0 for p in cases) >= 40
 
 
 def test_discriminant_sequence_quartic_example():
