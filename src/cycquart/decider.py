@@ -19,11 +19,14 @@
   implementation path.
 
 ``find_witness`` produces exact rational points with F < 0 for forms that
-are not positive semidefinite.
+are not positive semidefinite: probe points, then integer face grids, then
+a seeded search on the equality locus of the reduction, where floats only
+propose candidates and an exact Sturm-bisection step backs them up.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -432,61 +435,85 @@ def _seeded_candidates(c: CyclicParams, tstar: Fraction) -> list[list[float]]:
     return [roots for roots in triples if len(roots) == 3]
 
 
+def _isolated_roots(p: UniPoly, width: Fraction, budget: _Budget) -> Optional[list[Fraction]]:
+    """One rational within ``width / 2`` of each distinct real root of ``p``,
+    ascending, by Sturm bisection over Q; None when the budget runs out.
+
+    Sturm counts are right-continuous, so ``V(lo) - V(hi)`` counts the roots
+    in the half-open interval (lo, hi].
+    """
+    chain, _, _ = squarefree_sturm(p)
+    bound = 1 + max(abs(a) for a in p.coeffs) / abs(p.leading)  # at least Cauchy's bound
+    pending = [(-bound, bound, *(chain_variations(chain, x) for x in (-bound, bound)))]
+    roots = []
+    while pending:
+        lo, hi, vlo, vhi = pending.pop()
+        if vlo - vhi == 1 and hi - lo <= width:
+            roots.append((lo + hi) / 2)
+            continue
+        if not budget.spend(len(chain)):
+            return None
+        mid = (lo + hi) / 2
+        vmid = chain_variations(chain, mid)
+        # the upper half goes on the stack first, so roots come out ascending
+        for part in ((mid, hi, vmid, vhi), (lo, mid, vlo, vmid)):
+            if part[2] > part[3]:
+                pending.append(part)
+    return roots
+
+
+def _locus_roots(c: CyclicParams, tstar: Fraction, budget: _Budget):
+    """Rational root sets near the equality locus at tstar, best guess first.
+
+    On x+y+z = 1 the locus is xy+yz+zx = q* = (1-tstar**2)/3 and xyz = r*
+    with H(r*) = 0.  First the float roots of X**3 - X**2 + q*X - r,
+    rationalized at growing denominators (none when R or tstar is beyond
+    float range).  Then, with no float: the two sets with two equal
+    variables, exact points of the locus that minimize F when m = n; and
+    at 20, 40, 60, ... bits, r* with f2/sqrt(R) rounded by ``math.isqrt``
+    and clamped to r_range(tstar), whose cubic's three roots are isolated
+    to that width.  Ends when the budget runs out.
+    """
+    try:
+        floats = _seeded_candidates(c, tstar)
+    except OverflowError:
+        floats = []
+    for roots in floats:
+        for denom_bound in (16, 64, 256, 1024, 4096, 16384, 65536, 2 ** 20):
+            yield [Fraction(rt).limit_denominator(denom_bound) for rt in roots]
+    yield [(1 + tstar) / 3, (1 + tstar) / 3, (1 - 2 * tstar) / 3]
+    yield [(1 - tstar) / 3, (1 - tstar) / 3, (1 + 2 * tstar) / 3]
+    qstar = (1 - tstar * tstar) / 3
+    r1, r2 = r_range(tstar)
+    rad = radicand(c)
+    f2 = 4 * c.k + c.m + c.n - 8 - 2 * c.l
+    cos2 = f2 * f2 / rad if rad else Fraction(0)  # (f2 / sqrt(R))**2, in [0, 1]
+    for bits in itertools.count(20, 20):
+        scale = 1 << bits
+        cos = Fraction(math.isqrt(cos2.numerator * scale * scale // cos2.denominator), scale)
+        rstar = (1 - 3 * tstar**2 + 2 * (cos if f2 > 0 else -cos) * tstar**3) / 27
+        rstar = min(max(rstar, r1), r2)
+        xs = _isolated_roots(UniPoly([1, -1, qstar, -rstar]), Fraction(1, scale), budget)
+        if xs is None:
+            return
+        if len(xs) == 3:
+            yield xs
+
+
 def _seeded_search(c: CyclicParams, budget: _Budget):
+    """A point with F < 0 near the equality locus at an exact tstar with
+    g(tstar) < 0, or None; each root set of ``_locus_roots`` is tried in
+    both orders."""
     g = reduce_to_g(c).poly
     tstar = _find_negative_t(g, budget)
     if tstar is None:
         return None
-    try:
-        triples = _seeded_candidates(c, tstar)
-    except OverflowError:
-        # the floats only guide this stage; the exact stages after it still run
-        return None
-    for roots in triples:
-        for denom_bound in (16, 64, 256, 1024, 4096, 16384, 65536, 2 ** 20):
-            xs = [Fraction(rt).limit_denominator(denom_bound) for rt in roots]
-            for triple in ((xs[0], xs[1], xs[2]), (xs[0], xs[2], xs[1])):
-                if not budget.spend():
-                    return None
-                if eval_form(c, *triple) < 0:
-                    return triple
-    return None
-
-
-def _refine_descent(c: CyclicParams, start, budget: _Budget):
-    """Dyadic coordinate descent on F(v) / (x**2+y**2+z**2)**2 around a
-    grid minimum; returns a negative point or None."""
-    point = tuple(Fraction(v) for v in start)
-
-    def ratio(v):
-        nrm = v[0] ** 2 + v[1] ** 2 + v[2] ** 2
-        if nrm == 0:
-            return None
-        return eval_form(c, *v) / nrm ** 2
-
-    best = ratio(point)
-    if best is None:
-        return None
-    if best < 0:
-        return point
-    step = Fraction(1, 2)
-    for _round in range(8):
-        improved = False
-        for axis in range(3):
-            for direction in (1, -1):
-                cand = list(point)
-                cand[axis] += direction * step
-                cand_t = tuple(cand)
-                val = ratio(cand_t)
-                if not budget.spend():
-                    return None
-                if val is not None and val < best:
-                    best, point = val, cand_t
-                    improved = True
-                    if best < 0:
-                        return point
-        if not improved:
-            step /= 2
+    for xs in _locus_roots(c, tstar, budget):
+        for triple in ((xs[0], xs[1], xs[2]), (xs[0], xs[2], xs[1])):
+            if not budget.spend():
+                return None
+            if eval_form(c, *triple) < 0:
+                return triple
     return None
 
 
@@ -495,10 +522,10 @@ def find_witness(
 ) -> Optional[tuple[Fraction, Fraction, Fraction]]:
     """Exact rational (x, y, z) with F(x, y, z) < 0, or None.
 
-    Deterministic: fixed probe points, then integer face grids of growing
-    denominator, then a seeded search driven by an exact negative value of
-    the reduced quartic, then dyadic refinement around the best grid point.
-    Every returned point is re-checked with Fraction arithmetic.
+    Deterministic, in three stages: fixed probe points, integer face grids
+    of denominators 1 to 4, then a seeded search driven by an exact
+    negative value of the reduced quartic.  Every returned point is
+    re-checked with Fraction arithmetic.
     """
     tracker = _Budget(budget)
     for point in _PROBE_POINTS:
@@ -511,29 +538,9 @@ def find_witness(
     tracker.spend(used)
     if point is not None:
         return point
-    if tracker.left <= 0:
+    if tracker.left <= 0 or decide_structural(c).is_psd:
         return None
-
-    if not decide_structural(c).is_psd:
-        found = _seeded_search(c, tracker)
-        if found is not None:
-            return found
-
-    point, used = kernels.find_negative_on_faces(
-        c, (8, 16, 32, 64), tracker.left, dyadic=True
-    )
-    tracker.spend(used)
-    if point is not None:
-        return point
-    if tracker.left <= 0:
-        return None
-
-    coeffs = kernels.scaled_coefficients(c)
-    _, _, _, evaluated, min_i, min_j, _ = kernels.face_scan(coeffs, 8)
-    tracker.spend(evaluated)
-    return _refine_descent(
-        c, (Fraction(1), Fraction(min_i, 8), Fraction(min_j, 8)), tracker
-    )
+    return _seeded_search(c, tracker)
 
 
 def attach_witness(c: CyclicParams, verdict: Verdict, budget: int = DEFAULT_WITNESS_BUDGET) -> Verdict:

@@ -112,9 +112,13 @@ class DiscrepancyReport:
 
 
 def _random_rational(rng: random.Random, lo: Fraction, hi: Fraction, den_bound: int) -> Fraction:
-    """Bounded-denominator rational, magnitude log-uniform up to the range."""
+    """Bounded-denominator rational, magnitude log-uniform up to the range:
+    capped at 10**e, e drawn from 0..max(3, least e with 10**e >= range)."""
+    e_max = 3
+    while 10**e_max < max(abs(lo), abs(hi)):
+        e_max += 1
     den = rng.randint(1, den_bound)
-    scale = Fraction(10 ** rng.randint(0, 3))
+    scale = Fraction(10 ** rng.randint(0, e_max))
     lo_eff = max(lo, -scale)
     hi_eff = min(hi, scale)
     lo_num = math.ceil(lo_eff * den)
@@ -167,7 +171,7 @@ def sample_falsifier(
     the cyclic and sign symmetries of F this face covers the whole surface
     max(|x|,|y|,|z|) = 1.  Returns the first point with F < 0 exactly.
     """
-    point, _ = kernels.find_negative_on_faces(c, _FALSIFIER_FACES, budget, dyadic=True)
+    point, _ = kernels.find_negative_on_faces(c, _FALSIFIER_FACES, budget)
     return point
 
 
@@ -261,7 +265,7 @@ def fuzz_compare(cfg: FuzzConfig, record_sink=None) -> DiscrepancyReport:
         if structural.is_psd:
             psd_count += 1
             attack, falsifier_checked = kernels.find_negative_on_faces(
-                c, _FALSIFIER_FACES, cfg.falsifier_budget, dyadic=True
+                c, _FALSIFIER_FACES, cfg.falsifier_budget
             )
             if attack is not None:
                 raise AssertionError(

@@ -40,20 +40,17 @@ def scaled_coefficients(c: CyclicParams) -> tuple[int, int, int, int, int]:
 def face_scan(coeffs, d: int, skip_even: bool = False):
     """Scan the lattice face x = d, |i|, |j| <= d.
 
-    Returns ``(found, ni, nj, evaluated, min_i, min_j, min_value)`` where
-    ``(ni, nj)`` is the first scanned point with a negative value (0, 0
-    when none), and ``(min_i, min_j, min_value)`` track the minimum over
-    the points scanned.  ``skip_even`` drops points with both coordinates
-    even, which avoids rescanning points already covered by the face d/2.
+    Returns ``(found, ni, nj, evaluated)`` where ``(ni, nj)`` is the first
+    scanned point with a negative value (0, 0 when none) and ``evaluated``
+    counts the points scanned.  ``skip_even`` drops points with both
+    coordinates even, which avoids rescanning points already covered by
+    the face d/2.
     """
     A, Bk, Bl, Bm, Bn = coeffs
     d2 = d * d
     d3 = d2 * d
     d4 = d2 * d2
     evaluated = 0
-    min_i = 0
-    min_j = 0
-    min_val = None
     for i in range(-d, d + 1):
         i2 = i * i
         i3 = i2 * i
@@ -69,36 +66,30 @@ def face_scan(coeffs, d: int, skip_even: bool = False):
             s13 = d * i3 + i * j2 * j + j * d3
             val = A * s4 + Bk * s22 + Bl * s211 + Bm * s31 + Bn * s13
             evaluated += 1
-            if min_val is None or val < min_val:
-                min_val = val
-                min_i, min_j = i, j
             if val < 0:
-                return True, i, j, evaluated, min_i, min_j, min_val
-    if min_val is None:
-        min_val = 0
-    return False, 0, 0, evaluated, min_i, min_j, min_val
+                return True, i, j, evaluated
+    return False, 0, 0, evaluated
 
 
 def find_negative_on_faces(
     c: CyclicParams,
     schedule: tuple[int, ...],
     budget: int,
-    dyadic: bool = False,
 ) -> tuple[Optional[tuple[Fraction, Fraction, Fraction]], int]:
     """Sweep faces x = 1, y/x = i/d, z/x = j/d for the given denominators.
 
     Returns ``(point, evaluated)`` where ``point`` is an exact rational
     triple with ``F(point) < 0`` (verified with Fraction arithmetic) or
-    None.  With ``dyadic=True``, faces after the first skip points whose
-    coordinates both reduce to a smaller denominator in the schedule.
+    None.  A face d whose half d/2 comes earlier in the schedule skips the
+    points with both coordinates even: those are the points of face d/2.
     """
     coeffs = scaled_coefficients(c)
     spent = 0
     for idx, d in enumerate(schedule):
         if spent >= budget:
             break
-        skip = dyadic and idx > 0
-        found, i, j, evaluated, *_ = face_scan(coeffs, d, skip)
+        skip = d % 2 == 0 and d // 2 in schedule[:idx]
+        found, i, j, evaluated = face_scan(coeffs, d, skip)
         spent += evaluated
         if found:
             point = (Fraction(1), Fraction(i, d), Fraction(j, d))

@@ -126,12 +126,6 @@ class UniPoly:
             return UniPoly([])
         return UniPoly([a * c for a in self.coeffs])
 
-    def shift_up(self, k: int) -> "UniPoly":
-        """Multiply by x**k."""
-        if self.is_zero:
-            return self
-        return UniPoly(list(self.coeffs) + [Fraction(0)] * k)
-
     # -- calculus and evaluation ---------------------------------------------
 
     def derivative(self) -> "UniPoly":

@@ -11,6 +11,7 @@ from cycquart.decider import (
     Verdict,
     _Budget,
     _find_negative_t,
+    _isolated_roots,
     _seeded_search,
     attach_witness,
     decide,
@@ -23,6 +24,7 @@ from cycquart.decider import (
 from cycquart.form import CyclicParams, eval_form, radicand, reduce_to_g
 from cycquart.quartic_rules import SpecialQuartic, discriminants
 from cycquart.scalars import sgn
+from cycquart.unipoly import UniPoly
 
 
 def rand_params(rng, span=12, den=6):
@@ -220,6 +222,47 @@ def test_seeded_search_handles_grid_resistant_case():
 def test_seeded_search_survives_coefficients_beyond_float_range(c):
     found = _seeded_search(c, _Budget(40000))
     assert found is None or eval_form(c, *found) < 0
+
+
+MICRO = F(1, 10 ** 6)
+
+
+@pytest.mark.parametrize("params", [
+    (F(1999999, 10 ** 6), 0, -3, MICRO),
+    (F(1999999, 10 ** 6), MICRO, -MICRO, F(-2999999, 10 ** 6)),
+    (F(999999, 500000), MICRO, 0, F(-2999999, 10 ** 6)),
+    (F(1999999, 10 ** 6), MICRO, F(-2999999, 10 ** 6), -MICRO),
+    (F(3999997, 2000000), F(1000000000001, 10 ** 18), F(-1, 2000000), F(-2999999, 10 ** 6)),
+])
+def test_witness_found_within_a_millionth_of_vascs_boundary(params):
+    # the float-guided candidates land outside the negative region here
+    c = CyclicParams(*params)
+    assert not decide_structural(c).is_psd
+    witness = find_witness(c)
+    assert witness is not None
+    assert eval_form(c, *witness) < 0
+
+
+@pytest.mark.parametrize("params", [
+    (6, -5, 1, 1),  # m = n: two equal variables
+    (11, F(11, 2), F(-2, 3), F(-5, 2)),  # isolated cubic roots
+])
+def test_seeded_search_is_exact_beyond_float_range(params):
+    c = CyclicParams(*(10 ** 200 * F(v) for v in params))
+    assert not decide_structural(c).is_psd
+    found = _seeded_search(c, _Budget(40000))
+    assert found is not None
+    assert eval_form(c, *found) < 0
+
+
+def test_isolated_roots_are_ascending_and_within_half_the_width():
+    p = UniPoly([1, 0, -7, 6])  # (x + 3)(x - 1)(x - 2)
+    width = F(1, 2 ** 20)
+    roots = _isolated_roots(p, width, _Budget(10 ** 6))
+    assert len(roots) == 3
+    for found, exact in zip(roots, (-3, 1, 2)):
+        assert abs(found - exact) <= width / 2
+    assert _isolated_roots(p, width, _Budget(10)) is None
 
 
 def vasc_perturbations():

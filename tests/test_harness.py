@@ -64,6 +64,21 @@ def test_sampler_respects_bounds():
             assert v.denominator <= 8
 
 
+def test_sampler_covers_a_wide_coefficient_range():
+    cfg = FuzzConfig(coefficient_range=(F(-10 ** 12), F(10 ** 12)))
+    lo, hi = cfg.coefficient_range
+    rng = random.Random(cfg.seed)
+    values = [
+        v
+        for _ in range(200)
+        for c in [stratum_sampler("generic", rng, cfg.coefficient_range, cfg.denominator_bound)]
+        for v in (c.k, c.l, c.m, c.n)
+    ]
+    assert all(lo <= v <= hi for v in values)
+    assert max(abs(v) for v in values) > 10 ** 9
+    assert sum(abs(v) > 10 ** 3 for v in values) > len(values) // 2
+
+
 def test_sample_falsifier_examples():
     assert sample_falsifier(CyclicParams(0, 0, -3, 0), 4000) is not None
     assert sample_falsifier(CyclicParams(0, 0, 0, 0), 4000) is None
