@@ -50,6 +50,17 @@ EXIT_INTERNAL = 3
 _NEGATIVE_NUMBER = re.compile(r"^-\.?\d")
 
 
+def _budget(text: str) -> int:
+    """argparse type of the budget options: a nonnegative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 def _emit(payload: dict, pretty: bool) -> None:
     if pretty:
         json.dump(payload, sys.stdout, indent=2, sort_keys=True)
@@ -291,7 +302,7 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=["structural", "oracle", "closed-theorem", "closed-proof", "closed-corrected"],
     )
     p.add_argument("--witness", action="store_true", help="search for a counterexample")
-    p.add_argument("--budget", type=int, default=DEFAULT_WITNESS_BUDGET)
+    p.add_argument("--budget", type=_budget, default=DEFAULT_WITNESS_BUDGET)
     p.set_defaults(func=_cmd_decide)
 
     p = sub.add_parser("explain", help="all intermediate values and every verdict")
@@ -321,7 +332,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("witness", help="search for a rational point with F < 0")
     add_params(p)
-    p.add_argument("--budget", type=int, default=DEFAULT_WITNESS_BUDGET)
+    p.add_argument("--budget", type=_budget, default=DEFAULT_WITNESS_BUDGET)
     p.set_defaults(func=_cmd_witness)
 
     p = sub.add_parser("fuzz", help="differential testing of all deciders")
@@ -332,8 +343,8 @@ def _build_parser() -> argparse.ArgumentParser:
         default="generic",
         help=f"comma-separated subset of {','.join(STRATA)}",
     )
-    p.add_argument("--falsifier-budget", type=int, default=4000)
-    p.add_argument("--witness-budget", type=int, default=DEFAULT_WITNESS_BUDGET)
+    p.add_argument("--falsifier-budget", type=_budget, default=4000)
+    p.add_argument("--witness-budget", type=_budget, default=DEFAULT_WITNESS_BUDGET)
     p.add_argument("--out", help="write per-sample JSONL records to this path")
     p.add_argument("--config", help="JSON file with the full fuzz configuration")
     p.set_defaults(func=_cmd_fuzz)

@@ -11,7 +11,9 @@
 * ``decide_structural`` reduces to the univariate quartic g(t) and decides
   it case by case: biquadratic rules when the radicand R vanishes, a
   quadratic-factor rule when the constant term vanishes, and the special
-  quartic discriminant rule otherwise.  Fully rational arithmetic.
+  quartic discriminant rule otherwise.  Integer arithmetic: every
+  quantity it reads is homogeneous in (1, k, l, m, n), so clearing the
+  common denominator of (k, l, m, n) once keeps each sign exact.
 
 * ``decide_oracle`` runs the everywhere-nonnegativity oracle (squarefree
   decomposition plus Sturm counting) on g(t) over Q(sqrt(R)) -- no
@@ -33,8 +35,8 @@ from fractions import Fraction
 from typing import Optional
 
 from . import kernels
-from .form import CyclicParams, eval_form, g_special_quartic, r_range, radicand, reduce_to_g
-from .quartic_rules import discriminant_rule, discriminants
+from .form import CyclicParams, eval_form, r_range, radicand, reduce_to_g, scaled_coefficients
+from .quartic_rules import discriminant_rule, discriminants_of
 from .roots import is_nonneg_everywhere
 from .scalars import sgn
 from .unipoly import UniPoly, chain_variations, squarefree_sturm
@@ -227,8 +229,10 @@ def closed_form_verdict(c: CyclicParams, P: ClausePolynomials, variant: str) -> 
     return Verdict(False, method, "none")
 
 
-def _biquadratic_nonneg(a: Fraction, b: Fraction, cc: Fraction) -> tuple[bool, str]:
-    """Nonnegativity of a*t**4 + b*t**2 + cc on all of R."""
+def _biquadratic_nonneg(a, b, cc) -> tuple[bool, str]:
+    """Nonnegativity of a*t**4 + b*t**2 + cc on all of R; reads only signs
+    and ``b*b <= 4*a*cc``, so (a, b, cc) may carry any common positive
+    factor."""
     if a < 0:
         return False, "lead<0"
     if a == 0:
@@ -243,38 +247,42 @@ def _biquadratic_nonneg(a: Fraction, b: Fraction, cc: Fraction) -> tuple[bool, s
 
 
 def decide_structural(c: CyclicParams) -> Verdict:
-    """Case analysis on the reduced quartic g(t), in rational arithmetic.
+    """Case analysis on the reduced quartic g(t), in integer arithmetic.
 
     R = 0 collapses g to a biquadratic; a vanishing constant term f3
     collapses the decision to a quadratic factor; otherwise (f3 > 0,
     f1 > 0) the special-quartic discriminant rule applies with
-    a1_squared = R.  Only f1, f3, g1, g3 of the clause polynomials are
-    read, so no other is evaluated.
+    a1_squared = R.  With ``(d, K, L, M, N) = scaled_coefficients(c)``
+    every value below is d (d**2 for R) times the rational one: g1, g3,
+    f1, f3 and the coefficients of g are linear in (1, k, l, m, n), R is
+    quadratic, and each rule reads only signs of expressions homogeneous
+    in them, so every branch is taken exactly as over Q.
     """
-    k, l, m, n = c.k, c.l, c.m, c.n
-    rad = radicand(c)
+    d, K, L, M, N = scaled_coefficients(c)
     method = "structural"
+    rad = 27 * (M - N) ** 2 + (4 * K + M + N - 8 * d - 2 * L) ** 2
 
     if rad == 0:
-        g1 = k - 2 * m + 2
-        g3 = 8 + m - 2 * k
-        ok, tag = _biquadratic_nonneg(g1, g3, k + m - 1)
+        g1 = K - 2 * M + 2 * d
+        g3 = 8 * d + M - 2 * K
+        ok, tag = _biquadratic_nonneg(g1, g3, K + M - d)
         return Verdict(ok, method, f"R=0/biquadratic/{tag}")
-    f1 = 2 + k - m - n
-    f3 = 1 + k + m + n + l
+    f1 = 2 * d + K - M - N
+    f3 = d + K + M + N + L
+    tail = 4 * d + M + N - L
     if f3 < 0:
         return Verdict(False, method, "f3<0/g(0)<0")
     if f3 == 0:
         # g = t**2 * (3*f1*t**2 - sqrt(R)*t + 3*(4+m+n-l))
         if f1 <= 0:
             return Verdict(False, method, "f3=0/quadratic/f1<=0")
-        tail = 4 + m + n - l
         ok = rad <= 36 * f1 * tail
         tag = "f3=0/quadratic/disc<=0" if ok else "f3=0/quadratic/disc>0"
         return Verdict(ok, method, tag)
     if f1 <= 0:
         return Verdict(False, method, "f3>0/f1<=0")
-    _, d2, d3, d4 = discriminants(g_special_quartic(c))
+    # g = 3*f1*t**4 - sqrt(R)*t**3 + 3*tail*t**2 + f3, as in g_special_quartic
+    _, d2, d3, d4 = discriminants_of(3 * f1, rad, 3 * tail, f3)
     ok, rule = discriminant_rule(d2, d3, d4)
     return Verdict(ok, method, f"f3>0/quartic-rule/{rule}")
 
@@ -525,7 +533,7 @@ def find_witness(
     Deterministic, in three stages: fixed probe points, integer face grids
     of denominators 1 to 4, then a seeded search driven by an exact
     negative value of the reduced quartic.  Every returned point is
-    re-checked with Fraction arithmetic.
+    checked exactly with ``eval_form``.
     """
     tracker = _Budget(budget)
     for point in _PROBE_POINTS:

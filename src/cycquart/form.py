@@ -23,8 +23,10 @@ r in [r1(t), r2(t)].
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .quartic_rules import SpecialQuartic
 from .scalars import QuadExt
@@ -35,6 +37,7 @@ __all__ = [
     "SigmaCoords",
     "BcdeParams",
     "ReducedQuartic",
+    "scaled_coefficients",
     "cyclic_sums",
     "eval_form",
     "power_sums",
@@ -61,6 +64,18 @@ class CyclicParams:
     def __post_init__(self):
         for name in ("k", "l", "m", "n"):
             object.__setattr__(self, name, Fraction(getattr(self, name)))
+
+    @cached_property
+    def _scaled(self) -> tuple[int, int, int, int, int]:
+        k, l, m, n = self.k, self.l, self.m, self.n
+        d = math.lcm(k.denominator, l.denominator, m.denominator, n.denominator)
+        return (
+            d,
+            k.numerator * (d // k.denominator),
+            l.numerator * (d // l.denominator),
+            m.numerator * (d // m.denominator),
+            n.numerator * (d // n.denominator),
+        )
 
 
 @dataclass(frozen=True)
@@ -111,9 +126,22 @@ class ReducedQuartic:
         return UniPoly(self.coeffs)
 
 
-def cyclic_sums(x, y, z) -> tuple[Fraction, Fraction, Fraction, Fraction, Fraction]:
-    """(S4, S22, S211, S31, S13) at an exact rational point."""
-    x, y, z = Fraction(x), Fraction(y), Fraction(z)
+def scaled_coefficients(c: CyclicParams) -> tuple[int, int, int, int, int]:
+    """``(d, K, L, M, N)``: the least common denominator d of (k, l, m, n)
+    and the integers ``K = d*k``, ``L = d*l``, ``M = d*m``, ``N = d*n``.
+
+    ``d*F = d*S4 + K*S22 + L*S211 + M*S31 + N*S13``, so F and this integer
+    form have the same sign everywhere.  Every quantity the decision reads
+    is homogeneous in (1, k, l, m, n), so it too keeps its sign when
+    (1, k, l, m, n) is replaced by (d, K, L, M, N).  Computed once per
+    ``CyclicParams`` and kept on it.
+    """
+    return c._scaled
+
+
+def cyclic_sums(x, y, z) -> tuple:
+    """(S4, S22, S211, S31, S13) at an exact point: ``int`` coordinates give
+    ``int`` sums, ``Fraction`` coordinates ``Fraction`` ones."""
     x2, y2, z2 = x * x, y * y, z * z
     s4 = x2 * x2 + y2 * y2 + z2 * z2
     s22 = x2 * y2 + y2 * z2 + z2 * x2
@@ -124,9 +152,25 @@ def cyclic_sums(x, y, z) -> tuple[Fraction, Fraction, Fraction, Fraction, Fracti
 
 
 def eval_form(c: CyclicParams, x, y, z) -> Fraction:
-    """Exact value of F at a rational point."""
-    s4, s22, s211, s31, s13 = cyclic_sums(x, y, z)
-    return s4 + c.k * s22 + c.l * s211 + c.m * s31 + c.n * s13
+    """Exact value of F at a rational point with ``int`` or ``Fraction``
+    coordinates.
+
+    With ``(d, K, L, M, N) = scaled_coefficients(c)`` and the point written
+    as (X, Y, Z)/e over the least common denominator e of its coordinates,
+
+        F(x, y, z) = (d*S4 + K*S22 + L*S211 + M*S31 + N*S13)(X, Y, Z) / (d*e**4),
+
+    the integer sum ``kernels.face_scan`` evaluates on its faces; only the
+    quotient is a Fraction.
+    """
+    d, K, L, M, N = scaled_coefficients(c)
+    e = math.lcm(x.denominator, y.denominator, z.denominator)
+    s4, s22, s211, s31, s13 = cyclic_sums(
+        x.numerator * (e // x.denominator),
+        y.numerator * (e // y.denominator),
+        z.numerator * (e // z.denominator),
+    )
+    return Fraction(d * s4 + K * s22 + L * s211 + M * s31 + N * s13, d * e**4)
 
 
 def power_sums(s: SigmaCoords) -> tuple[Fraction, Fraction, Fraction, Fraction]:

@@ -20,7 +20,7 @@ import json
 import math
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Optional
 
@@ -63,7 +63,20 @@ class FuzzConfig:
     witness_budget: int = DEFAULT_WITNESS_BUDGET
 
     def __post_init__(self):
-        lo, hi = (Fraction(v) for v in self.coefficient_range)
+        for name in (
+            "sample_count", "denominator_bound", "seed", "falsifier_budget", "witness_budget"
+        ):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.strata, (list, tuple)) or not self.strata:
+            raise ValueError(f"strata must be a nonempty list of names, got {self.strata!r}")
+        try:
+            lo, hi = (Fraction(v) for v in self.coefficient_range)
+        except (TypeError, ValueError):
+            raise ValueError(
+                f"coefficient_range must be two rationals, got {self.coefficient_range!r}"
+            ) from None
         if not lo < hi:
             raise ValueError("coefficient_range must satisfy lo < hi")
         object.__setattr__(self, "coefficient_range", (lo, hi))
@@ -72,6 +85,8 @@ class FuzzConfig:
             raise ValueError("sample_count must be positive")
         if self.denominator_bound < 1:
             raise ValueError("denominator_bound must be positive")
+        if self.falsifier_budget < 0 or self.witness_budget < 0:
+            raise ValueError("budgets must be nonnegative")
         for stratum in self.strata:
             if stratum not in STRATA:
                 raise ValueError(f"unknown stratum {stratum!r}")
@@ -89,12 +104,18 @@ class FuzzConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FuzzConfig":
+        """Build from a JSON object shaped like ``to_dict``'s output;
+        ValueError for an unknown key or a wrongly typed value."""
+        if not isinstance(data, dict):
+            raise ValueError(f"a fuzz config must be a JSON object, got {data!r}")
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown fuzz config keys: {', '.join(unknown)}")
         kwargs = dict(data)
-        if "coefficient_range" in kwargs:
-            lo, hi = kwargs["coefficient_range"]
-            kwargs["coefficient_range"] = (Fraction(str(lo)), Fraction(str(hi)))
-        if "strata" in kwargs:
-            kwargs["strata"] = tuple(kwargs["strata"])
+        bounds = kwargs.get("coefficient_range")
+        if isinstance(bounds, (list, tuple)):
+            # via str, so that a JSON float 0.1 reads as 1/10
+            kwargs["coefficient_range"] = tuple(Fraction(str(v)) for v in bounds)
         return cls(**kwargs)
 
 

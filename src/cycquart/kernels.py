@@ -1,40 +1,24 @@
 """Exact integer face-grid sweep of the form.
 
 The sweep falsifies PSD verdicts and finds witnesses; every point it
-reports is re-checked with Fraction arithmetic by its callers.  The form
-is evaluated at integer points (d, i, j) after clearing denominators:
+reports is re-checked with ``eval_form`` by its callers.  The form is
+evaluated at integer points (d, i, j) after clearing denominators:
 
     E(d, i, j) = A*S4 + Bk*S22 + Bl*S211 + Bm*S31 + Bn*S13
 
-where A is the common denominator of (k, l, m, n) and Bk..Bn are the
-numerators scaled to it, so sign(E) = sign(F(1, i/d, j/d)).  Python
-integers are unbounded, so no coefficient size can overflow the sweep.
+where ``(A, Bk, Bl, Bm, Bn) = form.scaled_coefficients(c)``, so
+sign(E) = sign(F(1, i/d, j/d)).  Python integers are unbounded, so no
+coefficient size can overflow the sweep.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Optional
 
-from .form import CyclicParams, eval_form
+from .form import CyclicParams, eval_form, scaled_coefficients
 
 __all__ = ["scaled_coefficients", "face_scan", "find_negative_on_faces"]
-
-
-def scaled_coefficients(c: CyclicParams) -> tuple[int, int, int, int, int]:
-    """Integer (A, Bk, Bl, Bm, Bn) with sign(A*S4 + ...) = sign(F)."""
-    dens = [c.k.denominator, c.l.denominator, c.m.denominator, c.n.denominator]
-    common = 1
-    for d in dens:
-        common = common * d // math.gcd(common, d)
-    return (
-        common,
-        c.k.numerator * (common // c.k.denominator),
-        c.l.numerator * (common // c.l.denominator),
-        c.m.numerator * (common // c.m.denominator),
-        c.n.numerator * (common // c.n.denominator),
-    )
 
 
 def face_scan(coeffs, d: int, skip_even: bool = False):
@@ -79,9 +63,10 @@ def find_negative_on_faces(
     """Sweep faces x = 1, y/x = i/d, z/x = j/d for the given denominators.
 
     Returns ``(point, evaluated)`` where ``point`` is an exact rational
-    triple with ``F(point) < 0`` (verified with Fraction arithmetic) or
-    None.  A face d whose half d/2 comes earlier in the schedule skips the
-    points with both coordinates even: those are the points of face d/2.
+    triple with ``F(point) < 0`` (re-checked with ``eval_form`` at the
+    integer point (d, i, j), where F has the same sign) or None.  A face d
+    whose half d/2 comes earlier in the schedule skips the points with both
+    coordinates even: those are the points of face d/2.
     """
     coeffs = scaled_coefficients(c)
     spent = 0
@@ -93,10 +78,10 @@ def find_negative_on_faces(
         spent += evaluated
         if found:
             point = (Fraction(1), Fraction(i, d), Fraction(j, d))
-            value = eval_form(c, *point)
+            value = eval_form(c, d, i, j)
             if value >= 0:
                 raise AssertionError(
-                    f"kernel reported a negative value at {point} but F = {value}"
+                    f"kernel reported a negative value at {point} but F(d, i, j) = {value}"
                 )
             return point, spent
     return None, spent

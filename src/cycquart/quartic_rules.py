@@ -25,7 +25,13 @@ from fractions import Fraction
 from .scalars import QuadExt, is_perfect_square, rational_sqrt, sgn
 from .unipoly import UniPoly
 
-__all__ = ["SpecialQuartic", "discriminants", "discriminant_rule", "is_nonneg"]
+__all__ = [
+    "SpecialQuartic",
+    "discriminants",
+    "discriminants_of",
+    "discriminant_rule",
+    "is_nonneg",
+]
 
 
 @dataclass(frozen=True)
@@ -72,7 +78,18 @@ def discriminants(q: SpecialQuartic) -> tuple[Fraction, Fraction, Fraction, Frac
     """
     if q.a0 == 0:
         raise ValueError("a0 must be nonzero")
-    a0, s, a2, a4 = q.a0, q.a1_squared, q.a2, q.a4
+    return discriminants_of(q.a0, q.a1_squared, q.a2, q.a4)
+
+
+def discriminants_of(a0, s, a2, a4) -> tuple:
+    """(D1, D2, D3, D4) from plain ``a0``, ``s = a1**2``, ``a2``, ``a4``.
+
+    Works on ``int`` and ``Fraction`` alike.  Each Di is homogeneous in
+    (a0, a1, a2, a4), of degree 2, 4, 6 and 8, so scaling a0, a2, a4 by
+    d > 0 and s by d**2 multiplies Di by a positive power of d and keeps
+    its sign: integer coefficients with cleared denominators decide the
+    same branch of ``discriminant_rule``.
+    """
     d1 = a0 ** 2
     d2 = -8 * a0 ** 3 * a2 + 3 * s * a0 ** 2
     d3 = (

@@ -17,8 +17,6 @@ real root of odd multiplicity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional
 
 from .scalars import sgn
 from .unipoly import (
@@ -36,7 +34,6 @@ __all__ = [
     "count_sign_changes",
     "classify_roots",
     "is_nonneg_everywhere",
-    "find_negative_point",
 ]
 
 
@@ -104,36 +101,3 @@ def is_nonneg_everywhere(p: UniPoly) -> bool:
         if multiplicity % 2 == 1 and sturm_count(factor) > 0:
             return False
     return True
-
-
-def find_negative_point(p: UniPoly, budget: int = 4096) -> Optional[Fraction]:
-    """A rational ``x`` with ``p(x) < 0``, or None within the budget.
-
-    Deterministic dyadic sweep over a root-bound interval; succeeds for
-    every polynomial whose infimum over R is strictly negative, given a
-    large enough budget.
-    """
-    if p.is_zero:
-        return None
-    if p.degree == 0:
-        return Fraction(0) if sgn(p.leading) < 0 else None
-    lead = abs(float(p.leading))
-    bound = 2.0
-    for c in p.coeffs[1:]:
-        bound = max(bound, 2.0 * abs(float(c)) / lead)
-    top = Fraction(int(bound) + 1)
-    spent = 0
-    den = 1
-    while spent < budget:
-        step = Fraction(1, den)
-        x = -top
-        while x <= top:
-            if den == 1 or x.denominator == den:  # new points only
-                if sgn(p.eval(x)) < 0:
-                    return x
-                spent += 1
-                if spent >= budget:
-                    return None
-            x += step
-        den *= 2
-    return None

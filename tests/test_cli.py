@@ -189,6 +189,46 @@ def test_fuzz_config_file(capsys, tmp_path):
     assert out["strata_counts"] == {"f3_zero": 5}
 
 
+def test_fuzz_config_with_an_unknown_key_exits_2(capsys, tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"sample_count": 3, "bogus": 1}))
+    code, out, err = run(capsys, "fuzz", "--config", str(cfg_path))
+    assert code == 2
+    assert out == ""
+    assert "bogus" in err and "Traceback" not in err
+
+
+def test_fuzz_config_with_a_wrongly_typed_value_exits_2(capsys, tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"sample_count": "3"}))
+    code, out, err = run(capsys, "fuzz", "--config", str(cfg_path))
+    assert code == 2
+    assert out == ""
+    assert "sample_count" in err and "Traceback" not in err
+
+
+def test_decide_rejects_a_negative_budget(capsys):
+    code, out, err = run(capsys, "decide", "0", "0", "-3", "0", "--witness",
+                         "--budget", "-5")
+    assert code == 2
+    assert out == ""
+    assert "--budget" in err
+
+
+def test_fuzz_rejects_a_negative_witness_budget(capsys):
+    code, out, err = run(capsys, "fuzz", "--count", "1", "--witness-budget", "-1")
+    assert code == 2
+    assert out == ""
+    assert "--witness-budget" in err
+
+
+def test_fuzz_rejects_a_negative_falsifier_budget(capsys):
+    code, out, err = run(capsys, "fuzz", "--count", "1", "--falsifier-budget", "-1")
+    assert code == 2
+    assert out == ""
+    assert "--falsifier-budget" in err
+
+
 def test_pretty_output(capsys):
     code, out, _ = run(capsys, "--pretty", "decide", "0", "0", "0", "0")
     assert code == 0

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import random
 from fractions import Fraction as F
@@ -9,6 +10,7 @@ import pytest
 from cycquart.decider import (
     CLOSED_FORM_VARIANTS,
     Verdict,
+    _biquadratic_nonneg,
     _Budget,
     _find_negative_t,
     _isolated_roots,
@@ -21,8 +23,9 @@ from cycquart.decider import (
     eval_polys,
     find_witness,
 )
-from cycquart.form import CyclicParams, eval_form, radicand, reduce_to_g
-from cycquart.quartic_rules import SpecialQuartic, discriminants
+from cycquart.form import CyclicParams, eval_form, g_special_quartic, radicand, reduce_to_g
+from cycquart.harness import STRATA, stratum_sampler
+from cycquart.quartic_rules import SpecialQuartic, discriminant_rule, discriminants
 from cycquart.scalars import sgn
 from cycquart.unipoly import UniPoly
 
@@ -137,6 +140,64 @@ def test_structural_equals_oracle_on_random_samples():
     for _ in range(200):
         c = rand_params(rng)
         assert decide_structural(c).is_psd == decide_oracle(c).is_psd
+
+
+def structural_over_q(c):
+    """(is_psd, fired_clause) of decide_structural's case analysis, with
+    Fraction arithmetic throughout."""
+    k, l, m, n = c.k, c.l, c.m, c.n
+    rad = radicand(c)
+    if rad == 0:
+        ok, tag = _biquadratic_nonneg(k - 2 * m + 2, 8 + m - 2 * k, k + m - 1)
+        return ok, f"R=0/biquadratic/{tag}"
+    f1, f3 = 2 + k - m - n, 1 + k + m + n + l
+    if f3 < 0:
+        return False, "f3<0/g(0)<0"
+    if f3 == 0:
+        if f1 <= 0:
+            return False, "f3=0/quadratic/f1<=0"
+        ok = rad <= 36 * f1 * (4 + m + n - l)
+        return ok, "f3=0/quadratic/disc<=0" if ok else "f3=0/quadratic/disc>0"
+    if f1 <= 0:
+        return False, "f3>0/f1<=0"
+    _, d2, d3, d4 = discriminants(g_special_quartic(c))
+    ok, rule = discriminant_rule(d2, d3, d4)
+    return ok, f"f3>0/quartic-rule/{rule}"
+
+
+def test_structural_integers_match_a_fraction_reference():
+    # stratum draws; every fifth one also scaled by 10**200 and 10**-200 and
+    # redrawn with denominators up to 10**12.  An f5_zero_near draw costs 32
+    # eval_f5 calls, so that stratum gets fewer seeds.
+    inputs = []
+    for stratum in STRATA:
+        for seed in range(20 if stratum == "f5_zero_near" else 300):
+            c = stratum_sampler(stratum, random.Random(seed))
+            inputs.append(c)
+            if seed % 5 == 0:
+                inputs += [
+                    CyclicParams(*(v * scale for v in (c.k, c.l, c.m, c.n)))
+                    for scale in (F(10) ** 200, F(1, 10**200))
+                ]
+                inputs.append(
+                    stratum_sampler(stratum, random.Random(seed), denominator_bound=10**12)
+                )
+    # the degenerate branches: a grid of halves, and integer points for the
+    # branches it misses
+    halves = [F(i, 2) for i in range(-2, 5)]
+    inputs += [CyclicParams(*p) for p in itertools.product(halves, repeat=4)]
+    inputs += [
+        CyclicParams(*p)
+        for p in (
+            (-1, -6, 0, 0), (8, 17, 5, 5), (4, 2, -2, -2), (4, 1, -3, -3), (5, 2, -4, -3)
+        )
+    ]
+    clauses = set()
+    for c in inputs:
+        verdict = decide_structural(c)
+        assert (verdict.is_psd, verdict.fired_clause) == structural_over_q(c), c
+        clauses.add(verdict.fired_clause)
+    assert len(clauses) == 18  # every branch
 
 
 def test_psd_implies_necessary_conditions():

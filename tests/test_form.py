@@ -40,6 +40,29 @@ def test_eval_form_examples():
         assert eval_form(c, 1, -1, 0) == 2 + c.k - c.m - c.n
 
 
+def test_eval_form_matches_the_cyclic_sums():
+    rng = random.Random(19)
+
+    def coordinate():
+        return rng.choice((
+            0,
+            rng.randint(-9, 9),
+            F(rng.randint(-9, 9), rng.randint(1, 7)),
+            F(rng.randint(-10**30, 10**30), rng.randint(1, 10**30)),
+        ))
+
+    for _ in range(400):
+        c = CyclicParams(*(
+            F(rng.randint(-10**6, 10**6), rng.randint(1, 10 ** rng.choice((1, 6, 40))))
+            for _ in range(4)
+        ))
+        point = [coordinate() for _ in range(3)]
+        s4, s22, s211, s31, s13 = cyclic_sums(*(F(v) for v in point))
+        value = eval_form(c, *point)
+        assert isinstance(value, F)
+        assert value == s4 + c.k * s22 + c.l * s211 + c.m * s31 + c.n * s13
+
+
 def test_cyclic_invariance():
     rng = random.Random(7)
     for _ in range(100):

@@ -4,11 +4,11 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
+from cycquart.decider import _Budget, _find_negative_t
 from cycquart.roots import (
     RootCount,
     classify_roots,
     count_sign_changes,
-    find_negative_point,
     is_nonneg_everywhere,
     revise,
 )
@@ -114,13 +114,13 @@ def test_nonneg_verdicts_are_consistent_with_sampling():
                 x = F(rng.randint(-40, 40), rng.randint(1, 8))
                 assert p.eval(x) >= 0
         else:
-            x = find_negative_point(p)
-            assert x is not None and p.eval(x) < 0
-
-
-def test_find_negative_point():
-    assert find_negative_point(UniPoly([1, 0, 1])) is None
-    x = find_negative_point(UniPoly([1, 0, -2]))
-    assert x is not None and x * x < 2
-    x = find_negative_point(UniPoly([-1]))
-    assert x is not None
+            # _find_negative_t searches t >= 0 only; p(-x) covers x <= 0
+            mirrored = UniPoly([a * (-1) ** (degree - i) for i, a in enumerate(coeffs)])
+            t = _find_negative_t(p, _Budget(10 ** 6))
+            if t is not None:
+                x = t
+            else:
+                t = _find_negative_t(mirrored, _Budget(10 ** 6))
+                assert t is not None
+                x = -t
+            assert p.eval(x) < 0
