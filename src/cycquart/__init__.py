@@ -16,7 +16,6 @@ rational counterexample witnesses.
 from .form import (
     BcdeParams,
     CyclicParams,
-    ReducedQuartic,
     SigmaCoords,
     eval_form,
     from_bcde,
@@ -50,7 +49,6 @@ __all__ = [
     "ClausePolynomials",
     "CyclicParams",
     "QuadExt",
-    "ReducedQuartic",
     "RootCount",
     "SigmaCoords",
     "SpecialQuartic",

@@ -18,6 +18,7 @@ import traceback
 from .decider import (
     CLOSED_FORM_VARIANTS,
     DEFAULT_WITNESS_BUDGET,
+    attach_witness,
     closed_form_verdict,
     decide,
     decide_oracle,
@@ -25,18 +26,11 @@ from .decider import (
     eval_polys,
     find_witness,
 )
-from .form import (
-    BcdeParams,
-    CyclicParams,
-    eval_form,
-    from_bcde,
-    g_special_quartic,
-    reduce_to_g,
-)
+from .form import BcdeParams, CyclicParams, eval_form, from_bcde, reduce_to_g
 from .harness import STRATA, FuzzConfig, fuzz_compare
 from .quartic_rules import SpecialQuartic, discriminants, is_nonneg
 from .roots import classify_roots, is_nonneg_everywhere, revise, sign_list
-from .scalars import QuadExt, format_rational, parse_rational
+from .scalars import format_rational, parse_rational
 from .unipoly import UniPoly, discriminant_sequence
 
 EXIT_PSD = 0
@@ -78,12 +72,17 @@ def _params_from_args(args) -> CyclicParams:
     )
 
 
-def _coeff_string(value: QuadExt) -> str:
-    if value.v == 0:
-        return format_rational(value.u)
-    if value.u == 0:
-        return f"{value.v}*sqrt({value.radicand})"
-    return str(value)
+def _g_coefficients(g: SpecialQuartic) -> list[tuple]:
+    """The coefficients of g = a0*t**4 - sqrt(R)*t**3 + a2*t**2 + a4, leading
+    first, each as the pair (u, v) of u + v*sqrt(R)."""
+    return [(g.a0, 0), (0, -1), (g.a2, 0), (0, 0), (g.a4, 0)]
+
+
+def _g_strings(g: SpecialQuartic) -> list[str]:
+    return [
+        f"{v}*sqrt({format_rational(g.a1_squared)})" if v else format_rational(u)
+        for u, v in _g_coefficients(g)
+    ]
 
 
 def _verdict_dict(c: CyclicParams, verdict) -> dict:
@@ -102,15 +101,13 @@ def _verdict_dict(c: CyclicParams, verdict) -> dict:
 def _cmd_decide(args) -> int:
     c = _params_from_args(args)
     verdict = decide(c, args.method)
+    if args.witness:
+        verdict = attach_witness(c, verdict, args.budget)
     out = _verdict_dict(c, verdict)
     if args.witness and not verdict.is_psd:
-        witness = find_witness(c, args.budget)
-        if witness is not None:
-            out["witness"] = [format_rational(v) for v in witness]
-            out["value"] = format_rational(eval_form(c, *witness))
-        else:
-            out["witness"] = None
-            out["value"] = None
+        # the keys stay when the budget runs out before a witness is found
+        out.setdefault("witness", None)
+        out.setdefault("value", None)
     _emit(out, args.pretty)
     return EXIT_PSD if verdict.is_psd else EXIT_NOT_PSD
 
@@ -118,7 +115,7 @@ def _cmd_decide(args) -> int:
 def _cmd_explain(args) -> int:
     c = _params_from_args(args)
     polys = eval_polys(c)
-    reduced = reduce_to_g(c)
+    g = reduce_to_g(c)
     verdicts = {
         "structural": decide_structural(c),
         "oracle": decide_oracle(c),
@@ -129,7 +126,7 @@ def _cmd_explain(args) -> int:
     }
     g_discriminants = None
     if polys.f1 != 0:
-        d1, d2, d3, d4 = discriminants(g_special_quartic(c))
+        d1, d2, d3, d4 = discriminants(g)
         g_discriminants = {
             "D1": format_rational(d1),
             "D2": format_rational(d2),
@@ -142,8 +139,8 @@ def _cmd_explain(args) -> int:
             name: format_rational(getattr(polys, name))
             for name in ("f1", "f2", "f3", "f4", "f5", "f6", "f7", "g1", "g2", "g3", "g4")
         },
-        "R": format_rational(reduced.radicand),
-        "g_coefficients": [_coeff_string(v) for v in reduced.coeffs],
+        "R": format_rational(g.a1_squared),
+        "g_coefficients": _g_strings(g),
         "g_discriminants": g_discriminants,
         "verdicts": {
             name: {"is_psd": v.is_psd, "fired_clause": v.fired_clause}
@@ -156,13 +153,13 @@ def _cmd_explain(args) -> int:
 
 def _cmd_reduce(args) -> int:
     c = _params_from_args(args)
-    reduced = reduce_to_g(c)
+    g = reduce_to_g(c)
     out = {
-        "R": format_rational(reduced.radicand),
-        "coefficients": [_coeff_string(v) for v in reduced.coeffs],
+        "R": format_rational(g.a1_squared),
+        "coefficients": _g_strings(g),
         "structured": [
-            {"u": format_rational(v.u), "v": format_rational(v.v)}
-            for v in reduced.coeffs
+            {"u": format_rational(u), "v": format_rational(v)}
+            for u, v in _g_coefficients(g)
         ],
     }
     _emit(out, args.pretty)
@@ -253,11 +250,10 @@ def _cmd_fuzz(args) -> int:
         with open(args.config) as handle:
             cfg = FuzzConfig.from_dict(json.load(handle))
     else:
-        strata = tuple(args.strata.split(",")) if args.strata else ("generic",)
         cfg = FuzzConfig(
             sample_count=args.count,
             seed=args.seed,
-            strata=strata,
+            strata=tuple(args.strata.split(",")),
             falsifier_budget=args.falsifier_budget,
             witness_budget=args.witness_budget,
         )

@@ -11,12 +11,14 @@
 * ``decide_structural`` reduces to the univariate quartic g(t) and decides
   it case by case: biquadratic rules when the radicand R vanishes, a
   quadratic-factor rule when the constant term vanishes, and the special
-  quartic discriminant rule otherwise.  Integer arithmetic: every
-  quantity it reads is homogeneous in (1, k, l, m, n), so clearing the
-  common denominator of (k, l, m, n) once keeps each sign exact.
+  quartic discriminant rule otherwise.  It reads only the four numbers
+  (a0, a1**2 = R, a2, a4) of g, in integer arithmetic: each is
+  homogeneous in (1, k, l, m, n), so clearing the common denominator of
+  (k, l, m, n) once keeps every sign exact.
 
 * ``decide_oracle`` runs the everywhere-nonnegativity oracle (squarefree
-  decomposition plus Sturm counting) on g(t) over Q(sqrt(R)) -- no
+  decomposition plus Sturm counting) on ``reduce_to_g(c).to_unipoly()``,
+  over Q when sqrt(R) is rational and over Q(sqrt(R)) otherwise -- no
   discriminant sequences, no clause polynomials, hence an independent
   implementation path.
 
@@ -53,6 +55,7 @@ __all__ = [
     "decide_oracle",
     "decide",
     "find_witness",
+    "attach_witness",
     "DEFAULT_WITNESS_BUDGET",
 ]
 
@@ -252,44 +255,43 @@ def decide_structural(c: CyclicParams) -> Verdict:
     R = 0 collapses g to a biquadratic; a vanishing constant term f3
     collapses the decision to a quadratic factor; otherwise (f3 > 0,
     f1 > 0) the special-quartic discriminant rule applies with
-    a1_squared = R.  With ``(d, K, L, M, N) = scaled_coefficients(c)``
-    every value below is d (d**2 for R) times the rational one: g1, g3,
-    f1, f3 and the coefficients of g are linear in (1, k, l, m, n), R is
-    quadratic, and each rule reads only signs of expressions homogeneous
-    in them, so every branch is taken exactly as over Q.
+    a1_squared = R.  Only the four numbers of g are read, scaled to the
+    integers of d*g: with ``(d, K, L, M, N) = scaled_coefficients(c)``,
+    ``(a0, s, a2, a4) = (3*d*f1, d**2*R, 3*d*(4+m+n-l), d*f3)``.  Each rule
+    reads only signs of expressions homogeneous in them, so every branch
+    is taken exactly as over Q.
     """
     d, K, L, M, N = scaled_coefficients(c)
     method = "structural"
-    rad = 27 * (M - N) ** 2 + (4 * K + M + N - 8 * d - 2 * L) ** 2
+    a0 = 3 * (2 * d + K - M - N)
+    s = 27 * (M - N) ** 2 + (4 * K + M + N - 8 * d - 2 * L) ** 2
+    a2 = 3 * (4 * d + M + N - L)
+    a4 = d + K + M + N + L
 
-    if rad == 0:
-        g1 = K - 2 * M + 2 * d
-        g3 = 8 * d + M - 2 * K
-        ok, tag = _biquadratic_nonneg(g1, g3, K + M - d)
+    if s == 0:
+        # here (a0, a2, a4) = 3*d*(g1, g3, k+m-1)
+        ok, tag = _biquadratic_nonneg(a0, a2, a4)
         return Verdict(ok, method, f"R=0/biquadratic/{tag}")
-    f1 = 2 * d + K - M - N
-    f3 = d + K + M + N + L
-    tail = 4 * d + M + N - L
-    if f3 < 0:
+    if a4 < 0:
         return Verdict(False, method, "f3<0/g(0)<0")
-    if f3 == 0:
-        # g = t**2 * (3*f1*t**2 - sqrt(R)*t + 3*(4+m+n-l))
-        if f1 <= 0:
+    if a4 == 0:
+        # g = t**2 * (a0*t**2 - sqrt(R)*t + a2)
+        if a0 <= 0:
             return Verdict(False, method, "f3=0/quadratic/f1<=0")
-        ok = rad <= 36 * f1 * tail
+        ok = s <= 4 * a0 * a2
         tag = "f3=0/quadratic/disc<=0" if ok else "f3=0/quadratic/disc>0"
         return Verdict(ok, method, tag)
-    if f1 <= 0:
+    if a0 <= 0:
         return Verdict(False, method, "f3>0/f1<=0")
-    # g = 3*f1*t**4 - sqrt(R)*t**3 + 3*tail*t**2 + f3, as in g_special_quartic
-    _, d2, d3, d4 = discriminants_of(3 * f1, rad, 3 * tail, f3)
+    _, d2, d3, d4 = discriminants_of(a0, s, a2, a4)
     ok, rule = discriminant_rule(d2, d3, d4)
     return Verdict(ok, method, f"f3>0/quartic-rule/{rule}")
 
 
 def decide_oracle(c: CyclicParams) -> Verdict:
-    """Sturm-based oracle: everywhere-nonnegativity of g over Q(sqrt(R))."""
-    g = reduce_to_g(c).poly
+    """Sturm-based oracle: everywhere-nonnegativity of g, over Q when
+    sqrt(R) is rational and over Q(sqrt(R)) otherwise."""
+    g = reduce_to_g(c).to_unipoly()
     ok = is_nonneg_everywhere(g)
     return Verdict(ok, "sturm_oracle", "g-nonneg" if ok else "g-negative")
 
@@ -512,7 +514,7 @@ def _seeded_search(c: CyclicParams, budget: _Budget):
     """A point with F < 0 near the equality locus at an exact tstar with
     g(tstar) < 0, or None; each root set of ``_locus_roots`` is tried in
     both orders."""
-    g = reduce_to_g(c).poly
+    g = reduce_to_g(c).to_unipoly()
     tstar = _find_negative_t(g, budget)
     if tstar is None:
         return None

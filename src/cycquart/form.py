@@ -15,6 +15,8 @@ F is nonnegative on all of R**3 iff the reduced quartic
     g(t) = 3*(2+k-m-n)*t**4 - sqrt(R)*t**3 + 3*(4+m+n-l)*t**2 + (1+k+m+n+l)
 
 with R = 27*(m-n)**2 + (4*k+m+n-8-2*l)**2 is nonnegative on all of R.
+``reduce_to_g`` returns g as one ``SpecialQuartic`` (a1 = -sqrt(R), held
+as R and a sign); every decider, the CLI and the harness read that object.
 The reduction runs through elementary symmetric coordinates
 p = x+y+z, q = xy+yz+zx, r = xyz and the substitution t = sqrt(1-3q) on
 the slice p = 1; realizability of (1, q, r) by real (x, y, z) is exactly
@@ -30,13 +32,11 @@ from functools import cached_property
 
 from .quartic_rules import SpecialQuartic
 from .scalars import QuadExt
-from .unipoly import UniPoly
 
 __all__ = [
     "CyclicParams",
     "SigmaCoords",
     "BcdeParams",
-    "ReducedQuartic",
     "scaled_coefficients",
     "cyclic_sums",
     "eval_form",
@@ -45,7 +45,6 @@ __all__ = [
     "r_range",
     "radicand",
     "reduce_to_g",
-    "g_special_quartic",
     "symmetrized_gap",
     "h_function",
     "from_bcde",
@@ -63,7 +62,9 @@ class CyclicParams:
 
     def __post_init__(self):
         for name in ("k", "l", "m", "n"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
+            value = getattr(self, name)
+            if type(value) is not Fraction:
+                object.__setattr__(self, name, Fraction(value))
 
     @cached_property
     def _scaled(self) -> tuple[int, int, int, int, int]:
@@ -106,24 +107,6 @@ class BcdeParams:
     def __post_init__(self):
         for name in ("B", "C", "D", "E"):
             object.__setattr__(self, name, Fraction(getattr(self, name)))
-
-
-@dataclass(frozen=True)
-class ReducedQuartic:
-    """The reduced quartic g(t), kept in its unnormalized 5-coefficient shape.
-
-    ``coeffs`` is always the formal tuple
-    ``(3*(2+k-m-n), -sqrt(R), 3*(4+m+n-l), 0, 1+k+m+n+l)`` with the cubic
-    entry stored as the QuadExt ``(0, -1, R)``; the trimmed polynomial
-    (degree may drop when leading entries vanish) is available as ``poly``.
-    """
-
-    radicand: Fraction
-    coeffs: tuple
-
-    @property
-    def poly(self) -> UniPoly:
-        return UniPoly(self.coeffs)
 
 
 def scaled_coefficients(c: CyclicParams) -> tuple[int, int, int, int, int]:
@@ -212,24 +195,12 @@ def radicand(c: CyclicParams) -> Fraction:
     return 27 * (c.m - c.n) ** 2 + (4 * c.k + c.m + c.n - 8 - 2 * c.l) ** 2
 
 
-def reduce_to_g(c: CyclicParams) -> ReducedQuartic:
-    """The reduced quartic g(t); coefficients are never normalized."""
-    rad = radicand(c)
-    coeffs = (
-        QuadExt(3 * (2 + c.k - c.m - c.n), 0, rad),
-        QuadExt(0, -1, rad),
-        QuadExt(3 * (4 + c.m + c.n - c.l), 0, rad),
-        QuadExt(0, 0, rad),
-        QuadExt(1 + c.k + c.m + c.n + c.l, 0, rad),
-    )
-    return ReducedQuartic(radicand=rad, coeffs=coeffs)
-
-
-def g_special_quartic(c: CyclicParams) -> SpecialQuartic:
+def reduce_to_g(c: CyclicParams) -> SpecialQuartic:
     """The reduced quartic g(t) as a special quartic, ``a1 = -sqrt(R)``.
 
     ``a1`` is carried as ``R`` and a sign, so the discriminants of g stay
-    rational; the sign is 0 exactly when R = 0.
+    rational; the sign is 0 exactly when R = 0.  Coefficients are never
+    normalized, and ``to_unipoly()`` is rational whenever sqrt(R) is.
     """
     rad = radicand(c)
     return SpecialQuartic(

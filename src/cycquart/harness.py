@@ -34,7 +34,7 @@ from .decider import (
     find_witness,
     DEFAULT_WITNESS_BUDGET,
 )
-from .form import CyclicParams, eval_form, g_special_quartic, radicand
+from .form import CyclicParams, eval_form, radicand, reduce_to_g
 from .quartic_rules import discriminants
 from .scalars import format_rational
 
@@ -325,7 +325,7 @@ def fuzz_compare(cfg: FuzzConfig, record_sink=None) -> DiscrepancyReport:
             # exact proportionality between the clause polynomials and the
             # discriminants of g: D2 = 108*f1^2*f6, D3 = 324*f1^2*f7,
             # D4 = 104976*f1^2*f3*f5
-            _, d2, d3, d4 = discriminants(g_special_quartic(c))
+            _, d2, d3, d4 = discriminants(reduce_to_g(c))
             identity_checked += 1
             if d2 == 108 * polys.f1 ** 2 * polys.f6:
                 identity_holds["d2"] += 1

@@ -46,7 +46,9 @@ class SpecialQuartic:
 
     def __post_init__(self):
         for name in ("a0", "a1_squared", "a2", "a4"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
+            value = getattr(self, name)
+            if type(value) is not Fraction:
+                object.__setattr__(self, name, Fraction(value))
         if self.a1_squared < 0:
             raise ValueError("a1_squared must be nonnegative")
         if self.a1_sign not in (-1, 0, 1):

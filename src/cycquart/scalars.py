@@ -30,7 +30,6 @@ __all__ = [
     "sgn",
     "scalar_is_zero",
     "scalar_div",
-    "as_fraction",
 ]
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
@@ -290,10 +289,3 @@ def scalar_div(a, b):
             a = QuadExt.lift(a, b.radicand)
         return a / b
     return Fraction(a) / Fraction(b)
-
-
-def as_fraction(x) -> Fraction:
-    """Convert a scalar to a Fraction, exactly or not at all."""
-    if isinstance(x, QuadExt):
-        return x.to_fraction()
-    return Fraction(x)

@@ -8,10 +8,12 @@ leading principal minors of the discrimination matrix of (f, f').
 Root counting runs one remainder sequence per chain: gcd(p, p') is read
 off the end of the chain of p, never computed separately.
 
-Q(sqrt(R)) with a perfect-square radicand is a ring with zero divisors,
-not a field, so algorithms that rely on division (gcd chains, Sturm
-sequences, minor determinants) first map such coefficients to their exact
-rational values.  Signs at every point are unchanged by that map.
+The reduced quartic reaches this module with ``QuadExt`` coefficients only
+when sqrt(R) is irrational, so its gcd chains, Sturm sequences and minors
+run in the field Q(sqrt(R)) or in Q.  ``QuadExt`` input with a
+perfect-square radicand still stays exact: a coefficient of value 0 counts
+as zero, and ``QuadExt`` division by a nonzero value of norm 0 divides
+the rational values.
 """
 
 from __future__ import annotations
@@ -20,14 +22,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .scalars import (
-    QuadExt,
-    as_fraction,
-    is_perfect_square,
-    scalar_div,
-    scalar_is_zero,
-    sgn,
-)
+from .scalars import QuadExt, scalar_div, scalar_is_zero, sgn
 
 __all__ = [
     "UniPoly",
@@ -80,10 +75,6 @@ class UniPoly:
         if self.is_zero:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[0]
-
-    @property
-    def is_rational(self) -> bool:
-        return all(not isinstance(c, QuadExt) for c in self.coeffs)
 
     def __eq__(self, other):
         if not isinstance(other, UniPoly):
@@ -175,16 +166,6 @@ def _normalized(p: UniPoly) -> UniPoly:
     return p if c == 1 else p.scale(Fraction(1) / c)
 
 
-def _demote(p: UniPoly) -> UniPoly:
-    """Replace perfect-square-radicand QuadExt coefficients by their values."""
-    if p.is_rational:
-        return p
-    rad = next(c.radicand for c in p.coeffs if isinstance(c, QuadExt))
-    if not is_perfect_square(rad):
-        return p
-    return UniPoly([as_fraction(c) for c in p.coeffs])
-
-
 def poly_divmod(f: UniPoly, g: UniPoly) -> tuple[UniPoly, UniPoly]:
     """Quotient and remainder with exact field division."""
     if g.is_zero:
@@ -206,9 +187,8 @@ def poly_divmod(f: UniPoly, g: UniPoly) -> tuple[UniPoly, UniPoly]:
     return UniPoly(quot), UniPoly(rem[-dg:] if dg > 0 else [])
 
 
-def poly_gcd(f: UniPoly, g: UniPoly) -> UniPoly:
+def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
     """Monic gcd via the Euclidean algorithm with content normalization."""
-    a, b = _demote(f), _demote(g)
     while not b.is_zero:
         _, r = poly_divmod(a, b)
         a, b = b, _normalized(r)
@@ -225,7 +205,6 @@ def squarefree_decompose(p: UniPoly) -> list[tuple[UniPoly, int]]:
     """
     if p.is_zero:
         raise ValueError("cannot decompose the zero polynomial")
-    p = _demote(p)
     if p.degree == 0:
         return []
     work = p.monic()
@@ -258,7 +237,6 @@ def sturm_chain(p: UniPoly) -> list[UniPoly]:
     """Negated-remainder chain of (p, p'); ends at (a multiple of) gcd(p, p')."""
     if p.is_zero:
         raise ValueError("no Sturm chain for the zero polynomial")
-    p = _demote(p)
     chain = [p, p.derivative()]
     while not chain[-1].is_zero:
         _, r = poly_divmod(chain[-2], chain[-1])
@@ -381,7 +359,6 @@ def discriminant_sequence(p: UniPoly) -> list:
     only differs from a0**2 by a positive constant; every use of the
     sequence is through signs, which no positive rescaling can change).
     """
-    p = _demote(p)
     n = p.degree
     if n < 1:
         raise ValueError("discriminant sequence needs degree >= 1")

@@ -80,6 +80,77 @@ def test_reduce(capsys):
     assert out["coefficients"] == ["9", "-1*sqrt(108)", "9", "0", "0"]
 
 
+def _explain(R, g, discriminants, params, polys, clauses, psd):
+    """The expected JSON of ``explain``; ``clauses`` lists the fired clause of
+    structural, oracle, closed_theorem, closed_proof and closed_corrected."""
+    names = ("structural", "oracle", "closed_theorem", "closed_proof", "closed_corrected")
+    return {
+        "R": R,
+        "g_coefficients": g,
+        "g_discriminants": dict(zip(("D1", "D2", "D3", "D4"), discriminants)),
+        "params": dict(zip("klmn", params.split())),
+        "polys": dict(zip(("f1", "f2", "f3", "f4", "f5", "f6", "f7", "g1", "g2", "g3", "g4"),
+                          polys.split())),
+        "verdicts": {
+            name: {"fired_clause": clause, "is_psd": psd} for name, clause in zip(names, clauses)
+        },
+    }
+
+
+def _reduce(R, g):
+    structured = [{"u": v, "v": "0"} for v in g]
+    structured[1] = {"u": "0", "v": "-1"}
+    return {"R": R, "coefficients": g, "structured": structured}
+
+
+# R = 0 (printed -1*sqrt(0)), R = 64 (a rational sqrt(R)) and R = 108
+PINNED_REDUCE_AND_EXPLAIN = {
+    "2 0 0 0": (
+        _reduce("0", ["12", "-1*sqrt(0)", "12", "0", "3"]),
+        _explain(
+            "0", ["12", "-1*sqrt(0)", "12", "0", "3"], ("144", "-165888", "0", "0"),
+            "2 0 0 0", "4 0 3 9 0 -96 0 4 0 4 0",
+            ["R=0/biquadratic/c>=0/b>=0", "g-nonneg"] + ["case1/g1>0/g2>=0"] * 3, True,
+        ),
+    ),
+    "0 0 0 0": (
+        _reduce("64", ["6", "-1*sqrt(64)", "12", "0", "1"]),
+        _explain(
+            "64", ["6", "-1*sqrt(64)", "12", "0", "1"], ("36", "-13824", "-995328", "53747712"),
+            "0 0 0 0", "2 -8 1 3 128 -32 -768 2 -8 8 0",
+            ["f3>0/quartic-rule/D4>0/D2<0", "g-nonneg", "case3/f5>0/f6<0|f7<0",
+             "case3/f5>0/f6<=0|f7<=0", "case3/f5>0/f6<0|f7<0"],
+            True,
+        ),
+    ),
+    "0 0 -1 0": (
+        _reduce("108", ["9", "-1*sqrt(108)", "9", "0", "0"]),
+        _explain(
+            "108", ["9", "-1*sqrt(108)", "9", "0", "0"], ("81", "-26244", "-1417176", "0"),
+            "0 0 -1 0", "3 -9 0 2 54 -27 -486 4 -9 7 -1",
+            ["f3=0/quadratic/disc<=0", "g-nonneg"] + ["case2/f1>0/f3=0/f4>=0"] * 3, True,
+        ),
+    ),
+}
+
+
+def test_reduce_and_explain_output_is_pinned(capsys):
+    for params, (reduced, explained) in PINNED_REDUCE_AND_EXPLAIN.items():
+        for command, expected in (("reduce", reduced), ("explain", explained)):
+            code, out, _ = run(capsys, command, *params.split())
+            assert code == 0
+            assert out == json.dumps(expected, sort_keys=True) + "\n", (command, params)
+
+
+def test_decide_witness_keys_stay_when_the_budget_runs_out(capsys):
+    code, out, _ = run_json(capsys, "decide", "0", "0", "-3", "0", "--witness", "--budget", "0")
+    assert code == 1
+    assert out["witness"] is None and out["value"] is None
+    code, out, _ = run_json(capsys, "decide", "0", "0", "0", "0", "--witness")
+    assert code == 0
+    assert "witness" not in out and "value" not in out
+
+
 def test_roots(capsys):
     code, out, _ = run_json(capsys, "roots", "1,1,0,0,1")
     assert code == 0
@@ -205,6 +276,13 @@ def test_fuzz_config_with_a_wrongly_typed_value_exits_2(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert "sample_count" in err and "Traceback" not in err
+
+
+def test_fuzz_with_empty_strata_exits_2(capsys):
+    code, out, err = run(capsys, "fuzz", "--count", "1", "--strata", "")
+    assert code == 2
+    assert out == ""
+    assert "stratum" in err and "Traceback" not in err
 
 
 def test_decide_rejects_a_negative_budget(capsys):

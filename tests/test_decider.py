@@ -23,7 +23,7 @@ from cycquart.decider import (
     eval_polys,
     find_witness,
 )
-from cycquart.form import CyclicParams, eval_form, g_special_quartic, radicand, reduce_to_g
+from cycquart.form import CyclicParams, eval_form, radicand, reduce_to_g
 from cycquart.harness import STRATA, stratum_sampler
 from cycquart.quartic_rules import SpecialQuartic, discriminant_rule, discriminants
 from cycquart.scalars import sgn
@@ -160,7 +160,7 @@ def structural_over_q(c):
         return ok, "f3=0/quadratic/disc<=0" if ok else "f3=0/quadratic/disc>0"
     if f1 <= 0:
         return False, "f3>0/f1<=0"
-    _, d2, d3, d4 = discriminants(g_special_quartic(c))
+    _, d2, d3, d4 = discriminants(reduce_to_g(c))
     ok, rule = discriminant_rule(d2, d3, d4)
     return ok, f"f3>0/quartic-rule/{rule}"
 
@@ -360,14 +360,14 @@ def test_seeded_witnesses_match_pinned_fingerprint():
 
 def test_find_negative_t_sign_is_exact():
     c = CyclicParams(F(29, 8), -1, -2, 4)
-    g = reduce_to_g(c).poly
+    g = reduce_to_g(c).to_unipoly()
     t = _find_negative_t(g, _Budget(10 ** 6))
     assert t is not None and t >= 0
     assert sgn(g.eval(t)) < 0
 
 
 def test_find_negative_t_none_for_nonneg():
-    g = reduce_to_g(CyclicParams(0, 0, 0, 0)).poly
+    g = reduce_to_g(CyclicParams(0, 0, 0, 0)).to_unipoly()
     assert _find_negative_t(g, _Budget(10 ** 5)) is None
 
 

@@ -10,7 +10,6 @@ from cycquart.form import (
     cyclic_sums,
     eval_form,
     from_bcde,
-    g_special_quartic,
     h_function,
     power_sums,
     r_range,
@@ -20,7 +19,8 @@ from cycquart.form import (
     vandermonde_square,
 )
 from cycquart.decider import eval_polys
-from cycquart.scalars import QuadExt
+from cycquart.harness import stratum_sampler
+from cycquart.scalars import QuadExt, is_perfect_square, sgn
 
 
 def rand_fraction(rng, span=9, den=6):
@@ -136,36 +136,50 @@ def test_radicand_clause_identity():
 
 def test_reduce_examples():
     g = reduce_to_g(CyclicParams(0, 0, 0, 0))
-    assert g.radicand == 64
-    assert [v.u for v in g.coeffs] == [6, 0, 12, 0, 1]
-    assert [v.v for v in g.coeffs] == [0, -1, 0, 0, 0]
-    assert g.poly.eval(F(1)) == 11  # 6 - 8 + 12 + 1
+    assert (g.a0, g.a1_squared, g.a1_sign, g.a2, g.a4) == (6, 64, -1, 12, 1)
+    assert g.to_unipoly().coeffs == (6, -8, 12, 0, 1)
+    assert g.to_unipoly().eval(F(1)) == 11  # 6 - 8 + 12 + 1
 
     g = reduce_to_g(CyclicParams(2, 0, 0, 0))
-    assert g.radicand == 0
-    assert [v.u for v in g.coeffs] == [12, 0, 12, 0, 3]
-    assert g.poly.degree == 4 and g.poly.is_rational is False
+    assert (g.a0, g.a1_squared, g.a1_sign, g.a2, g.a4) == (12, 0, 0, 12, 3)
+    assert g.to_unipoly().coeffs == (12, 0, 12, 0, 3)
 
     g = reduce_to_g(CyclicParams(0, 0, -1, 0))
-    assert g.radicand == 108
-    assert [v.u for v in g.coeffs] == [9, 0, 9, 0, 0]
+    assert (g.a0, g.a1_squared, g.a1_sign, g.a2, g.a4) == (9, 108, -1, 9, 0)
+    assert g.to_unipoly().coeffs[1] == QuadExt(0, -1, 108)
 
 
-def test_g_special_quartic_is_the_reduced_quartic():
+def test_reduced_quartic_cubic_coefficient_is_minus_sqrt_r():
     rng = random.Random(37)
     fixed = [CyclicParams(0, 0, 0, 0), CyclicParams(2, 0, 0, 0), CyclicParams(0, 0, -1, 0)]
     for c in fixed + [rand_params(rng) for _ in range(50)]:
-        quartic = g_special_quartic(c)
-        assert quartic.a1_squared == radicand(c)
-        assert quartic.a1_sign == (-1 if radicand(c) > 0 else 0)
-        assert quartic.to_unipoly() == reduce_to_g(c).poly
+        g = reduce_to_g(c)
+        assert g.a1_squared == radicand(c)
+        assert g.a1_sign == (-1 if radicand(c) > 0 else 0)
+        # the odd part of g is a1*t**3: a1 = (g(1) - g(-1)) / 2
+        poly = g.to_unipoly()
+        a1 = (poly.eval(F(1)) - poly.eval(F(-1))) / 2
+        assert sgn(a1) == g.a1_sign and a1 * a1 == radicand(c)
 
 
 def test_reduce_degenerate_leading():
     # 2 + k - m - n = 0 drops the quartic term
     g = reduce_to_g(CyclicParams(0, 0, 1, 1))
-    assert g.poly.degree == 3
-    assert len(g.coeffs) == 5
+    assert g.a0 == 0 and g.a1_squared == 36
+    assert g.to_unipoly().degree == 3
+    assert g.to_unipoly().coeffs == (-6, 18, 0, 3)
+
+
+def test_to_unipoly_is_rational_exactly_when_r_is_a_square():
+    inputs = [CyclicParams(0, 0, 0, 0), CyclicParams(0, 0, 1, 1), CyclicParams(0, 0, -1, 0)]
+    for stratum in ("R_zero", "case1_boundary", "generic"):
+        inputs += [stratum_sampler(stratum, random.Random(seed)) for seed in range(100)]
+    seen = set()
+    for c in inputs:
+        rational = all(isinstance(v, F) for v in reduce_to_g(c).to_unipoly().coeffs)
+        assert rational == is_perfect_square(radicand(c)), c
+        seen.add(rational)
+    assert seen == {True, False}
 
 
 def test_symmetrized_gap():
@@ -237,8 +251,9 @@ def test_reduced_quartic_coefficient_shape():
     for _ in range(50):
         c = rand_params(rng)
         g = reduce_to_g(c)
-        assert g.coeffs[1] == QuadExt(0, -1, g.radicand)
-        assert g.coeffs[3].sign() == 0
-        assert g.coeffs[0].u == 3 * (2 + c.k - c.m - c.n)
-        assert g.coeffs[2].u == 3 * (4 + c.m + c.n - c.l)
-        assert g.coeffs[4].u == 1 + c.k + c.m + c.n + c.l
+        assert g.a0 == 3 * (2 + c.k - c.m - c.n)
+        assert g.a2 == 3 * (4 + c.m + c.n - c.l)
+        assert g.a4 == 1 + c.k + c.m + c.n + c.l
+        poly = g.to_unipoly()
+        assert poly.degree == (4 if g.a0 != 0 else 3)
+        assert poly.coeffs[-2] == 0  # no linear term

@@ -5,7 +5,6 @@ import pytest
 
 from cycquart.scalars import (
     QuadExt,
-    as_fraction,
     format_rational,
     is_perfect_square,
     parse_rational,
@@ -120,9 +119,9 @@ def test_perfect_square_helpers():
         rational_sqrt(F(2))
 
 
-def test_as_fraction():
-    assert as_fraction(QuadExt(3, 0, 7)) == F(3)
-    assert as_fraction(QuadExt(1, 1, 4)) == F(3)
+def test_to_fraction():
+    assert QuadExt(3, 0, 7).to_fraction() == F(3)
+    assert QuadExt(1, 1, 4).to_fraction() == F(3)
     with pytest.raises(ValueError):
-        as_fraction(QuadExt(1, 1, 2))
+        QuadExt(1, 1, 2).to_fraction()
     assert sgn(F(-2, 3)) == -1
