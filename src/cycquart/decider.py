@@ -24,8 +24,10 @@
 
 ``find_witness`` produces exact rational points with F < 0 for forms that
 are not positive semidefinite: probe points, then integer face grids, then
-a seeded search on the equality locus of the reduction, where floats only
-propose candidates and an exact Sturm-bisection step backs them up.
+a seeded search on the equality locus of the reduction.  No float is used
+anywhere: the seeded stage finds an exact t* with g(t*) < 0 by Sturm
+bisection, then the point of the locus over t* by sign bisection of a cubic
+between its rational critical points.
 """
 
 from __future__ import annotations
@@ -384,136 +386,73 @@ def _find_negative_t(g: UniPoly, budget: _Budget) -> Optional[Fraction]:
     return None
 
 
-def _real_cubic_roots(q: float, r: float) -> list[float]:
-    """Approximate real roots of X**3 - X**2 + q*X - r (cased on a
-    nonnegative discriminant; clamped when roundoff pushes it below)."""
-    # depressed form: X = y + 1/3, y**3 + py + s = 0
-    p = q - 1.0 / 3.0
-    s = -r + q / 3.0 - 2.0 / 27.0
-    if p >= -1e-300:
-        # single real root regime (or triple root); fall back to Newton
-        y = 0.0
-        for _ in range(80):
-            f = y ** 3 + p * y + s
-            df = 3 * y * y + p
-            if df == 0:
-                break
-            step = f / df
-            y -= step
-            if abs(step) < 1e-15:
-                break
-        return [y + 1.0 / 3.0]
-    amp = 2.0 * math.sqrt(-p / 3.0)
-    arg = 3.0 * s / (amp * p)
-    arg = max(-1.0, min(1.0, arg))
-    theta = math.acos(arg) / 3.0
-    return sorted(
-        amp * math.cos(theta - 2.0 * math.pi * idx / 3.0) + 1.0 / 3.0
-        for idx in range(3)
-    )
+def _cubic_roots(
+    tstar: Fraction, rstar: Fraction, width: Fraction, budget: _Budget
+) -> Optional[list[Fraction]]:
+    """One rational within ``width / 2`` of each root of
+    P(X) = X**3 - X**2 + q*X - rstar, q = (1-tstar**2)/3, ascending, by sign
+    bisection; None when the budget runs out.  Needs tstar >= 0 and rstar
+    in [r1, r2] = r_range(tstar).
 
-
-def _seeded_candidates(c: CyclicParams, tstar: Fraction) -> list[list[float]]:
-    """Float triples near the equality locus at parameter tstar.
-
-    The reduction attains equality at x+y+z = 1, xy+yz+zx = (1-t**2)/3 and
-    the xyz value where H vanishes; the real triple realizing those values
-    is the root set of X**3 - X**2 + q*X - r.  Rationalizing those roots at
-    increasing precision converges into the open negative region.  Raises
-    OverflowError when R or tstar is beyond the range of a float.
+    P' vanishes at (1 -+ tstar)/3, and P is r1 - rstar, r2 - rstar,
+    r1 - rstar, r2 - rstar at (1-2*tstar)/3, (1-tstar)/3, (1+tstar)/3,
+    (1+2*tstar)/3, so the three roots, counted with multiplicity, lie one
+    in each of the three intervals between them, where P is monotone with
+    known end signs.  Each
+    evaluation of P costs 4 units, in line with the ``len(chain)`` units of
+    a Sturm-chain evaluation in ``_find_negative_t``.
     """
-    qstar = (1 - tstar * tstar) / 3
-    r1, r2 = r_range(tstar)
-    rad = radicand(c)
-    f2 = 4 * c.k + c.m + c.n - 8 - 2 * c.l
-    tf = float(tstar)
-    if rad > 0:
-        r0 = (1.0 - 3.0 * tf ** 2 + 2.0 * float(f2) * tf ** 3 / math.sqrt(float(rad))) / 27.0
-    else:
-        r0 = float(r1 + r2) / 2.0
-    r0 = min(max(r0, float(r1)), float(r2))
-    candidates: list[Fraction] = []
-    seen = set()
-    approx = [Fraction(r0).limit_denominator(10 ** 6)]
-    grid = [r1 + (r2 - r1) * Fraction(i, 16) for i in range(17)]
-    for cand in approx + sorted(grid, key=lambda v: abs(float(v) - r0)):
-        cand = min(max(cand, r1), r2)
-        if cand not in seen:
-            seen.add(cand)
-            candidates.append(cand)
-    triples = [_real_cubic_roots(float(qstar), float(rr)) for rr in candidates]
-    return [roots for roots in triples if len(roots) == 3]
-
-
-def _isolated_roots(p: UniPoly, width: Fraction, budget: _Budget) -> Optional[list[Fraction]]:
-    """One rational within ``width / 2`` of each distinct real root of ``p``,
-    ascending, by Sturm bisection over Q; None when the budget runs out.
-
-    Sturm counts are right-continuous, so ``V(lo) - V(hi)`` counts the roots
-    in the half-open interval (lo, hi].
-    """
-    chain, _, _ = squarefree_sturm(p)
-    bound = 1 + max(abs(a) for a in p.coeffs) / abs(p.leading)  # at least Cauchy's bound
-    pending = [(-bound, bound, *(chain_variations(chain, x) for x in (-bound, bound)))]
+    q = (1 - tstar * tstar) / 3
+    ends = [(1 + j * tstar) / 3 for j in (-2, -1, 1, 2)]
     roots = []
-    while pending:
-        lo, hi, vlo, vhi = pending.pop()
-        if vlo - vhi == 1 and hi - lo <= width:
-            roots.append((lo + hi) / 2)
-            continue
-        if not budget.spend(len(chain)):
-            return None
-        mid = (lo + hi) / 2
-        vmid = chain_variations(chain, mid)
-        # the upper half goes on the stack first, so roots come out ascending
-        for part in ((mid, hi, vmid, vhi), (lo, mid, vlo, vmid)):
-            if part[2] > part[3]:
-                pending.append(part)
+    # (an end where P <= 0, an end where P >= 0): P rises, falls, rises
+    for neg, pos in ((ends[0], ends[1]), (ends[2], ends[1]), (ends[2], ends[3])):
+        while abs(pos - neg) > width:
+            if not budget.spend(4):
+                return None
+            mid = (neg + pos) / 2
+            if ((mid - 1) * mid + q) * mid < rstar:
+                neg = mid
+            else:
+                pos = mid
+        roots.append((neg + pos) / 2)
     return roots
 
 
 def _locus_roots(c: CyclicParams, tstar: Fraction, budget: _Budget):
-    """Rational root sets near the equality locus at tstar, best guess first.
+    """Rational root sets near the equality locus at tstar, exact points first.
 
     On x+y+z = 1 the locus is xy+yz+zx = q* = (1-tstar**2)/3 and xyz = r*
-    with H(r*) = 0.  First the float roots of X**3 - X**2 + q*X - r,
-    rationalized at growing denominators (none when R or tstar is beyond
-    float range).  Then, with no float: the two sets with two equal
-    variables, exact points of the locus that minimize F when m = n; and
-    at 20, 40, 60, ... bits, r* with f2/sqrt(R) rounded by ``math.isqrt``
-    and clamped to r_range(tstar), whose cubic's three roots are isolated
-    to that width.  Ends when the budget runs out.
+    with H(r*) = 0.  First the two sets with two equal variables, exact
+    points of the locus that minimize F when m = n.  Then, at 8, 16, 24,
+    ... bits, r* with f2/sqrt(R) rounded by ``math.isqrt`` and clamped to
+    r_range(tstar), and the three roots of X**3 - X**2 + q*X - r* to that
+    width (``_cubic_roots``).  Ends when the budget runs out.
     """
-    try:
-        floats = _seeded_candidates(c, tstar)
-    except OverflowError:
-        floats = []
-    for roots in floats:
-        for denom_bound in (16, 64, 256, 1024, 4096, 16384, 65536, 2 ** 20):
-            yield [Fraction(rt).limit_denominator(denom_bound) for rt in roots]
     yield [(1 + tstar) / 3, (1 + tstar) / 3, (1 - 2 * tstar) / 3]
     yield [(1 - tstar) / 3, (1 - tstar) / 3, (1 + 2 * tstar) / 3]
-    qstar = (1 - tstar * tstar) / 3
     r1, r2 = r_range(tstar)
     rad = radicand(c)
     f2 = 4 * c.k + c.m + c.n - 8 - 2 * c.l
     cos2 = f2 * f2 / rad if rad else Fraction(0)  # (f2 / sqrt(R))**2, in [0, 1]
-    for bits in itertools.count(20, 20):
+    for bits in itertools.count(8, 8):
         scale = 1 << bits
         cos = Fraction(math.isqrt(cos2.numerator * scale * scale // cos2.denominator), scale)
         rstar = (1 - 3 * tstar**2 + 2 * (cos if f2 > 0 else -cos) * tstar**3) / 27
         rstar = min(max(rstar, r1), r2)
-        xs = _isolated_roots(UniPoly([1, -1, qstar, -rstar]), Fraction(1, scale), budget)
+        xs = _cubic_roots(tstar, rstar, Fraction(1, scale), budget)
         if xs is None:
             return
-        if len(xs) == 3:
-            yield xs
+        yield xs
 
 
 def _seeded_search(c: CyclicParams, budget: _Budget):
-    """A point with F < 0 near the equality locus at an exact tstar with
-    g(tstar) < 0, or None; each root set of ``_locus_roots`` is tried in
-    both orders."""
+    """A point with F < 0 near the equality locus at an exact tstar >= 0
+    with g(tstar) < 0, or None when the budget runs out.
+
+    tstar comes from the Sturm bisection of ``_find_negative_t``; each root
+    set of ``_locus_roots`` is then tried in both orders.
+    """
     g = reduce_to_g(c).to_unipoly()
     tstar = _find_negative_t(g, budget)
     if tstar is None:
@@ -534,8 +473,9 @@ def find_witness(
 
     Deterministic, in three stages: fixed probe points, integer face grids
     of denominators 1 to 4, then a seeded search driven by an exact
-    negative value of the reduced quartic.  Every returned point is
-    checked exactly with ``eval_form``.
+    negative value of the reduced quartic (``_seeded_search``).  Every
+    stage is rational arithmetic only, and every returned point is checked
+    exactly with ``eval_form``.
     """
     tracker = _Budget(budget)
     for point in _PROBE_POINTS:

@@ -22,7 +22,6 @@ import random
 import time
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from typing import Optional
 
 from . import kernels
 from .decider import (
@@ -43,7 +42,6 @@ __all__ = [
     "FuzzConfig",
     "DiscrepancyReport",
     "stratum_sampler",
-    "sample_falsifier",
     "fuzz_compare",
 ]
 
@@ -181,19 +179,6 @@ def stratum_sampler(
         k = (m * m + 8) / 4 - gap  # makes g2 = -4*gap < 0 exactly
         return CyclicParams(k, (4 * k + 2 * m - 8) / 2, m, m)
     raise ValueError(f"unknown stratum {stratum!r}")
-
-
-def sample_falsifier(
-    c: CyclicParams, budget: int
-) -> Optional[tuple[Fraction, Fraction, Fraction]]:
-    """Deterministic sweep of rational points on the unit cube surface.
-
-    Scans the face x = 1 with denominators doubling up to the budget; by
-    the cyclic and sign symmetries of F this face covers the whole surface
-    max(|x|,|y|,|z|) = 1.  Returns the first point with F < 0 exactly.
-    """
-    point, _ = kernels.find_negative_on_faces(c, _FALSIFIER_FACES, budget)
-    return point
 
 
 def _in_erratum_region(c: CyclicParams, polys) -> bool:

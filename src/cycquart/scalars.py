@@ -252,9 +252,6 @@ class QuadExt:
     def __ge__(self, other):
         return self._cmp(other) >= 0
 
-    def __float__(self) -> float:
-        return float(self.u) + float(self.v) * math.sqrt(float(self.radicand))
-
     def __repr__(self) -> str:
         return f"QuadExt({self.u!r}, {self.v!r}, {self.radicand!r})"
 

