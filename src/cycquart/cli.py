@@ -233,7 +233,8 @@ def _cmd_witness(args) -> int:
     witness = find_witness(c, args.budget)
     if witness is None:
         _emit({"found": False, "witness": None, "value": None}, args.pretty)
-        return EXIT_PSD
+        # a spent budget finds nothing on a NotPSD form too: exit by the verdict
+        return EXIT_PSD if decide_structural(c).is_psd else EXIT_NOT_PSD
     _emit(
         {
             "found": True,

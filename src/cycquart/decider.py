@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -351,6 +352,11 @@ def _find_negative_t(g: UniPoly, budget: _Budget) -> Optional[Fraction]:
     roots with a doubling bound, and bisects only subintervals that still
     contain roots; every evaluated midpoint is sign-checked exactly, so the
     first midpoint inside the (open) negative region is returned.
+
+    Each queued bracket carries the chain's sign variations at both its
+    ends, so a midpoint costs one chain evaluation and one sign of g: the
+    ``len(chain) + 1`` budget units it is charged.  The count at 0 is taken
+    once, and the one at the final doubling bound is reused.
     """
     if g.is_zero or g.degree < 1:
         return None
@@ -360,29 +366,31 @@ def _find_negative_t(g: UniPoly, budget: _Budget) -> Optional[Fraction]:
     total_roots = vars_minus_inf - vars_plus_inf
 
     top = Fraction(2)
-    while chain_variations(chain, -top) - chain_variations(chain, top) < total_roots:
+    v_top = chain_variations(chain, top)
+    while chain_variations(chain, -top) - v_top < total_roots:
         top *= 2
         if not budget.spend(len(chain)):
             return None
+        v_top = chain_variations(chain, top)
     if sgn(g.eval(top)) < 0:
         return top
 
-    queue: list[tuple[Fraction, Fraction, int]] = []
-    roots_up_to_top = chain_variations(chain, Fraction(0)) - chain_variations(chain, top)
-    if roots_up_to_top > 0:
-        queue.append((Fraction(0), top, roots_up_to_top))
+    queue: deque[tuple[Fraction, Fraction, int, int]] = deque()
+    v_zero = chain_variations(chain, Fraction(0))
+    if v_zero > v_top:
+        queue.append((Fraction(0), top, v_zero, v_top))
     while queue:
-        lo, hi, _count = queue.pop(0)
+        lo, hi, v_lo, v_hi = queue.popleft()
         mid = (lo + hi) / 2
         if not budget.spend(len(chain) + 1):
             return None
         if sgn(g.eval(mid)) < 0:
             return mid
-        vlo, vmid, vhi = (chain_variations(chain, x) for x in (lo, mid, hi))
-        if vlo - vmid > 0:
-            queue.append((lo, mid, vlo - vmid))
-        if vmid - vhi > 0:
-            queue.append((mid, hi, vmid - vhi))
+        v_mid = chain_variations(chain, mid)
+        if v_lo > v_mid:
+            queue.append((lo, mid, v_lo, v_mid))
+        if v_mid > v_hi:
+            queue.append((mid, hi, v_mid, v_hi))
     return None
 
 

@@ -189,6 +189,13 @@ def test_witness_command(capsys):
     assert out["found"] is False
 
 
+def test_witness_command_exits_not_psd_when_the_budget_runs_out(capsys):
+    # no witness is found with no budget, but the form is NotPSD all the same
+    code, out, _ = run_json(capsys, "witness", "0", "0", "-3", "0", "--budget", "0")
+    assert code == 1
+    assert out == {"found": False, "witness": None, "value": None}
+
+
 def test_explain_contains_rederivation_fields(capsys):
     code, out, _ = run_json(capsys, "explain", "0", "0", "0", "0")
     assert code == 0

@@ -7,6 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from cycquart import decider
 from cycquart.decider import (
     CLOSED_FORM_VARIANTS,
     Verdict,
@@ -27,7 +28,7 @@ from cycquart.form import CyclicParams, eval_form, r_range, radicand, reduce_to_
 from cycquart.harness import STRATA, stratum_sampler
 from cycquart.quartic_rules import SpecialQuartic, discriminant_rule, discriminants
 from cycquart.scalars import sgn
-from cycquart.unipoly import UniPoly
+from cycquart.unipoly import UniPoly, chain_variations, squarefree_sturm
 
 
 def rand_params(rng, span=12, den=6):
@@ -345,16 +346,15 @@ def test_cubic_roots_are_ascending_in_their_brackets_and_within_half_the_width()
     assert _cubic_roots(F(1, 2), F(1, 54), F(1, 2 ** 20), _Budget(10)) is None
 
 
-def vasc_perturbations():
+def vasc_perturbations(direction=(F(1, 2), 0, F(1, 3), F(-1, 4))):
     """24 inputs near Vasc's boundary forms (2,0,-3,0) and (2,0,0,-3).
 
-    Each base is moved by +-eps along one direction, eps = 10**-1..10**-6,
+    Each base is moved by +-eps along ``direction``, eps = 10**-1..10**-6,
     and l is then set so that f3 is eps**2 (odd exponents) or 0 (even
     ones).  One sign of each pair is NotPSD, and every NotPSD input gets
     past the probe points and the coarse face grids to the seeded stage,
     whose Sturm bisection meets both squarefree and non-squarefree g.
     """
-    direction = (F(1, 2), 0, F(1, 3), F(-1, 4))
     inputs = []
     for base in ((2, 0, -3, 0), (2, 0, 0, -3)):
         for exponent in range(1, 7):
@@ -388,6 +388,130 @@ def test_find_negative_t_sign_is_exact():
 def test_find_negative_t_none_for_nonneg():
     g = reduce_to_g(CyclicParams(0, 0, 0, 0)).to_unipoly()
     assert _find_negative_t(g, _Budget(10 ** 5)) is None
+
+
+def three_evaluation_find_negative_t(g, budget):
+    """The bisection as it was before brackets carried their end counts:
+    the chain is evaluated at lo, mid and hi for every midpoint."""
+    if g.is_zero or g.degree < 1:
+        return None
+    if sgn(g.eval(F(0))) < 0:
+        return F(0)
+    chain, vars_minus_inf, vars_plus_inf = squarefree_sturm(g)
+    total_roots = vars_minus_inf - vars_plus_inf
+    top = F(2)
+    while chain_variations(chain, -top) - chain_variations(chain, top) < total_roots:
+        top *= 2
+        if not budget.spend(len(chain)):
+            return None
+    if sgn(g.eval(top)) < 0:
+        return top
+    queue = []
+    roots_up_to_top = chain_variations(chain, F(0)) - chain_variations(chain, top)
+    if roots_up_to_top > 0:
+        queue.append((F(0), top, roots_up_to_top))
+    while queue:
+        lo, hi, _count = queue.pop(0)
+        mid = (lo + hi) / 2
+        if not budget.spend(len(chain) + 1):
+            return None
+        if sgn(g.eval(mid)) < 0:
+            return mid
+        vlo, vmid, vhi = (chain_variations(chain, x) for x in (lo, mid, hi))
+        if vlo - vmid > 0:
+            queue.append((lo, mid, vlo - vmid))
+        if vmid - vhi > 0:
+            queue.append((mid, hi, vmid - vhi))
+    return None
+
+
+def dyadic_root_quartics(count):
+    """Quartics a0*t**4 + a1*t**3 + a2*t**2 + a4, the shape of g, negative
+    only between a dyadic root rho and a root sigma near it.
+
+    A midpoint can land on rho, and only then does the bisection queue two
+    brackets at once, so only these inputs see the order of the queue.
+    reduce_to_g of (3/4, 9/2, 1/4, 1/4) is one: 27/4 * (t**4 - 2*t**3 + 1).
+    """
+    rng = random.Random(73)
+    gs = []
+    for _ in range(count):
+        rho = F(rng.randint(1, 12), 2 ** rng.randint(0, 3))
+        sigma = rho + rng.choice((1, -1)) * F(1, 3 * 10 ** rng.randint(1, 4))
+        s, p = rho + sigma, rho * sigma
+        # (t**2 - s*t + p) * (a*t**2 + b*t + c), whose linear term vanishes
+        c = F(rng.randint(1, 6))
+        b = s * c / p
+        a = c / p + rng.randint(0, 3)
+        gs.append(UniPoly([a, b - a * s, c - b * s + a * p, 0, c * p]))
+    return gs
+
+
+def bisection_inputs():
+    """Reduced quartics near Vasc's boundary, along the pinned direction and
+    four random ones, and from two strata; then quartics of g's shape with
+    a dyadic root."""
+    rng = random.Random(71)
+    inputs = vasc_perturbations()
+    for _ in range(4):
+        inputs += vasc_perturbations(
+            tuple(F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(4)))
+    inputs += [
+        stratum_sampler(stratum, random.Random(seed))
+        for stratum in ("generic", "f3_zero")
+        for seed in range(100)
+    ]
+    inputs.append(CyclicParams(F(3, 4), F(9, 2), F(1, 4), F(1, 4)))
+    return [reduce_to_g(c).to_unipoly() for c in inputs] + dyadic_root_quartics(30)
+
+
+def test_find_negative_t_matches_the_three_evaluation_bisection():
+    gs = bisection_inputs()
+    assert len(gs) >= 200
+    spent = []
+    for g in gs:
+        new, old = _Budget(40000), _Budget(40000)
+        assert _find_negative_t(g, new) == three_evaluation_find_negative_t(g, old)
+        assert new.left == old.left
+        spent.append(40000 - new.left)
+    assert sum(s > 0 for s in spent) >= 100
+    # a few inputs with the longest searches, at every budget up to theirs:
+    # the budget runs out at each doubling and each midpoint in turn
+    longest = sorted(zip(spent, range(len(gs))), reverse=True)[:3]
+    for amount, index in longest:
+        for budget in range(amount + 2):
+            new, old = _Budget(budget), _Budget(budget)
+            assert _find_negative_t(gs[index], new) == three_evaluation_find_negative_t(
+                gs[index], old)
+            assert new.left == old.left
+
+
+def test_find_negative_t_evaluates_the_chain_once_per_midpoint(monkeypatch):
+    # decider.sgn signs only g in _find_negative_t: at 0, at the doubling
+    # bound, then once per midpoint
+    events = []
+
+    def counted(name, inner):
+        def wrapper(*args):
+            events.append(name)
+            return inner(*args)
+        return wrapper
+
+    monkeypatch.setattr(decider, "sgn", counted("sign", sgn))
+    monkeypatch.setattr(decider, "chain_variations", counted("chain", chain_variations))
+    bisected = 0
+    for g in bisection_inputs():
+        events.clear()
+        _find_negative_t(g, _Budget(40000))
+        signs = [i for i, name in enumerate(events) if name == "sign"]
+        if len(signs) < 3:
+            continue
+        midpoints = len(signs) - 2
+        returned = events[-1] == "sign"
+        after_bracketing = events[signs[2]:]
+        assert after_bracketing.count("chain") == midpoints - returned
+        bisected += midpoints > 1
+    assert bisected >= 50
 
 
 def test_decide_dispatch_and_variants():
