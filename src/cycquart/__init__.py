@@ -7,10 +7,11 @@ The package decides whether
                  + m*sum_cyc x**3*y + n*sum_cyc x*y**3
 
 is nonnegative on all of R**3, by three independent exact paths (a closed
-quantifier-free formula, a structural reduction to a univariate quartic
-over a quadratic extension, and a Sturm-sequence oracle), and
-cross-validates them with a differential-testing harness that produces
-rational counterexample witnesses.
+quantifier-free formula, a case analysis of the reduced univariate quartic
+g(t) = a0*t**4 - sqrt(R)*t**3 + a2*t**2 + a4 in integer arithmetic, and a
+Sturm-sequence oracle on g, whose one irrational coefficient sqrt(R) lives
+in Q(sqrt(R))), and cross-validates them with a differential-testing
+harness that produces rational counterexample witnesses.
 """
 
 from .form import (

@@ -18,7 +18,8 @@
 
 * ``decide_oracle`` runs the everywhere-nonnegativity oracle (squarefree
   decomposition plus Sturm counting) on ``reduce_to_g(c).to_unipoly()``,
-  over Q when sqrt(R) is rational and over Q(sqrt(R)) otherwise -- no
+  over Q when sqrt(R) is rational and otherwise with sqrt(R) its one
+  coefficient in Q(sqrt(R)) -- no
   discriminant sequences, no clause polynomials, hence an independent
   implementation path.
 

@@ -144,7 +144,22 @@ def _random_rational(rng: random.Random, lo: Fraction, hi: Fraction, den_bound: 
     hi_num = math.floor(hi_eff * den)
     if lo_num > hi_num:
         lo_num, hi_num = math.ceil(lo * den), math.floor(hi * den)
+    if lo_num > hi_num:
+        den = _fitting_denominator(rng, lo, hi, den_bound)
+        lo_num, hi_num = math.ceil(lo * den), math.floor(hi * den)
     return Fraction(rng.randint(lo_num, hi_num), den)
+
+
+def _fitting_denominator(rng: random.Random, lo: Fraction, hi: Fraction, den_bound: int) -> int:
+    """A uniform draw among the d <= den_bound with a multiple of 1/d in
+    [lo, hi].  Every d >= 1/(hi - lo) has one, so only smaller d are tested."""
+    wide = min(math.ceil(1 / (hi - lo)), den_bound + 1)
+    fits = [d for d in range(1, wide) if math.ceil(lo * d) <= math.floor(hi * d)]
+    count = len(fits) + den_bound + 1 - wide
+    if count == 0:
+        raise ValueError(f"no rational with denominator <= {den_bound} lies in [{lo}, {hi}]")
+    index = rng.randrange(count)
+    return fits[index] if index < len(fits) else wide + index - len(fits)
 
 
 def stratum_sampler(

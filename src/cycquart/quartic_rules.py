@@ -63,9 +63,7 @@ class SpecialQuartic:
 
     def to_unipoly(self) -> UniPoly:
         """The quartic as a polynomial, rational whenever ``a1`` is."""
-        if self.a1_sign == 0:
-            a1 = Fraction(0)
-        elif is_perfect_square(self.a1_squared):
+        if is_perfect_square(self.a1_squared):
             a1 = self.a1_sign * rational_sqrt(self.a1_squared)
         else:
             a1 = QuadExt(0, self.a1_sign, self.a1_squared)

@@ -9,9 +9,10 @@ Two scalar domains are used throughout the package:
 * :class:`QuadExt` -- elements ``u + v*sqrt(R)`` of the real quadratic
   extension Q(sqrt(R)) with a fixed rational radicand ``R >= 0``.
 
-Every comparison in the package ultimately reduces to the exact sign of a
-QuadExt value, which is decided by rational arithmetic only (no floating
-point, no root isolation).
+A polynomial keeps each coefficient in its own domain, and a rational
+operand is coerced into the radicand of the ``QuadExt`` it meets.
+:func:`sgn` decides the sign in either domain exactly, by rational
+arithmetic only (no floating point, no root isolation).
 """
 
 from __future__ import annotations
@@ -28,8 +29,6 @@ __all__ = [
     "is_perfect_square",
     "rational_sqrt",
     "sgn",
-    "scalar_is_zero",
-    "scalar_div",
 ]
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
@@ -72,15 +71,11 @@ def rational_sqrt(value: Fraction) -> Fraction:
     return Fraction(math.isqrt(value.numerator), math.isqrt(value.denominator))
 
 
-def _fraction_sign(x: Fraction) -> int:
-    return (x > 0) - (x < 0)
-
-
 class QuadExt:
     """Immutable element ``u + v*sqrt(radicand)`` of Q(sqrt(radicand)).
 
     The radicand is carried per value and must agree between the operands
-    of binary operations; plain rationals are lifted on demand.  A radicand
+    of binary operations; plain rationals are coerced on demand.  A radicand
     that happens to be a perfect square is *not* simplified away -- the sign
     logic is exact regardless of whether sqrt(R) is rational.
     """
@@ -97,17 +92,6 @@ class QuadExt:
 
     def __setattr__(self, name, value):
         raise AttributeError("QuadExt values are immutable")
-
-    @classmethod
-    def lift(cls, x, radicand) -> "QuadExt":
-        """Embed a rational (or pass through a QuadExt) into Q(sqrt(radicand))."""
-        if isinstance(x, QuadExt):
-            if x.radicand != radicand and x.v != 0:
-                raise ValueError(
-                    f"cannot lift sqrt({x.radicand}) element into Q(sqrt({radicand}))"
-                )
-            return cls(x.u, x.v, radicand) if x.v == 0 else x
-        return cls(x, 0, radicand)
 
     def _coerce(self, other) -> "QuadExt":
         if isinstance(other, QuadExt):
@@ -188,8 +172,8 @@ class QuadExt:
 
     def sign(self) -> int:
         """Exact sign of the real value u + v*sqrt(radicand)."""
-        su = _fraction_sign(self.u)
-        sv = _fraction_sign(self.v)
+        su = sgn(self.u)
+        sv = sgn(self.v)
         if sv == 0 or self.radicand == 0:
             return su
         if su == 0:
@@ -197,7 +181,7 @@ class QuadExt:
         if su == sv:
             return su
         # opposite signs: |u| against |v|*sqrt(R), settled by u**2 - v**2*R
-        ns = _fraction_sign(self.norm())
+        ns = sgn(self.norm())
         if ns == 0:
             return 0
         return su if ns > 0 else sv
@@ -265,7 +249,7 @@ class QuadExt:
         return f"{self.u} {sep} {abs(self.v)}*sqrt({self.radicand})"
 
 
-# -- generic helpers over both scalar domains ------------------------------
+# -- the sign over both scalar domains ---------------------------------------
 
 
 def sgn(x) -> int:
@@ -273,16 +257,3 @@ def sgn(x) -> int:
     if isinstance(x, QuadExt):
         return x.sign()
     return (x > 0) - (x < 0)
-
-
-def scalar_is_zero(x) -> bool:
-    return sgn(x) == 0
-
-
-def scalar_div(a, b):
-    """Exact division in whichever domain the operands live in."""
-    if isinstance(a, QuadExt) or isinstance(b, QuadExt):
-        if not isinstance(a, QuadExt):
-            a = QuadExt.lift(a, b.radicand)
-        return a / b
-    return Fraction(a) / Fraction(b)

@@ -5,15 +5,15 @@ Coefficients are stored leading-first: ``[a0, a1, ..., an]`` represents
 derivatives, gcd, squarefree decomposition, Sturm chains with exact
 root counting, and the discriminant sequence computed from even-order
 leading principal minors of the discrimination matrix of (f, f').
-Root counting runs one remainder sequence per chain: gcd(p, p') is read
-off the end of the chain of p, never computed separately.
+The gcd and the Sturm chain share one remainder sequence, and root
+counting runs it once per chain: gcd(p, p') is read off the end of the
+chain of p, never computed separately.
 
-The reduced quartic reaches this module with ``QuadExt`` coefficients only
-when sqrt(R) is irrational, so its gcd chains, Sturm sequences and minors
-run in the field Q(sqrt(R)) or in Q.  ``QuadExt`` input with a
-perfect-square radicand still stays exact: a coefficient of value 0 counts
-as zero, and ``QuadExt`` division by a nonzero value of norm 0 divides
-the rational values.
+Each coefficient keeps its own domain: rationals are ``Fraction`` and a
+``QuadExt`` stays as given, so the reduced quartic, whose only irrational
+coefficient is sqrt(R), does rational arithmetic wherever it can.  The
+scalars' own operators mix the two domains and reject two different
+radicands; zero tests are exact signs.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .scalars import QuadExt, scalar_div, scalar_is_zero, sgn
+from .scalars import QuadExt, sgn
 
 __all__ = [
     "UniPoly",
@@ -45,14 +45,8 @@ class UniPoly:
 
     def __init__(self, coeffs: Iterable) -> None:
         items = [c if isinstance(c, QuadExt) else Fraction(c) for c in coeffs]
-        radicands = {c.radicand for c in items if isinstance(c, QuadExt)}
-        if len(radicands) > 1:
-            raise ValueError(f"mixed radicands in coefficients: {sorted(radicands)}")
-        if radicands:
-            rad = radicands.pop()
-            items = [QuadExt.lift(c, rad) for c in items]
         idx = 0
-        while idx < len(items) and scalar_is_zero(items[idx]):
+        while idx < len(items) and sgn(items[idx]) == 0:
             idx += 1
         object.__setattr__(self, "coeffs", tuple(items[idx:]))
 
@@ -113,7 +107,7 @@ class UniPoly:
         return UniPoly(out)
 
     def scale(self, c) -> "UniPoly":
-        if scalar_is_zero(c):
+        if sgn(c) == 0:
             return UniPoly([])
         return UniPoly([a * c for a in self.coeffs])
 
@@ -136,7 +130,7 @@ class UniPoly:
         if self.is_zero:
             return self
         lead = self.leading
-        return UniPoly([scalar_div(c, lead) for c in self.coeffs])
+        return UniPoly([c / lead for c in self.coeffs])
 
 
 def _positive_content(p: UniPoly) -> Fraction:
@@ -178,23 +172,35 @@ def poly_divmod(f: UniPoly, g: UniPoly) -> tuple[UniPoly, UniPoly]:
     glead = g.leading
     for i in range(len(quot)):
         c = rem[i]
-        if scalar_is_zero(c):
+        if sgn(c) == 0:
             continue
-        q = scalar_div(c, glead)
+        q = c / glead
         quot[i] = q
         for j, gc in enumerate(g.coeffs):
             rem[i + j] = rem[i + j] - q * gc
     return UniPoly(quot), UniPoly(rem[-dg:] if dg > 0 else [])
 
 
+def _remainder_sequence(a: UniPoly, b: UniPoly) -> list[UniPoly]:
+    """``[a, b, r1, r2, ...]`` with ``r(i+1)`` the remainder of the two
+    entries before it, negated and divided by its positive content.
+
+    Stops at the first zero remainder, so only ``b`` may be zero; the last
+    nonzero entry is a multiple of gcd(a, b).
+    """
+    seq = [a, b]
+    while not seq[-1].is_zero:
+        _, r = poly_divmod(seq[-2], seq[-1])
+        if r.is_zero:
+            break
+        seq.append(_normalized(-r))
+    return seq
+
+
 def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
-    """Monic gcd via the Euclidean algorithm with content normalization."""
-    while not b.is_zero:
-        _, r = poly_divmod(a, b)
-        a, b = b, _normalized(r)
-    if a.is_zero:
-        return a
-    return a.monic()
+    """Monic gcd: the last nonzero entry of the remainder sequence."""
+    seq = _remainder_sequence(a, b)
+    return (seq[-2] if seq[-1].is_zero else seq[-1]).monic()
 
 
 def squarefree_decompose(p: UniPoly) -> list[tuple[UniPoly, int]]:
@@ -237,13 +243,7 @@ def sturm_chain(p: UniPoly) -> list[UniPoly]:
     """Negated-remainder chain of (p, p'); ends at (a multiple of) gcd(p, p')."""
     if p.is_zero:
         raise ValueError("no Sturm chain for the zero polynomial")
-    chain = [p, p.derivative()]
-    while not chain[-1].is_zero:
-        _, r = poly_divmod(chain[-2], chain[-1])
-        if r.is_zero:
-            break
-        chain.append(_normalized(-r))
-    return chain
+    return _remainder_sequence(p, p.derivative())
 
 
 def count_sign_changes(signs) -> int:
@@ -312,7 +312,7 @@ def det_bareiss(rows: list[list]) -> object:
     for col in range(n - 1):
         pivot = None
         for r in range(col, n):
-            if not scalar_is_zero(m[r][col]):
+            if sgn(m[r][col]) != 0:
                 pivot = r
                 break
         if pivot is None:
@@ -322,9 +322,7 @@ def det_bareiss(rows: list[list]) -> object:
             sign = -sign
         for r in range(col + 1, n):
             for c in range(col + 1, n):
-                m[r][c] = scalar_div(
-                    m[r][c] * m[col][col] - m[r][col] * m[col][c], prev
-                )
+                m[r][c] = (m[r][c] * m[col][col] - m[r][col] * m[col][c]) / prev
             m[r][col] = Fraction(0)
         prev = m[col][col]
     out = m[n - 1][n - 1]
@@ -337,8 +335,6 @@ def _discrimination_rows(p: UniPoly) -> list[list]:
     zero = Fraction(0)
     frow = list(p.coeffs)
     grow = [zero] + list(p.derivative().coeffs)
-    if len(grow) < n + 1:  # derivative may drop extra degrees over QuadExt
-        grow = [zero] * (n + 1 - len(grow)) + grow
     rows = []
     width = 2 * n
     for j in range(n):
@@ -368,5 +364,5 @@ def discriminant_sequence(p: UniPoly) -> list:
         sub = [row[: 2 * k] for row in rows[: 2 * k]]
         seq.append(det_bareiss(sub))
     if n == 4:
-        seq[2] = scalar_div(seq[2], 2)
+        seq[2] = seq[2] / 2
     return seq

@@ -27,8 +27,15 @@ from cycquart.decider import (
 from cycquart.form import CyclicParams, eval_form, r_range, radicand, reduce_to_g
 from cycquart.harness import STRATA, stratum_sampler
 from cycquart.quartic_rules import SpecialQuartic, discriminant_rule, discriminants
-from cycquart.scalars import sgn
-from cycquart.unipoly import UniPoly, chain_variations, squarefree_sturm
+from cycquart.roots import is_nonneg_everywhere
+from cycquart.scalars import QuadExt, is_perfect_square, sgn
+from cycquart.unipoly import (
+    UniPoly,
+    chain_variations,
+    squarefree_decompose,
+    squarefree_sturm,
+    sturm_chain,
+)
 
 
 def rand_params(rng, span=12, den=6):
@@ -512,6 +519,38 @@ def test_find_negative_t_evaluates_the_chain_once_per_midpoint(monkeypatch):
         assert after_bracketing.count("chain") == midpoints - returned
         bisected += midpoints > 1
     assert bisected >= 50
+
+
+def test_reduced_quartic_keeps_rational_coefficients_rational():
+    # only sqrt(R) is irrational in g; the rest stay Fractions, and every
+    # result matches the same g with each coefficient written in Q(sqrt(R))
+    rng = random.Random(79)
+    params = vasc_perturbations()
+    for _ in range(3):
+        params += vasc_perturbations(
+            tuple(F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(4)))
+    params += [
+        stratum_sampler(stratum, random.Random(seed))
+        for stratum in ("generic", "f3_zero", "case1_boundary")
+        for seed in range(40)
+    ]
+    checked = 0
+    for c in params:
+        rad = radicand(c)
+        g = reduce_to_g(c).to_unipoly()
+        if is_perfect_square(rad) or g.degree < 4:
+            continue
+        a0, a1, a2, a3, a4 = g.coeffs
+        assert all(type(v) is F for v in (a0, a2, a3, a4)) and type(a1) is QuadExt
+        lifted = UniPoly([v if isinstance(v, QuadExt) else QuadExt(v, 0, rad) for v in g.coeffs])
+        assert sturm_chain(g) == sturm_chain(lifted)
+        assert squarefree_decompose(g) == squarefree_decompose(lifted)
+        assert is_nonneg_everywhere(g) == is_nonneg_everywhere(lifted)
+        budget, lifted_budget = _Budget(40000), _Budget(40000)
+        assert _find_negative_t(g, budget) == _find_negative_t(lifted, lifted_budget)
+        assert budget.left == lifted_budget.left
+        checked += 1
+    assert checked >= 150
 
 
 def test_decide_dispatch_and_variants():

@@ -65,6 +65,35 @@ def test_sampler_respects_bounds():
             assert v.denominator <= 8
 
 
+@pytest.mark.parametrize("lo, hi, bound", [
+    (F(1, 10), F(1, 5), 64),   # no integer inside: den 1 has no multiple there
+    (F(1, 3), F(1, 2), 4),     # only dens 3 and 4 fit
+    (F(-1, 64), F(1, 64), 64),
+    (F(999, 1000), F(1), 64),  # only the endpoint 1 fits
+    (F(1, 10), F(1, 5), 10 ** 9),
+])
+def test_sampler_lands_in_narrow_ranges(lo, hi, bound):
+    # a drawn denominator with no multiple in [lo, hi] is redrawn among
+    # those that have one, so every stratum draws without error
+    rng = random.Random(3)
+    for stratum in STRATA:
+        for _ in range(20):
+            stratum_sampler(stratum, rng, (lo, hi), bound)
+    for _ in range(100):
+        c = stratum_sampler("generic", rng, (lo, hi), bound)
+        for v in (c.k, c.l, c.m, c.n):
+            assert lo <= v <= hi
+            assert v.denominator <= bound
+    cfg = FuzzConfig.from_dict(
+        {"sample_count": 5, "coefficient_range": [str(lo), str(hi)], "denominator_bound": bound})
+    assert fuzz_compare(cfg).summary["samples"] == 5
+
+
+def test_sampler_rejects_a_range_without_a_bounded_denominator():
+    with pytest.raises(ValueError, match="no rational with denominator <= 64"):
+        stratum_sampler("generic", random.Random(0), (F(1, 1000), F(1, 999)), 64)
+
+
 def test_sampler_covers_a_wide_coefficient_range():
     cfg = FuzzConfig(coefficient_range=(F(-10 ** 12), F(10 ** 12)))
     lo, hi = cfg.coefficient_range

@@ -7,6 +7,7 @@ from cycquart.quartic_rules import SpecialQuartic, discriminants
 from cycquart.scalars import QuadExt, sgn
 from cycquart.unipoly import (
     UniPoly,
+    _normalized,
     det_bareiss,
     discriminant_sequence,
     poly_divmod,
@@ -221,6 +222,39 @@ def test_gcd_monic_and_common_roots():
     q = UniPoly([1, -1]) * UniPoly([1, -5])
     assert poly_gcd(p, q) == UniPoly([1, -1])
     assert poly_gcd(p, UniPoly([1, 0, 1])).degree == 0
+
+
+def euclid_gcd(a, b):
+    """poly_gcd as its own Euclidean loop, before it shared the remainder
+    sequence of the Sturm chain: remainders kept positive, not negated."""
+    while not b.is_zero:
+        _, r = poly_divmod(a, b)
+        a, b = b, _normalized(r)
+    return a if a.is_zero else a.monic()
+
+
+def test_gcd_matches_the_euclidean_loop():
+    rng = random.Random(61)
+    zero = UniPoly([])
+    root = UniPoly([1, QuadExt(-1, -1, 7)])  # t - (1 + sqrt(7))
+    pairs = []
+    for _ in range(40):
+        common = rand_poly(rng, rng.randint(1, 3))
+        p, q = rand_poly(rng, rng.randint(0, 3)), rand_poly(rng, rng.randint(0, 3))
+        pairs += [(common * p, common * q), (p, q), (q * q, q)]
+        pairs += [(p, zero), (zero, q), (root * p, root * common), (root * root * q, p)]
+    pairs += [(zero, zero), (root, zero), (zero, root), (root * root, root)]
+    degrees = []
+    for a, b in pairs:
+        expected = euclid_gcd(a, b)
+        g = poly_gcd(a, b)
+        assert g == expected
+        if not g.is_zero:
+            assert g.leading == 1
+            for operand in (a, b):
+                assert poly_divmod(operand, g)[1].is_zero
+        degrees.append(g.degree)
+    assert degrees.count(0) >= 30 and sum(d > 0 for d in degrees) >= 100
 
 
 def test_det_bareiss():
