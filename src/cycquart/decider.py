@@ -45,7 +45,7 @@ from .form import CyclicParams, eval_form, r_range, radicand, reduce_to_g, scale
 from .quartic_rules import discriminant_rule, discriminants_of
 from .roots import is_nonneg_everywhere
 from .scalars import sgn
-from .unipoly import UniPoly, chain_variations, squarefree_sturm
+from .unipoly import UniPoly, chain_variations, count_sign_changes, squarefree_sturm
 
 __all__ = [
     "ClausePolynomials",
@@ -355,8 +355,10 @@ def _find_negative_t(g: UniPoly, budget: _Budget) -> Optional[Fraction]:
     first midpoint inside the (open) negative region is returned.
 
     Each queued bracket carries the chain's sign variations at both its
-    ends, so a midpoint costs one chain evaluation and one sign of g: the
-    ``len(chain) + 1`` budget units it is charged.  The count at 0 is taken
+    ends, so a midpoint costs one chain evaluation; a squarefree g heads
+    its own chain, and its sign there is the chain's first value, read
+    before the rest of the chain is evaluated.  A midpoint is charged
+    ``len(chain) + 1`` budget units either way.  The count at 0 is taken
     once, and the one at the final doubling bound is reused.
     """
     if g.is_zero or g.degree < 1:
@@ -380,14 +382,19 @@ def _find_negative_t(g: UniPoly, budget: _Budget) -> Optional[Fraction]:
     v_zero = chain_variations(chain, Fraction(0))
     if v_zero > v_top:
         queue.append((Fraction(0), top, v_zero, v_top))
+    tail = chain[1:] if chain[0] is g else None
     while queue:
         lo, hi, v_lo, v_hi = queue.popleft()
         mid = (lo + hi) / 2
         if not budget.spend(len(chain) + 1):
             return None
-        if sgn(g.eval(mid)) < 0:
+        g_sign = sgn(g.eval(mid))
+        if g_sign < 0:
             return mid
-        v_mid = chain_variations(chain, mid)
+        if tail is None:
+            v_mid = chain_variations(chain, mid)
+        else:
+            v_mid = count_sign_changes([g_sign] + [sgn(q.eval(mid)) for q in tail])
         if v_lo > v_mid:
             queue.append((lo, mid, v_lo, v_mid))
         if v_mid > v_hi:

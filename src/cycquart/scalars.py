@@ -75,15 +75,21 @@ class QuadExt:
     """Immutable element ``u + v*sqrt(radicand)`` of Q(sqrt(radicand)).
 
     The radicand is carried per value and must agree between the operands
-    of binary operations; plain rationals are coerced on demand.  A radicand
-    that happens to be a perfect square is *not* simplified away -- the sign
-    logic is exact regardless of whether sqrt(R) is rational.
+    of binary operations; plain rationals are coerced on demand.  A
+    ``Fraction`` argument is stored as given, any other is converted.  A
+    radicand that happens to be a perfect square is *not* simplified away --
+    the sign logic is exact regardless of whether sqrt(R) is rational.
     """
 
     __slots__ = ("u", "v", "radicand")
 
     def __init__(self, u, v, radicand) -> None:
-        u, v, radicand = Fraction(u), Fraction(v), Fraction(radicand)
+        if type(u) is not Fraction:
+            u = Fraction(u)
+        if type(v) is not Fraction:
+            v = Fraction(v)
+        if type(radicand) is not Fraction:
+            radicand = Fraction(radicand)
         if radicand < 0:
             raise ValueError(f"negative radicand: {radicand}")
         object.__setattr__(self, "u", u)

@@ -7,7 +7,6 @@ from types import SimpleNamespace
 
 import pytest
 
-from cycquart import decider
 from cycquart.decider import (
     CLOSED_FORM_VARIANTS,
     Verdict,
@@ -494,31 +493,42 @@ def test_find_negative_t_matches_the_three_evaluation_bisection():
 
 
 def test_find_negative_t_evaluates_the_chain_once_per_midpoint(monkeypatch):
-    # decider.sgn signs only g in _find_negative_t: at 0, at the doubling
-    # bound, then once per midpoint
-    events = []
+    # Every UniPoly.eval in _find_negative_t, as (polynomial, point).  g is
+    # signed at 0 first; when the chain is evaluated at 0 too, bisection
+    # follows it, and each later point is a midpoint.  Midpoints follow one
+    # another without repeating.
+    calls = []
+    inner = UniPoly.eval
 
-    def counted(name, inner):
-        def wrapper(*args):
-            events.append(name)
-            return inner(*args)
-        return wrapper
+    def counted(self, x):
+        calls.append((self, x))
+        return inner(self, x)
 
-    monkeypatch.setattr(decider, "sgn", counted("sign", sgn))
-    monkeypatch.setattr(decider, "chain_variations", counted("chain", chain_variations))
-    bisected = 0
+    bisected = {True: 0, False: 0}
+    returned = 0
     for g in bisection_inputs():
-        events.clear()
-        _find_negative_t(g, _Budget(40000))
-        signs = [i for i, name in enumerate(events) if name == "sign"]
-        if len(signs) < 3:
+        chain, _, _ = squarefree_sturm(g)
+        squarefree = chain[0] is g
+        calls.clear()
+        monkeypatch.setattr(UniPoly, "eval", counted)
+        t = _find_negative_t(g, _Budget(40000))
+        monkeypatch.undo()
+        zeros = [i for i, (_, x) in enumerate(calls) if x == 0]
+        if len(zeros) == 1:
             continue
-        midpoints = len(signs) - 2
-        returned = events[-1] == "sign"
-        after_bracketing = events[signs[2]:]
-        assert after_bracketing.count("chain") == midpoints - returned
-        bisected += midpoints > 1
-    assert bisected >= 50
+        midpoints = [list(run) for _, run in itertools.groupby(
+            calls[zeros[-1] + 1:], key=lambda call: call[1])]
+        if not midpoints:
+            continue
+        if t == midpoints[-1][0][1]:
+            # the returning midpoint signs g and nothing else
+            last = midpoints.pop()
+            assert len(last) == 1 and last[0][0] is g
+            returned += 1
+        for run in midpoints:
+            assert len(run) == (len(chain) if squarefree else len(chain) + 1)
+        bisected[squarefree] += len(midpoints) > 1
+    assert bisected[True] >= 50 and bisected[False] >= 20 and returned >= 100
 
 
 def test_reduced_quartic_keeps_rational_coefficients_rational():
@@ -578,3 +588,20 @@ def test_attach_witness():
     c = CyclicParams(0, 0, 0, 0)
     v = attach_witness(c, decide_structural(c))
     assert v.witness is None
+
+
+def test_small_integer_grid_deciders_agree_and_witness_every_not_psd():
+    # every (k, l, m, n) in {-2, ..., 2}**4: the structural decision, the
+    # Sturm oracle (over Q(sqrt R) wherever sqrt R is irrational) and the
+    # corrected closed form agree, and each NotPSD point has a witness
+    counts = {True: 0, False: 0}
+    for k, l, m, n in itertools.product(range(-2, 3), repeat=4):
+        c = CyclicParams(k, l, m, n)
+        structural = decide_structural(c).is_psd
+        assert decide_oracle(c).is_psd == structural, (k, l, m, n)
+        assert decide_closed_form(c, "corrected").is_psd == structural, (k, l, m, n)
+        if not structural:
+            w = find_witness(c)
+            assert w is not None and eval_form(c, *w) < 0, (k, l, m, n)
+        counts[structural] += 1
+    assert counts == {True: 219, False: 406}

@@ -97,6 +97,57 @@ def test_negative_radicand_rejected():
         QuadExt(1, 1, -2)
 
 
+def test_fraction_arguments_are_kept_and_others_converted():
+    f, g, r = F(3, 7), F(-2, 5), F(5)
+    x = QuadExt(f, g, r)
+    assert x.u is f and x.v is g and x.radicand is r
+    y = QuadExt(1, 2, 3)
+    assert all(type(c) is F for c in (y.u, y.v, y.radicand))
+    assert (y.u, y.v, y.radicand) == (1, 2, 3)
+    with pytest.raises(ValueError):
+        QuadExt(1, 1, -2)
+    with pytest.raises(ValueError):
+        QuadExt(F(1), F(1), F(-2))
+
+
+def test_products_and_quotients_with_int_and_fraction_operands():
+    # each result against its components worked out in Fractions
+    rng = random.Random(29)
+
+    def check(result, u, v, rad):
+        assert (result.u, result.v, result.radicand) == (u, v, rad)
+        assert all(type(c) is F for c in (result.u, result.v, result.radicand))
+
+    def draw():
+        return rng.choice((rng.randint(-9, 9), F(rng.randint(-9, 9), rng.randint(1, 5))))
+
+    for _ in range(400):
+        rad = rng.choice((0, 2, 3, 4, 5, F(7, 3)))
+        R = F(rad)
+        au, av, bu, bv = draw(), draw(), draw(), draw()
+        a, b = QuadExt(au, av, rad), QuadExt(bu, bv, rad)
+        u, v, bu, bv = F(au), F(av), F(bu), F(bv)
+        check(a * b, u * bu + v * bv * R, u * bv + v * bu, R)
+        q = draw()
+        check(a * q, u * q, v * q, R)
+        check(q * a, u * q, v * q, R)
+        if q != 0:
+            check(a / q, u / q, v / q, R)
+        if b.sign() != 0:
+            norm = bu * bu - bv * bv * R
+            if norm != 0:
+                check(a / b, (u * bu - v * bv * R) / norm, (v * bu - u * bv) / norm, R)
+            else:
+                root = rational_sqrt(R)
+                check(a / b, (u + v * root) / (bu + bv * root), F(0), R)
+        if a.sign() != 0:
+            norm = u * u - v * v * R
+            if norm != 0:
+                check(q / a, q * u / norm, -q * v / norm, R)
+            else:
+                check(q / a, q / (u + v * rational_sqrt(R)), F(0), R)
+
+
 def test_parse_and_format_roundtrip():
     for text in ["-3/7", "12", "0", "+5", "1000/64", "-1"]:
         value = parse_rational(text)
