@@ -16,6 +16,8 @@ import sys
 import traceback
 
 from .decider import (
+    _METHODS,
+    CLAUSE_POLYNOMIAL_NAMES,
     CLOSED_FORM_VARIANTS,
     DEFAULT_WITNESS_BUDGET,
     attach_witness,
@@ -135,10 +137,7 @@ def _cmd_explain(args) -> int:
         }
     out = {
         "params": {name: format_rational(getattr(c, name)) for name in "klmn"},
-        "polys": {
-            name: format_rational(getattr(polys, name))
-            for name in ("f1", "f2", "f3", "f4", "f5", "f6", "f7", "g1", "g2", "g3", "g4")
-        },
+        "polys": {name: format_rational(getattr(polys, name)) for name in CLAUSE_POLYNOMIAL_NAMES},
         "R": format_rational(g.a1_squared),
         "g_coefficients": _g_strings(g),
         "g_discriminants": g_discriminants,
@@ -296,7 +295,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--method",
         default="structural",
-        choices=["structural", "oracle", "closed-theorem", "closed-proof", "closed-corrected"],
+        choices=list(_METHODS),
     )
     p.add_argument("--witness", action="store_true", help="search for a counterexample")
     p.add_argument("--budget", type=_budget, default=DEFAULT_WITNESS_BUDGET)

@@ -36,7 +36,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Optional
 
@@ -49,6 +49,7 @@ from .unipoly import UniPoly, chain_variations, count_sign_changes, squarefree_s
 
 __all__ = [
     "ClausePolynomials",
+    "CLAUSE_POLYNOMIAL_NAMES",
     "Verdict",
     "CLOSED_FORM_VARIANTS",
     "eval_f5",
@@ -91,6 +92,9 @@ class ClausePolynomials:
     g2: Fraction
     g3: Fraction
     g4: Fraction
+
+
+CLAUSE_POLYNOMIAL_NAMES = tuple(f.name for f in fields(ClausePolynomials))
 
 
 @dataclass(frozen=True, slots=True)

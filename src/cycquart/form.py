@@ -31,7 +31,6 @@ from fractions import Fraction
 from functools import cached_property
 
 from .quartic_rules import SpecialQuartic
-from .scalars import QuadExt
 
 __all__ = [
     "CyclicParams",
@@ -231,8 +230,9 @@ def symmetrized_gap(c: CyclicParams, x, y, z) -> Fraction:
     return lhs - abs(rhs)
 
 
-def h_function(c: CyclicParams, t: Fraction, r: Fraction) -> QuadExt:
-    """The boundary function H(r) of the reduction, as an element of Q(sqrt(R)).
+def h_function(c: CyclicParams, t: Fraction, r: Fraction) -> tuple[Fraction, Fraction]:
+    """The boundary function H(r) of the reduction, as the rational pair
+    ``(u, v)`` of ``H = u + v*sqrt(R)``.
 
     H(r) = (2*(8-4k+2l-m-n)/3)*t**3 + (3*t**2 - 1 + 27*r)*sqrt(R)/3,
     using 3*(m-n)**2 + (8-4k+2l-m-n)**2/9 = R/9.  Its two values at the
@@ -240,11 +240,10 @@ def h_function(c: CyclicParams, t: Fraction, r: Fraction) -> QuadExt:
     root of H inside [r1, r2].
     """
     t, r = Fraction(t), Fraction(r)
-    rad = radicand(c)
     neg_f2 = 8 - 4 * c.k + 2 * c.l - c.m - c.n
     u = Fraction(2, 3) * neg_f2 * t ** 3
     v = Fraction(1, 3) * (3 * t ** 2 - 1 + 27 * r)
-    return QuadExt(u, v, rad)
+    return u, v
 
 
 def from_bcde(b: BcdeParams) -> CyclicParams:

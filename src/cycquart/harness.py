@@ -25,6 +25,8 @@ from fractions import Fraction
 
 from . import kernels
 from .decider import (
+    CLAUSE_POLYNOMIAL_NAMES,
+    CLOSED_FORM_VARIANTS,
     closed_form_verdict,
     decide_oracle,
     decide_structural,
@@ -227,10 +229,7 @@ def _params_dict(c: CyclicParams) -> dict:
 
 
 def _polys_dict(polys) -> dict:
-    return {
-        name: format_rational(getattr(polys, name))
-        for name in ("f1", "f2", "f3", "f4", "f5", "f6", "f7", "g1", "g2", "g3", "g4")
-    }
+    return {name: format_rational(getattr(polys, name)) for name in CLAUSE_POLYNOMIAL_NAMES}
 
 
 def fuzz_compare(cfg: FuzzConfig, record_sink=None) -> DiscrepancyReport:
@@ -249,7 +248,7 @@ def fuzz_compare(cfg: FuzzConfig, record_sink=None) -> DiscrepancyReport:
     strata_counts = {s: 0 for s in cfg.strata}
     closed_tally = {
         variant: {"agree": 0, "erratum-region": 0, "boundary": 0, "unexplained": 0}
-        for variant in ("theorem", "proof", "corrected")
+        for variant in CLOSED_FORM_VARIANTS
     }
     identity_checked = 0
     identity_holds = {"d2": 0, "d3": 0, "d4": 0}
@@ -276,7 +275,7 @@ def fuzz_compare(cfg: FuzzConfig, record_sink=None) -> DiscrepancyReport:
             )
         closed = {
             variant: closed_form_verdict(c, polys, variant)
-            for variant in ("theorem", "proof", "corrected")
+            for variant in CLOSED_FORM_VARIANTS
         }
 
         witness = None

@@ -7,7 +7,10 @@ Two scalar domains are used throughout the package:
   positive denominator), so equal values always have identical
   representations.
 * :class:`QuadExt` -- elements ``u + v*sqrt(R)`` of the real quadratic
-  extension Q(sqrt(R)) with a fixed rational radicand ``R >= 0``.
+  extension Q(sqrt(R)) with a fixed positive rational radicand ``R``.
+  The package builds them only for an irrational sqrt(R); the sign is
+  exact for any positive ``R``, and division also needs ``R`` to be a
+  non-square.
 
 A polynomial keeps each coefficient in its own domain, and a rational
 operand is coerced into the radicand of the ``QuadExt`` it meets.
@@ -74,11 +77,12 @@ def rational_sqrt(value: Fraction) -> Fraction:
 class QuadExt:
     """Immutable element ``u + v*sqrt(radicand)`` of Q(sqrt(radicand)).
 
-    The radicand is carried per value and must agree between the operands
-    of binary operations; plain rationals are coerced on demand.  A
-    ``Fraction`` argument is stored as given, any other is converted.  A
-    radicand that happens to be a perfect square is *not* simplified away --
-    the sign logic is exact regardless of whether sqrt(R) is rational.
+    The radicand is carried per value, must be positive, and must agree
+    between the operands of binary operations and of ``==``; plain
+    rationals are coerced on demand.  A ``Fraction`` argument is stored as
+    given, any other is converted.  The sign is exact for any positive
+    radicand; division also needs it to be a non-square, so that a value
+    is zero exactly when its norm is.
     """
 
     __slots__ = ("u", "v", "radicand")
@@ -90,8 +94,8 @@ class QuadExt:
             v = Fraction(v)
         if type(radicand) is not Fraction:
             radicand = Fraction(radicand)
-        if radicand < 0:
-            raise ValueError(f"negative radicand: {radicand}")
+        if radicand <= 0:
+            raise ValueError(f"radicand must be positive: {radicand}")
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "radicand", radicand)
@@ -148,18 +152,12 @@ class QuadExt:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if other.sign() == 0:
-            raise ZeroDivisionError("division by a QuadExt value of sign 0")
+        # for a non-square radicand, norm 0 means value 0
         nrm = other.norm()
-        if nrm != 0:
-            prod = self * other.conjugate()
-            return QuadExt(prod.u / nrm, prod.v / nrm, self.radicand)
-        # norm 0 with nonzero value forces a perfect-square radicand; divide
-        # the underlying rational values directly.
-        root = rational_sqrt(self.radicand)
-        num = self.u + self.v * root
-        den = other.u + other.v * root
-        return QuadExt(num / den, 0, self.radicand)
+        if nrm == 0:
+            raise ZeroDivisionError("division by a QuadExt value of norm 0")
+        prod = self * other.conjugate()
+        return QuadExt(prod.u / nrm, prod.v / nrm, self.radicand)
 
     def __rtruediv__(self, other):
         lifted = self._coerce(other)
@@ -180,7 +178,7 @@ class QuadExt:
         """Exact sign of the real value u + v*sqrt(radicand)."""
         su = sgn(self.u)
         sv = sgn(self.v)
-        if sv == 0 or self.radicand == 0:
+        if sv == 0:
             return su
         if su == 0:
             return sv
@@ -192,67 +190,15 @@ class QuadExt:
             return 0
         return su if ns > 0 else sv
 
-    def is_zero(self) -> bool:
-        return self.sign() == 0
-
-    def to_fraction(self) -> Fraction:
-        """The exact rational value, when one exists."""
-        if self.v == 0:
-            return self.u
-        if is_perfect_square(self.radicand):
-            return self.u + self.v * rational_sqrt(self.radicand)
-        raise ValueError(f"{self} is irrational")
-
-    # -- comparisons (value semantics) ------------------------------------
-
     def __eq__(self, other):
-        """Value equality.  Across different radicands only rational values
-        compare equal (sqrt(8) and 2*sqrt(2) stay in disjoint contexts)."""
-        if isinstance(other, QuadExt) and other.radicand != self.radicand:
-            try:
-                return self.to_fraction() == other.to_fraction()
-            except ValueError:
-                return False
+        """Value equality within one radicand."""
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         return (self - other).sign() == 0
 
-    def __hash__(self):
-        try:
-            return hash(self.to_fraction())
-        except ValueError:
-            return hash((self.u, self.v, self.radicand))
-
-    def _cmp(self, other) -> int:
-        other = self._coerce(other)
-        if other is NotImplemented:
-            raise TypeError(f"cannot compare QuadExt with {type(other)!r}")
-        return (self - other).sign()
-
-    def __lt__(self, other):
-        return self._cmp(other) < 0
-
-    def __le__(self, other):
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other):
-        return self._cmp(other) > 0
-
-    def __ge__(self, other):
-        return self._cmp(other) >= 0
-
     def __repr__(self) -> str:
         return f"QuadExt({self.u!r}, {self.v!r}, {self.radicand!r})"
-
-    def __str__(self) -> str:
-        if self.v == 0:
-            return str(self.u)
-        vpart = f"{self.v}*sqrt({self.radicand})"
-        if self.u == 0:
-            return vpart
-        sep = "+" if self.v > 0 else "-"
-        return f"{self.u} {sep} {abs(self.v)}*sqrt({self.radicand})"
 
 
 # -- the sign over both scalar domains ---------------------------------------

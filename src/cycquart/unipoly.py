@@ -75,9 +75,6 @@ class UniPoly:
             return NotImplemented
         return (self - other).is_zero
 
-    def __hash__(self):
-        return hash(self.coeffs)
-
     def __repr__(self) -> str:
         return f"UniPoly({list(self.coeffs)!r})"
 
@@ -135,23 +132,15 @@ class UniPoly:
 
 def _positive_content(p: UniPoly) -> Fraction:
     """A positive rational scalar dividing all coefficient components."""
-    nums: list[int] = []
-    dens: list[int] = []
-    for c in p.coeffs:
-        parts = (c.u, c.v) if isinstance(c, QuadExt) else (Fraction(c),)
-        for f in parts:
-            if f != 0:
-                nums.append(abs(f.numerator))
-                dens.append(f.denominator)
-    if not nums:
+    parts = [
+        f
+        for c in p.coeffs
+        for f in ((c.u, c.v) if isinstance(c, QuadExt) else (c,))
+    ]
+    num = math.gcd(*(f.numerator for f in parts))
+    if num == 0:  # no nonzero component
         return Fraction(1)
-    num = 0
-    for x in nums:
-        num = math.gcd(num, x)
-    den = 1
-    for x in dens:
-        den = den * x // math.gcd(den, x)
-    return Fraction(num, den)
+    return Fraction(num, math.lcm(*(f.denominator for f in parts)))
 
 
 def _normalized(p: UniPoly) -> UniPoly:

@@ -145,9 +145,10 @@ def test_criterion_4_reduction_identities():
         c = CyclicParams(*(rand_fraction(rng) for _ in range(4)))
         t = abs(rand_fraction(rng))
         r1, r2 = r_range(t)
-        product = h_function(c, t, r1) * h_function(c, t, r2)
-        assert product.v == 0
-        assert product.u + 12 * t ** 6 * (c.m - c.n) ** 2 == 0
+        (u1, v1), (u2, v2) = h_function(c, t, r1), h_function(c, t, r2)
+        # (u1 + v1*sqrt(R)) * (u2 + v2*sqrt(R)), as rational and sqrt(R) parts
+        assert u1 * v2 + u2 * v1 == 0
+        assert u1 * u2 + v1 * v2 * radicand(c) + 12 * t ** 6 * (c.m - c.n) ** 2 == 0
     elapsed = time.monotonic() - started
     assert elapsed < 10.0
     print(f"\nPASS criterion 4: power-sum/Vandermonde identities on 500 "

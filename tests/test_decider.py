@@ -533,7 +533,9 @@ def test_find_negative_t_evaluates_the_chain_once_per_midpoint(monkeypatch):
 
 def test_reduced_quartic_keeps_rational_coefficients_rational():
     # only sqrt(R) is irrational in g; the rest stay Fractions, and every
-    # result matches the same g with each coefficient written in Q(sqrt(R))
+    # result matches the same g with each coefficient written in Q(sqrt(R)).
+    # A rational sqrt(R) gives a rational g, so every QuadExt the package
+    # builds carries g's own radicand, which is not a perfect square.
     rng = random.Random(79)
     params = vasc_perturbations()
     for _ in range(3):
@@ -544,11 +546,19 @@ def test_reduced_quartic_keeps_rational_coefficients_rational():
         for stratum in ("generic", "f3_zero", "case1_boundary")
         for seed in range(40)
     ]
-    checked = 0
+    params += [CyclicParams(0, 0, 0, 0), CyclicParams(0, 0, 1, 1), CyclicParams(2, 0, 0, 0)]
+    checked = squares = 0
     for c in params:
         rad = radicand(c)
         g = reduce_to_g(c).to_unipoly()
-        if is_perfect_square(rad) or g.degree < 4:
+        if is_perfect_square(rad):
+            assert all(type(v) is F for v in g.coeffs)
+            squares += 1
+            continue
+        derived = [g, *sturm_chain(g), *(f for f, _ in squarefree_decompose(g))]
+        for v in (v for p in derived for v in p.coeffs):
+            assert type(v) is F or (type(v) is QuadExt and v.radicand == rad)
+        if g.degree < 4:
             continue
         a0, a1, a2, a3, a4 = g.coeffs
         assert all(type(v) is F for v in (a0, a2, a3, a4)) and type(a1) is QuadExt
@@ -560,7 +570,7 @@ def test_reduced_quartic_keeps_rational_coefficients_rational():
         assert _find_negative_t(g, budget) == _find_negative_t(lifted, lifted_budget)
         assert budget.left == lifted_budget.left
         checked += 1
-    assert checked >= 150
+    assert checked >= 150 and squares >= 3
 
 
 def test_decide_dispatch_and_variants():
