@@ -15,21 +15,9 @@ import re
 import sys
 import traceback
 
-from .decider import (
-    _METHODS,
-    CLAUSE_POLYNOMIAL_NAMES,
-    CLOSED_FORM_VARIANTS,
-    DEFAULT_WITNESS_BUDGET,
-    attach_witness,
-    closed_form_verdict,
-    decide,
-    decide_oracle,
-    decide_structural,
-    eval_polys,
-    find_witness,
-)
-from .form import BcdeParams, CyclicParams, eval_form, from_bcde, reduce_to_g
-from .harness import STRATA, FuzzConfig, fuzz_compare
+from .decider import _METHODS, DEFAULT_WITNESS_BUDGET, attach_witness, decide
+from .form import BcdeParams, CyclicParams, from_bcde, reduce_to_g
+from .harness import STRATA, FuzzConfig, fuzz_compare, params_dict, verdict_table
 from .quartic_rules import SpecialQuartic, discriminants, is_nonneg
 from .roots import classify_roots, is_nonneg_everywhere, revise, sign_list
 from .scalars import format_rational, parse_rational
@@ -47,7 +35,7 @@ _NEGATIVE_NUMBER = re.compile(r"^-\.?\d")
 
 
 def _budget(text: str) -> int:
-    """argparse type of the budget options: a nonnegative integer."""
+    """argparse type of ``decide --budget``: a nonnegative integer."""
     try:
         value = int(text)
     except ValueError:
@@ -92,7 +80,7 @@ def _verdict_dict(c: CyclicParams, verdict) -> dict:
         "is_psd": verdict.is_psd,
         "method": verdict.method,
         "fired_clause": verdict.fired_clause,
-        "params": {name: format_rational(getattr(c, name)) for name in "klmn"},
+        "params": params_dict(c),
     }
     if verdict.witness is not None:
         out["witness"] = [format_rational(v) for v in verdict.witness]
@@ -116,16 +104,8 @@ def _cmd_decide(args) -> int:
 
 def _cmd_explain(args) -> int:
     c = _params_from_args(args)
-    polys = eval_polys(c)
+    polys, verdicts, out = verdict_table(c)
     g = reduce_to_g(c)
-    verdicts = {
-        "structural": decide_structural(c),
-        "oracle": decide_oracle(c),
-        **{
-            f"closed_{variant}": closed_form_verdict(c, polys, variant)
-            for variant in CLOSED_FORM_VARIANTS
-        },
-    }
     g_discriminants = None
     if polys.f1 != 0:
         d1, d2, d3, d4 = discriminants(g)
@@ -135,17 +115,9 @@ def _cmd_explain(args) -> int:
             "D3": format_rational(d3),
             "D4": format_rational(d4),
         }
-    out = {
-        "params": {name: format_rational(getattr(c, name)) for name in "klmn"},
-        "polys": {name: format_rational(getattr(polys, name)) for name in CLAUSE_POLYNOMIAL_NAMES},
-        "R": format_rational(g.a1_squared),
-        "g_coefficients": _g_strings(g),
-        "g_discriminants": g_discriminants,
-        "verdicts": {
-            name: {"is_psd": v.is_psd, "fired_clause": v.fired_clause}
-            for name, v in verdicts.items()
-        },
-    }
+    out["R"] = format_rational(g.a1_squared)
+    out["g_coefficients"] = _g_strings(g)
+    out["g_discriminants"] = g_discriminants
     _emit(out, args.pretty)
     return EXIT_PSD if verdicts["structural"].is_psd else EXIT_NOT_PSD
 
@@ -172,20 +144,12 @@ def _cmd_convert(args) -> int:
         parse_rational(args.D),
         parse_rational(args.E),
     )
-    c = from_bcde(b)
-    _emit({name: format_rational(getattr(c, name)) for name in "klmn"}, args.pretty)
+    _emit(params_dict(from_bcde(b)), args.pretty)
     return EXIT_PSD
 
 
-def _parse_poly(text: str) -> UniPoly:
-    coeffs = [parse_rational(part) for part in text.split(",")]
-    if not coeffs:
-        raise ValueError("empty coefficient list")
-    return UniPoly(coeffs)
-
-
 def _cmd_roots(args) -> int:
-    poly = _parse_poly(args.coefficients)
+    poly = UniPoly([parse_rational(part) for part in args.coefficients.split(",")])
     if poly.degree < 1:
         raise ValueError("root classification needs degree >= 1")
     seq = discriminant_sequence(poly)
@@ -227,24 +191,6 @@ def _cmd_quartic(args) -> int:
     return EXIT_PSD if psd else EXIT_NOT_PSD
 
 
-def _cmd_witness(args) -> int:
-    c = _params_from_args(args)
-    witness = find_witness(c, args.budget)
-    if witness is None:
-        _emit({"found": False, "witness": None, "value": None}, args.pretty)
-        # a spent budget finds nothing on a NotPSD form too: exit by the verdict
-        return EXIT_PSD if decide_structural(c).is_psd else EXIT_NOT_PSD
-    _emit(
-        {
-            "found": True,
-            "witness": [format_rational(v) for v in witness],
-            "value": format_rational(eval_form(c, *witness)),
-        },
-        args.pretty,
-    )
-    return EXIT_NOT_PSD
-
-
 def _cmd_fuzz(args) -> int:
     if args.config:
         with open(args.config) as handle:
@@ -254,8 +200,6 @@ def _cmd_fuzz(args) -> int:
             sample_count=args.count,
             seed=args.seed,
             strata=tuple(args.strata.split(",")),
-            falsifier_budget=args.falsifier_budget,
-            witness_budget=args.witness_budget,
         )
     if args.out:
         # stream records as they are produced so aborted runs stay salvageable
@@ -326,11 +270,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(name, help=f"coefficient {name} (exact rational)")
     p.set_defaults(func=_cmd_quartic)
 
-    p = sub.add_parser("witness", help="search for a rational point with F < 0")
-    add_params(p)
-    p.add_argument("--budget", type=_budget, default=DEFAULT_WITNESS_BUDGET)
-    p.set_defaults(func=_cmd_witness)
-
     p = sub.add_parser("fuzz", help="differential testing of all deciders")
     p.add_argument("--count", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
@@ -339,8 +278,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default="generic",
         help=f"comma-separated subset of {','.join(STRATA)}",
     )
-    p.add_argument("--falsifier-budget", type=_budget, default=4000)
-    p.add_argument("--witness-budget", type=_budget, default=DEFAULT_WITNESS_BUDGET)
     p.add_argument("--out", help="write per-sample JSONL records to this path")
     p.add_argument("--config", help="JSON file with the full fuzz configuration")
     p.set_defaults(func=_cmd_fuzz)

@@ -27,13 +27,14 @@ from . import kernels
 from .decider import (
     CLAUSE_POLYNOMIAL_NAMES,
     CLOSED_FORM_VARIANTS,
+    ClausePolynomials,
+    Verdict,
     closed_form_verdict,
     decide_oracle,
     decide_structural,
     eval_f5,
     eval_polys,
     find_witness,
-    DEFAULT_WITNESS_BUDGET,
 )
 from .form import CyclicParams, eval_form, radicand, reduce_to_g
 from .quartic_rules import discriminants
@@ -44,12 +45,18 @@ __all__ = [
     "FuzzConfig",
     "DiscrepancyReport",
     "stratum_sampler",
+    "params_dict",
+    "verdict_table",
     "fuzz_compare",
 ]
 
 STRATA = ("generic", "R_zero", "f3_zero", "f1_zero", "f5_zero_near", "case1_boundary")
 
-_FALSIFIER_FACES = (1, 2, 4, 8, 16, 32, 64, 128)
+# The PSD falsifier sweeps these faces whole.  Each face skips the points
+# of its half, so together they check the (2*32 + 1)**2 = 4225 points of
+# the face-32 grid, and a budget of that many never cuts the sweep short.
+_FALSIFIER_FACES = (1, 2, 4, 8, 16, 32)
+_FALSIFIER_POINTS = (2 * _FALSIFIER_FACES[-1] + 1) ** 2
 
 
 @dataclass(frozen=True)
@@ -59,13 +66,9 @@ class FuzzConfig:
     denominator_bound: int = 64
     seed: int = 0
     strata: tuple[str, ...] = ("generic",)
-    falsifier_budget: int = 4000
-    witness_budget: int = DEFAULT_WITNESS_BUDGET
 
     def __post_init__(self):
-        for name in (
-            "sample_count", "denominator_bound", "seed", "falsifier_budget", "witness_budget"
-        ):
+        for name in ("sample_count", "denominator_bound", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
@@ -85,8 +88,6 @@ class FuzzConfig:
             raise ValueError("sample_count must be positive")
         if self.denominator_bound < 1:
             raise ValueError("denominator_bound must be positive")
-        if self.falsifier_budget < 0 or self.witness_budget < 0:
-            raise ValueError("budgets must be nonnegative")
         for stratum in self.strata:
             if stratum not in STRATA:
                 raise ValueError(f"unknown stratum {stratum!r}")
@@ -98,8 +99,6 @@ class FuzzConfig:
             "denominator_bound": self.denominator_bound,
             "seed": self.seed,
             "strata": list(self.strata),
-            "falsifier_budget": self.falsifier_budget,
-            "witness_budget": self.witness_budget,
         }
 
     @classmethod
@@ -126,10 +125,6 @@ class DiscrepancyReport:
 
     def to_jsonl(self) -> str:
         return "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in self.records)
-
-    def write_jsonl(self, path: str) -> None:
-        with open(path, "w") as handle:
-            handle.write(self.to_jsonl())
 
 
 def _random_rational(rng: random.Random, lo: Fraction, hi: Fraction, den_bound: int) -> Fraction:
@@ -224,12 +219,33 @@ def _classify_disagreement(c: CyclicParams, polys, rad: Fraction) -> str:
     return "unexplained"
 
 
-def _params_dict(c: CyclicParams) -> dict:
-    return {name: format_rational(getattr(c, name)) for name in ("k", "l", "m", "n")}
+def params_dict(c: CyclicParams) -> dict:
+    """k, l, m and n as exact rational strings."""
+    return {name: format_rational(getattr(c, name)) for name in "klmn"}
 
 
-def _polys_dict(polys) -> dict:
-    return {name: format_rational(getattr(polys, name)) for name in CLAUSE_POLYNOMIAL_NAMES}
+def verdict_table(c: CyclicParams) -> tuple[ClausePolynomials, dict[str, Verdict], dict]:
+    """The clause polynomials of ``c``, its five verdicts keyed structural,
+    oracle and closed_<variant>, and the ``params``, ``polys`` and
+    ``verdicts`` blocks that a fuzz record and ``cycquart explain`` print."""
+    polys = eval_polys(c)
+    verdicts = {
+        "structural": decide_structural(c),
+        "oracle": decide_oracle(c),
+        **{
+            f"closed_{variant}": closed_form_verdict(c, polys, variant)
+            for variant in CLOSED_FORM_VARIANTS
+        },
+    }
+    blocks = {
+        "params": params_dict(c),
+        "polys": {name: format_rational(getattr(polys, name)) for name in CLAUSE_POLYNOMIAL_NAMES},
+        "verdicts": {
+            name: {"is_psd": v.is_psd, "fired_clause": v.fired_clause}
+            for name, v in verdicts.items()
+        },
+    }
+    return polys, verdicts, blocks
 
 
 def fuzz_compare(cfg: FuzzConfig, record_sink=None) -> DiscrepancyReport:
@@ -264,19 +280,14 @@ def fuzz_compare(cfg: FuzzConfig, record_sink=None) -> DiscrepancyReport:
         c = stratum_sampler(stratum, rng, cfg.coefficient_range, cfg.denominator_bound)
         strata_counts[stratum] += 1
 
-        polys = eval_polys(c)
+        polys, verdicts, blocks = verdict_table(c)
         rad = radicand(c)
-        structural = decide_structural(c)
-        oracle = decide_oracle(c)
+        structural, oracle = verdicts["structural"], verdicts["oracle"]
         if structural.is_psd != oracle.is_psd:
             raise AssertionError(
                 f"structural/oracle disagreement at {c}: "
                 f"{structural.is_psd} vs {oracle.is_psd}"
             )
-        closed = {
-            variant: closed_form_verdict(c, polys, variant)
-            for variant in CLOSED_FORM_VARIANTS
-        }
 
         witness = None
         witness_value = None
@@ -285,14 +296,14 @@ def fuzz_compare(cfg: FuzzConfig, record_sink=None) -> DiscrepancyReport:
         if structural.is_psd:
             psd_count += 1
             attack, falsifier_checked = kernels.find_negative_on_faces(
-                c, _FALSIFIER_FACES, cfg.falsifier_budget
+                c, _FALSIFIER_FACES, _FALSIFIER_POINTS
             )
             if attack is not None:
                 raise AssertionError(
                     f"falsifier refuted a PSD verdict at {c}: point {attack}"
                 )
         else:
-            witness = find_witness(c, cfg.witness_budget)
+            witness = find_witness(c)
             if witness is None:
                 witness_exhausted = True
                 witness_failures += 1
@@ -300,8 +311,8 @@ def fuzz_compare(cfg: FuzzConfig, record_sink=None) -> DiscrepancyReport:
                 witness_value = eval_form(c, *witness)
 
         disagreements = {}
-        for variant, verdict in closed.items():
-            if verdict.is_psd == structural.is_psd:
+        for variant in CLOSED_FORM_VARIANTS:
+            if verdicts[f"closed_{variant}"].is_psd == structural.is_psd:
                 disagreements[variant] = "agree"
                 closed_tally[variant]["agree"] += 1
             else:
@@ -309,7 +320,7 @@ def fuzz_compare(cfg: FuzzConfig, record_sink=None) -> DiscrepancyReport:
                 disagreements[variant] = kind
                 closed_tally[variant][kind] += 1
 
-        if closed["theorem"].is_psd != closed["proof"].is_psd:
+        if verdicts["closed_theorem"].is_psd != verdicts["closed_proof"].is_psd:
             theorem_proof_disagreements += 1
         if _in_erratum_region(c, polys):
             erratum_hits += 1
@@ -336,26 +347,8 @@ def fuzz_compare(cfg: FuzzConfig, record_sink=None) -> DiscrepancyReport:
         record = {
             "index": index,
             "stratum": stratum,
-            "params": _params_dict(c),
+            **blocks,
             "R": format_rational(rad),
-            "polys": _polys_dict(polys),
-            "verdicts": {
-                "structural": {
-                    "is_psd": structural.is_psd,
-                    "fired_clause": structural.fired_clause,
-                },
-                "oracle": {
-                    "is_psd": oracle.is_psd,
-                    "fired_clause": oracle.fired_clause,
-                },
-                **{
-                    f"closed_{variant}": {
-                        "is_psd": verdict.is_psd,
-                        "fired_clause": verdict.fired_clause,
-                    }
-                    for variant, verdict in closed.items()
-                },
-            },
             "witness": [format_rational(v) for v in witness] if witness else None,
             "witness_value": format_rational(witness_value)
             if witness_value is not None

@@ -23,11 +23,15 @@ def test_decide_psd(capsys):
 
 
 def test_decide_not_psd_with_witness(capsys):
-    code, out, _ = run_json(capsys, "decide", "0", "0", "-3", "0", "--witness")
-    assert code == 1
-    assert out["is_psd"] is False
-    assert out["witness"] == ["1", "1", "1"]
-    assert out["value"] == "-6"
+    for params, witness, value in (
+        ("0 0 -3 0", ["1", "1", "1"], "-6"),
+        ("0 0 2 2", ["1", "-1", "0"], "-2"),
+    ):
+        code, out, _ = run_json(capsys, "decide", *params.split(), "--witness")
+        assert code == 1
+        assert out["is_psd"] is False
+        assert out["witness"] == witness
+        assert out["value"] == value
 
 
 def test_decide_methods(capsys):
@@ -146,9 +150,10 @@ def test_decide_witness_keys_stay_when_the_budget_runs_out(capsys):
     code, out, _ = run_json(capsys, "decide", "0", "0", "-3", "0", "--witness", "--budget", "0")
     assert code == 1
     assert out["witness"] is None and out["value"] is None
-    code, out, _ = run_json(capsys, "decide", "0", "0", "0", "0", "--witness")
-    assert code == 0
-    assert "witness" not in out and "value" not in out
+    for argv in (["0", "0", "0", "0"], ["2", "0", "0", "0", "--budget", "2000"]):
+        code, out, _ = run_json(capsys, "decide", *argv, "--witness")
+        assert code == 0
+        assert "witness" not in out and "value" not in out
 
 
 def test_roots(capsys):
@@ -176,26 +181,6 @@ def test_quartic_precondition_violation_is_usage_error(capsys):
     assert "error" in err
 
 
-def test_witness_command(capsys):
-    code, out, _ = run_json(capsys, "witness", "0", "0", "2", "2")
-    assert code == 1
-    assert out["found"] is True
-    assert out["witness"] == ["1", "-1", "0"]
-    assert out["value"] == "-2"
-
-    code, out, _ = run_json(capsys, "witness", "2", "0", "0", "0",
-                            "--budget", "2000")
-    assert code == 0
-    assert out["found"] is False
-
-
-def test_witness_command_exits_not_psd_when_the_budget_runs_out(capsys):
-    # no witness is found with no budget, but the form is NotPSD all the same
-    code, out, _ = run_json(capsys, "witness", "0", "0", "-3", "0", "--budget", "0")
-    assert code == 1
-    assert out == {"found": False, "witness": None, "value": None}
-
-
 def test_explain_contains_rederivation_fields(capsys):
     code, out, _ = run_json(capsys, "explain", "0", "0", "0", "0")
     assert code == 0
@@ -218,6 +203,7 @@ def test_malformed_input_exits_2(capsys):
         ["decide", "3/0", "0", "0", "0"],
         ["roots", "1,oops"],
         ["roots", "5"],
+        ["witness", "0", "0", "-3", "0"],  # removed: decide --witness finds witnesses
     ):
         code, _, err = run(capsys, *argv)
         assert code == 2
@@ -258,9 +244,7 @@ def test_fuzz_summary_and_jsonl(capsys, tmp_path):
 
 def test_fuzz_config_file(capsys, tmp_path):
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({
-        "sample_count": 5, "seed": 11, "strata": ["f3_zero"],
-        "falsifier_budget": 500, "witness_budget": 4000}))
+    cfg_path.write_text(json.dumps({"sample_count": 5, "seed": 11, "strata": ["f3_zero"]}))
     code, out, _ = run_json(capsys, "fuzz", "--config", str(cfg_path))
     assert code == 0
     assert out["samples"] == 5
@@ -269,11 +253,13 @@ def test_fuzz_config_file(capsys, tmp_path):
 
 def test_fuzz_config_with_an_unknown_key_exits_2(capsys, tmp_path):
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"sample_count": 3, "bogus": 1}))
-    code, out, err = run(capsys, "fuzz", "--config", str(cfg_path))
-    assert code == 2
-    assert out == ""
-    assert "bogus" in err and "Traceback" not in err
+    # the two budget keys are gone: the sweep and the witness search use constants
+    for key in ("bogus", "falsifier_budget", "witness_budget"):
+        cfg_path.write_text(json.dumps({"sample_count": 3, key: 1}))
+        code, out, err = run(capsys, "fuzz", "--config", str(cfg_path))
+        assert code == 2
+        assert out == ""
+        assert key in err and "Traceback" not in err
 
 
 def test_fuzz_config_with_a_wrongly_typed_value_exits_2(capsys, tmp_path):
@@ -300,18 +286,12 @@ def test_decide_rejects_a_negative_budget(capsys):
     assert "--budget" in err
 
 
-def test_fuzz_rejects_a_negative_witness_budget(capsys):
-    code, out, err = run(capsys, "fuzz", "--count", "1", "--witness-budget", "-1")
-    assert code == 2
-    assert out == ""
-    assert "--witness-budget" in err
-
-
-def test_fuzz_rejects_a_negative_falsifier_budget(capsys):
-    code, out, err = run(capsys, "fuzz", "--count", "1", "--falsifier-budget", "-1")
-    assert code == 2
-    assert out == ""
-    assert "--falsifier-budget" in err
+def test_fuzz_rejects_the_removed_budget_flags(capsys):
+    for flag in ("--witness-budget", "--falsifier-budget"):
+        code, out, err = run(capsys, "fuzz", "--count", "1", flag, "4000")
+        assert code == 2
+        assert out == ""
+        assert flag in err
 
 
 def test_pretty_output(capsys):

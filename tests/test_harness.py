@@ -9,6 +9,7 @@ from cycquart.decider import eval_polys
 from cycquart.form import CyclicParams, eval_form, radicand
 from cycquart.harness import (
     _FALSIFIER_FACES,
+    _FALSIFIER_POINTS,
     STRATA,
     DiscrepancyReport,
     FuzzConfig,
@@ -110,8 +111,8 @@ def test_sampler_covers_a_wide_coefficient_range():
 
 
 def falsifier_point(c):
-    # the falsifier sweep of fuzz_compare, at budget 4000
-    point, _ = find_negative_on_faces(c, _FALSIFIER_FACES, 4000)
+    # the falsifier sweep of fuzz_compare
+    point, _ = find_negative_on_faces(c, _FALSIFIER_FACES, _FALSIFIER_POINTS)
     return point
 
 
@@ -143,6 +144,11 @@ def test_fuzz_compare_smoke_all_strata():
     checked = summary["discriminant_identities"]["checked"]
     assert summary["discriminant_identities"]["holds"] == {
         "d2": checked, "d3": checked, "d4": checked}
+    # the falsifier sweeps all of faces 1 to 32 on a PSD sample, and only there
+    assert 0 < summary["psd_count"] < 36
+    for record in report.records:
+        expected = 4225 if record["verdicts"]["structural"]["is_psd"] else 0
+        assert record["falsifier_checked"] == expected
 
 
 def test_fuzz_records_shape():
@@ -194,15 +200,12 @@ def test_records_without_witness_points_match_the_parent():
     assert digest == "fa070e5ef652307da59427aa967d9c44a636b4e2a5e0d070ca13d083b13b9373"
 
 
-def test_report_jsonl_roundtrip(tmp_path):
+def test_report_jsonl_roundtrip():
     cfg = FuzzConfig(sample_count=5, seed=1)
     report = fuzz_compare(cfg)
-    path = tmp_path / "report.jsonl"
-    report.write_jsonl(str(path))
-    lines = path.read_text().strip().split("\n")
+    lines = report.to_jsonl().strip().split("\n")
     assert len(lines) == 5
-    for line in lines:
-        json.loads(line)
+    assert [json.loads(line) for line in lines] == report.records
 
 
 def test_record_sink_streams_every_record():

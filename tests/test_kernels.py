@@ -69,8 +69,8 @@ def test_faces_skip_the_points_of_an_earlier_half_face():
     psd = CyclicParams(2, 0, 0, 0)
     # 9 + (25 - 9) + 49 + (81 - 25): face 4 skips face 2, face 3 has no half
     assert kernels.find_negative_on_faces(psd, (1, 2, 3, 4), 10 ** 6) == (None, 130)
-    # falsifier schedule: each face skips its half, and the sweep stops at
-    # the first face that ends over budget, 65**2 points in all
+    # each face skips its half, and a face begun under budget runs whole:
+    # the sweep stops after face 32, the first to end over budget, 65**2 points in all
     assert kernels.find_negative_on_faces(psd, (1, 2, 4, 8, 16, 32, 64, 128), 4000) == (None, 4225)
 
 
