@@ -23,15 +23,11 @@ def test_decide_psd(capsys):
 
 
 def test_decide_not_psd_with_witness(capsys):
-    for params, witness, value in (
-        ("0 0 -3 0", ["1", "1", "1"], "-6"),
-        ("0 0 2 2", ["1", "-1", "0"], "-2"),
-    ):
-        code, out, _ = run_json(capsys, "decide", *params.split(), "--witness")
-        assert code == 1
-        assert out["is_psd"] is False
-        assert out["witness"] == witness
-        assert out["value"] == value
+    code, out, _ = run_json(capsys, "decide", "0", "0", "-3", "0", "--witness")
+    assert code == 1
+    assert out["is_psd"] is False
+    assert out["witness"] == ["1", "1", "1"]
+    assert out["value"] == "-6"
 
 
 def test_decide_methods(capsys):
@@ -150,10 +146,9 @@ def test_decide_witness_keys_stay_when_the_budget_runs_out(capsys):
     code, out, _ = run_json(capsys, "decide", "0", "0", "-3", "0", "--witness", "--budget", "0")
     assert code == 1
     assert out["witness"] is None and out["value"] is None
-    for argv in (["0", "0", "0", "0"], ["2", "0", "0", "0", "--budget", "2000"]):
-        code, out, _ = run_json(capsys, "decide", *argv, "--witness")
-        assert code == 0
-        assert "witness" not in out and "value" not in out
+    code, out, _ = run_json(capsys, "decide", "0", "0", "0", "0", "--witness")
+    assert code == 0
+    assert "witness" not in out and "value" not in out
 
 
 def test_roots(capsys):
@@ -179,6 +174,31 @@ def test_quartic_precondition_violation_is_usage_error(capsys):
     code, _, err = run(capsys, "quartic", "1", "0", "1", "1")
     assert code == 2
     assert "error" in err
+
+
+def test_witness_command(capsys):
+    # the witness command is decide --witness
+    code, out, _ = run_json(capsys, "decide", "0", "0", "2", "2", "--witness")
+    assert code == 1
+    assert out["is_psd"] is False
+    assert out["witness"] == ["1", "-1", "0"]
+    assert out["value"] == "-2"
+
+    code, out, _ = run_json(capsys, "decide", "2", "0", "0", "0", "--witness",
+                            "--budget", "2000")
+    assert code == 0
+    assert out["is_psd"] is True
+    assert "witness" not in out and "value" not in out
+
+
+def test_witness_command_exits_not_psd_when_the_budget_runs_out(capsys):
+    # no witness is found with no budget, but the form is NotPSD all the same
+    for params in ("0 0 -3 0", "0 0 2 2"):
+        code, out, _ = run_json(capsys, "decide", *params.split(), "--witness",
+                                "--budget", "0")
+        assert code == 1
+        assert out["is_psd"] is False
+        assert out["witness"] is None and out["value"] is None
 
 
 def test_explain_contains_rederivation_fields(capsys):
@@ -286,12 +306,24 @@ def test_decide_rejects_a_negative_budget(capsys):
     assert "--budget" in err
 
 
-def test_fuzz_rejects_the_removed_budget_flags(capsys):
-    for flag in ("--witness-budget", "--falsifier-budget"):
-        code, out, err = run(capsys, "fuzz", "--count", "1", flag, "4000")
+def test_fuzz_rejects_a_negative_witness_budget(capsys):
+    # fuzz has no --witness-budget: the search uses DEFAULT_WITNESS_BUDGET, so
+    # the flag exits 2 whatever its value
+    for value in ("-1", "4000"):
+        code, out, err = run(capsys, "fuzz", "--count", "1", "--witness-budget", value)
         assert code == 2
         assert out == ""
-        assert flag in err
+        assert "--witness-budget" in err
+
+
+def test_fuzz_rejects_a_negative_falsifier_budget(capsys):
+    # fuzz has no --falsifier-budget: the falsifier scans a fixed list of faces,
+    # so the flag exits 2 whatever its value
+    for value in ("-1", "4000"):
+        code, out, err = run(capsys, "fuzz", "--count", "1", "--falsifier-budget", value)
+        assert code == 2
+        assert out == ""
+        assert "--falsifier-budget" in err
 
 
 def test_pretty_output(capsys):
