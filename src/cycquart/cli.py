@@ -75,6 +75,11 @@ def _g_strings(g: SpecialQuartic) -> list[str]:
     ]
 
 
+def _discriminant_strings(q: SpecialQuartic) -> dict:
+    """``{"D1": ..., "D4": ...}``: the explicit discriminants of ``q``."""
+    return {f"D{i}": format_rational(d) for i, d in enumerate(discriminants(q), 1)}
+
+
 def _verdict_dict(c: CyclicParams, verdict) -> dict:
     out = {
         "is_psd": verdict.is_psd,
@@ -106,18 +111,9 @@ def _cmd_explain(args) -> int:
     c = _params_from_args(args)
     polys, verdicts, out = verdict_table(c)
     g = reduce_to_g(c)
-    g_discriminants = None
-    if polys.f1 != 0:
-        d1, d2, d3, d4 = discriminants(g)
-        g_discriminants = {
-            "D1": format_rational(d1),
-            "D2": format_rational(d2),
-            "D3": format_rational(d3),
-            "D4": format_rational(d4),
-        }
     out["R"] = format_rational(g.a1_squared)
     out["g_coefficients"] = _g_strings(g)
-    out["g_discriminants"] = g_discriminants
+    out["g_discriminants"] = _discriminant_strings(g) if polys.f1 != 0 else None
     _emit(out, args.pretty)
     return EXIT_PSD if verdicts["structural"].is_psd else EXIT_NOT_PSD
 
@@ -176,17 +172,10 @@ def _cmd_quartic(args) -> int:
     a2 = parse_rational(args.a2)
     a4 = parse_rational(args.a4)
     quartic = SpecialQuartic.from_a1(a0, a1, a2, a4)
-    d1, d2, d3, d4 = discriminants(quartic)
+    out = _discriminant_strings(quartic)
     psd = is_nonneg(quartic)
-    oracle = is_nonneg_everywhere(quartic.to_unipoly())
-    out = {
-        "D1": format_rational(d1),
-        "D2": format_rational(d2),
-        "D3": format_rational(d3),
-        "D4": format_rational(d4),
-        "psd": psd,
-        "oracle_psd": oracle,
-    }
+    out["psd"] = psd
+    out["oracle_psd"] = is_nonneg_everywhere(quartic.to_unipoly())
     _emit(out, args.pretty)
     return EXIT_PSD if psd else EXIT_NOT_PSD
 

@@ -28,7 +28,9 @@ are not positive semidefinite: probe points, then integer face grids, then
 a seeded search on the equality locus of the reduction.  No float is used
 anywhere: the seeded stage finds an exact t* with g(t*) < 0 by Sturm
 bisection, then the point of the locus over t* by sign bisection of a cubic
-between its rational critical points.
+between its rational critical points.  When sqrt(R) is irrational, the
+Sturm chain is built over Q, on p(u) = R**2 * g(u/sqrt(R)), and only its
+values at a point t, read as p_i(sqrt(R)*t), are in Q(sqrt(R)).
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from . import kernels
 from .form import CyclicParams, eval_form, r_range, radicand, reduce_to_g, scaled_coefficients
 from .quartic_rules import discriminant_rule, discriminants_of
 from .roots import is_nonneg_everywhere
-from .scalars import sgn
+from .scalars import QuadExt, sgn
 from .unipoly import UniPoly, chain_variations, count_sign_changes, squarefree_sturm
 
 __all__ = [
@@ -350,13 +352,59 @@ class _Budget:
         return self.left >= 0
 
 
+def _at_sqrt_r(p: UniPoly, rad: Fraction) -> UniPoly:
+    """p(sqrt(rad)*t) as a polynomial in t: the coefficient c of u**j
+    becomes c*rad**(j/2), a ``QuadExt`` with no rational part for odd j."""
+    n = p.degree
+    return UniPoly([
+        QuadExt(0, c * rad ** (j // 2), rad) if j % 2 else c * rad ** (j // 2)
+        for j, c in zip(range(n, -1, -1), p.coeffs)
+    ])
+
+
+def _sturm_in_t(g: UniPoly) -> tuple[list[UniPoly], int, int]:
+    """``squarefree_sturm(g)`` up to positive factors, built over Q when g
+    is rational in u = sqrt(R)*t.
+
+    That holds when, for one radicand R, the coefficients of g at even
+    powers of t are rational and those at odd powers rational multiples of
+    sqrt(R), as in the reduced quartic: then p(u) = R**h * g(u/sqrt(R)),
+    h = ceil(deg g / 2), is in Q[u].  Its chain is built by rational
+    remainders, and entry i is read at t as p_i(sqrt(R)*t) (``_at_sqrt_r``).
+    The substitution, the derivative and the content normalization each
+    scale by a positive factor, so entry i is a positive multiple of entry
+    i of g's own chain: the length, the degrees, the counts at -oo and +oo
+    and every sign variation are the same.  When g is squarefree, g itself
+    heads the chain in place of p(sqrt(R)*t) = R**h * g(t).  A rational g,
+    or one of any other shape, gets its own chain.
+    """
+    rad = next((c.radicand for c in g.coeffs if isinstance(c, QuadExt)), None)
+    if rad is None:
+        return squarefree_sturm(g)
+    n = g.degree
+    h = (n + 1) // 2
+    coeffs = []
+    for j, c in zip(range(n, -1, -1), g.coeffs):
+        u, v = (c.u, c.v) if isinstance(c, QuadExt) else (c, 0)
+        kept, dropped = (v, u) if j % 2 else (u, v)
+        if dropped != 0 or (isinstance(c, QuadExt) and c.radicand != rad):
+            return squarefree_sturm(g)
+        coeffs.append(kept * rad ** (h - j // 2))
+    p = UniPoly(coeffs)
+    chain, at_minus, at_plus = squarefree_sturm(p)
+    head = [g] if chain[0] is p else []
+    return head + [_at_sqrt_r(q, rad) for q in chain[len(head):]], at_minus, at_plus
+
+
 def _find_negative_t(g: UniPoly, budget: _Budget) -> Optional[Fraction]:
     """Exact rational t >= 0 with g(t) < 0, by Sturm-guided bisection.
 
-    Builds the Sturm chain of the squarefree part once, brackets all real
-    roots with a doubling bound, and bisects only subintervals that still
-    contain roots; every evaluated midpoint is sign-checked exactly, so the
-    first midpoint inside the (open) negative region is returned.
+    Builds the Sturm chain of the squarefree part once, over Q when g is
+    rational in sqrt(R)*t (``_sturm_in_t``), brackets all real roots with a
+    doubling bound, and bisects only subintervals that still contain roots;
+    every evaluated midpoint is sign-checked exactly, so the first midpoint
+    inside the (open) negative region is returned.  Only the chain's values
+    at a point are in Q(sqrt(R)).
 
     Each queued bracket carries the chain's sign variations at both its
     ends, so a midpoint costs one chain evaluation; a squarefree g heads
@@ -369,7 +417,7 @@ def _find_negative_t(g: UniPoly, budget: _Budget) -> Optional[Fraction]:
         return None
     if sgn(g.eval(Fraction(0))) < 0:
         return Fraction(0)
-    chain, vars_minus_inf, vars_plus_inf = squarefree_sturm(g)
+    chain, vars_minus_inf, vars_plus_inf = _sturm_in_t(g)
     total_roots = vars_minus_inf - vars_plus_inf
 
     top = Fraction(2)

@@ -5,9 +5,11 @@ Coefficients are stored leading-first: ``[a0, a1, ..., an]`` represents
 derivatives, gcd, squarefree decomposition, Sturm chains with exact
 root counting, and the discriminant sequence computed from even-order
 leading principal minors of the discrimination matrix of (f, f').
-The gcd and the Sturm chain share one remainder sequence, and root
-counting runs it once per chain: gcd(p, p') is read off the end of the
-chain of p, never computed separately.
+The gcd and the Sturm chain share one remainder sequence, and each root
+count runs it once: the chain of p ends at gcd(p, p'), so the gcd is read
+off the chain, and only a non-squarefree p needs a second chain, of
+p / gcd(p, p').  Yun's squarefree decomposition computes gcd(p, p') by a
+remainder sequence of its own.
 
 Each coefficient keeps its own domain: rationals are ``Fraction`` and a
 ``QuadExt`` stays as given, so the reduced quartic, whose only irrational

@@ -15,6 +15,7 @@ from cycquart.decider import (
     _cubic_roots,
     _find_negative_t,
     _seeded_search,
+    _sturm_in_t,
     attach_witness,
     decide,
     decide_closed_form,
@@ -490,6 +491,55 @@ def test_find_negative_t_matches_the_three_evaluation_bisection():
             assert _find_negative_t(gs[index], new) == three_evaluation_find_negative_t(
                 gs[index], old)
             assert new.left == old.left
+
+
+def test_rational_chain_matches_the_chain_of_g(monkeypatch):
+    # For g with an irrational sqrt(R), the chain is built on the rational
+    # p(u) = R**2 * g(u/sqrt(R)) and read at u = sqrt(R)*t.  Each entry is a
+    # positive multiple of the same entry of g's own chain over Q(sqrt(R)),
+    # so the two agree in length, degrees, counts at -oo and +oo, and sign
+    # at every point the bisection visits.
+    points = []
+    inner = UniPoly.eval
+
+    def recorded(self, x):
+        points.append(x)
+        return inner(self, x)
+
+    compared = {True: 0, False: 0}
+    for g in bisection_inputs():
+        if not any(isinstance(v, QuadExt) for v in g.coeffs):
+            assert _sturm_in_t(g) == squarefree_sturm(g)
+            continue
+        own, own_minus, own_plus = squarefree_sturm(g)
+        chain, at_minus, at_plus = _sturm_in_t(g)
+        assert (at_minus, at_plus) == (own_minus, own_plus)
+        assert [q.degree for q in chain] == [q.degree for q in own]
+        squarefree = own[0] is g
+        assert (chain[0] is g) == squarefree
+        for q, ref in zip(chain, own):
+            factor = q.leading / ref.leading
+            assert sgn(factor) > 0 and ref.scale(factor) == q
+        # every entry but g itself is p_i(sqrt(R)*t) for a rational p_i:
+        # rational at even powers of t, a rational multiple of sqrt(R) at odd
+        for q in chain[1:] if squarefree else chain:
+            for j, v in zip(range(q.degree, -1, -1), q.coeffs):
+                assert (type(v) is QuadExt and v.u == 0) if j % 2 else type(v) is F
+        points.clear()
+        monkeypatch.setattr(UniPoly, "eval", recorded)
+        _find_negative_t(g, _Budget(40000))
+        monkeypatch.undo()
+        assert points
+        for x in set(points):
+            assert [sgn(q.eval(x)) for q in chain] == [sgn(q.eval(x)) for q in own]
+        compared[squarefree] += 1
+    assert compared[True] >= 100 and compared[False] >= 100
+    # a sqrt(R) part at an even power, or a rational part at an odd one,
+    # keeps g's own chain; two radicands are rejected as in any arithmetic
+    for g in (UniPoly([1, QuadExt(1, -1, 2), 0, 0, 3]), UniPoly([QuadExt(1, 1, 2), 0, 1])):
+        assert _sturm_in_t(g) == squarefree_sturm(g)
+    with pytest.raises(ValueError):
+        _sturm_in_t(UniPoly([1, QuadExt(0, 1, 2), 0, QuadExt(0, 1, 3), 1]))
 
 
 def test_find_negative_t_evaluates_the_chain_once_per_midpoint(monkeypatch):
