@@ -28,9 +28,10 @@ are not positive semidefinite: probe points, then integer face grids, then
 a seeded search on the equality locus of the reduction.  No float is used
 anywhere: the seeded stage finds an exact t* with g(t*) < 0 by Sturm
 bisection, then the point of the locus over t* by sign bisection of a cubic
-between its rational critical points.  When sqrt(R) is irrational, the
-Sturm chain is built over Q, on p(u) = R**2 * g(u/sqrt(R)), and only its
-values at a point t, read as p_i(sqrt(R)*t), are in Q(sqrt(R)).
+between its rational critical points, run on integer numerators over the
+common denominator 3*b*2**s of its ends, t* = a/b.  When sqrt(R) is
+irrational, the Sturm chain is built over Q, on p(u) = R**2 * g(u/sqrt(R)),
+and only its values at a point t, read as p_i(sqrt(R)*t), are in Q(sqrt(R)).
 """
 
 from __future__ import annotations
@@ -469,21 +470,38 @@ def _cubic_roots(
     known end signs.  Each
     evaluation of P costs 4 units, in line with the ``len(chain)`` units of
     a Sturm-chain evaluation in ``_find_negative_t``.
+
+    The bisection runs on integer numerators over the common denominator
+    D = 3*b*2**s, with tstar = a/b and rstar = rn/rd: the ends start at
+    b + j*a over 3*b, and each step doubles D and both ends and takes their
+    sum as the midpoint.  P(x/D) < 0 reads
+    (3*b**2*x**3 - 3*b**2*x**2*D + (b**2 - a**2)*x*D**2) * rd < 3*b**2*D**3 * rn,
+    so every midpoint, sign and budget charge is that of the same bisection
+    over Q, and only the returned roots are built as fractions.
     """
-    q = (1 - tstar * tstar) / 3
-    ends = [(1 + j * tstar) / 3 for j in (-2, -1, 1, 2)]
+    a, b = tstar.numerator, tstar.denominator
+    rn, rd = rstar.numerator, rstar.denominator
+    wn, wd = width.numerator, width.denominator
+    # 3*b**2*rd * (P(X) + rstar) = cubic*(X**3 - X**2) + linear*X
+    cubic = 3 * b * b * rd
+    linear = (b * b - a * a) * rd
+    rhs = 3 * b * b * rn
+    ends = [b + j * a for j in (-2, -1, 1, 2)]
     roots = []
     # (an end where P <= 0, an end where P >= 0): P rises, falls, rises
     for neg, pos in ((ends[0], ends[1]), (ends[2], ends[1]), (ends[2], ends[3])):
-        while abs(pos - neg) > width:
+        d = 3 * b
+        while abs(pos - neg) * wd > d * wn:
             if not budget.spend(4):
                 return None
-            mid = (neg + pos) / 2
-            if ((mid - 1) * mid + q) * mid < rstar:
+            mid = neg + pos
+            neg, pos, d = 2 * neg, 2 * pos, 2 * d
+            dd = d * d
+            if (cubic * (mid - d) * mid + linear * dd) * mid < rhs * dd * d:
                 neg = mid
             else:
                 pos = mid
-        roots.append((neg + pos) / 2)
+        roots.append(Fraction(neg + pos, 2 * d))
     return roots
 
 

@@ -8,6 +8,7 @@ strict-vs-nonstrict boundary study).
 import random
 import time
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
 
@@ -263,18 +264,40 @@ def _integer_f6_zero_samples(limit=40):
 
 
 def _integer_f7_zero_samples(limit=20):
-    """Exact points with f7 = 0: integer-root scan of f7 as a function of l."""
+    """Exact points with f7 = 0, in the order of a scan over integer k, m, n
+    in [-4, 4] and l in [-25, 25].
+
+    For integer (k, m, n), f7 is a monic quartic in l with integer
+    coefficients.  So f7 - l**4 is the cubic through its values at
+    l = 0, 1, 2, 3, read at every l in Newton's forward form, whose
+    binomials l*(l-1)/2 and l*(l-1)*(l-2)/6 are integers.
+    """
     samples = []
     for k in range(-4, 5):
         for m in range(-4, 5):
             for n in range(-4, 5):
+                q = [eval_polys(SimpleNamespace(k=k, l=l, m=m, n=n)).f7 - l**4
+                     for l in range(4)]
+                d1 = q[1] - q[0]
+                d2 = q[2] - 2 * q[1] + q[0]
+                d3 = q[3] - 3 * q[2] + 3 * q[1] - q[0]
                 for l in range(-25, 26):
-                    c = CyclicParams(F(k), F(l), F(m), F(n))
-                    if eval_polys(c).f7 == 0:
-                        samples.append(c)
+                    binom2 = l * (l - 1) // 2
+                    binom3 = binom2 * (l - 2) // 3
+                    if l**4 + q[0] + d1 * l + d2 * binom2 + d3 * binom3 == 0:
+                        samples.append(CyclicParams(F(k), F(l), F(m), F(n)))
                         if len(samples) >= limit:
                             return samples
     return samples
+
+
+# the points of the former scan, which evaluated f7 at all 51 integer l
+F7_ZERO_POINTS = [
+    (-4, 2, -4, 2), (-4, 2, -3, 1), (-4, 2, -2, 0), (-4, -13, -1, -1), (-4, 2, -1, -1),
+    (-4, 2, 0, -2), (-4, 2, 1, -3), (-4, 2, 2, -4), (-3, 3, -4, 3), (-3, 3, -3, 2),
+    (-3, 3, -2, 1), (-3, 3, -1, 0), (-3, 3, 0, -1), (-3, 3, 1, -2), (-3, 3, 2, -3),
+    (-3, 3, 3, -4), (-2, 4, -4, 4), (-2, 4, -3, 3), (-2, 4, -2, 2), (-2, 4, -1, 1),
+]
 
 
 def test_criterion_9_closed_form_generic_agreement(fuzz_report):
@@ -297,6 +320,8 @@ def test_criterion_9_closed_form_generic_agreement(fuzz_report):
     f6_zero = _integer_f6_zero_samples()
     assert len(f6_zero) >= 20
     f7_zero = _integer_f7_zero_samples()
+    assert [(c.k, c.l, c.m, c.n) for c in f7_zero] == F7_ZERO_POINTS
+    assert all(eval_polys(c).f7 == 0 for c in f7_zero)
     tallies = {"f6_zero": 0, "f7_zero": 0, "strict_vs_nonstrict_diff": 0,
                "erratum_hits": 0, "unexplained_diff": 0}
     for c in f6_zero + f7_zero:

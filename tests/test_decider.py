@@ -105,6 +105,29 @@ def test_discriminant_identities_hold_symbolically():
     assert sympy.expand(d4 - 104976 * P.f1 ** 2 * P.f3 * P.f5) == 0
 
 
+def test_reduction_identities_hold_symbolically():
+    # the identities that decide_structural's R = 0 and f3 = 0 branches and
+    # the corrected closed form's k + m - 1 >= 0 guard rest on, with g's
+    # coefficients a0 = 3*f1, a2 = 3*(4+m+n-l), a4 = f3
+    sympy = pytest.importorskip("sympy")
+    k, l, m, n = sympy.symbols("k l m n")
+
+    def reduced(c):
+        P = eval_polys(c)
+        return P, 3 * P.f1, 3 * (4 + c.m + c.n - c.l), P.f3, radicand(c)
+
+    # R = 0: m = n and f2 = 0
+    P, a0, a2, a4, rad = reduced(SimpleNamespace(k=k, l=2 * k + m - 4, m=m, n=m))
+    assert sympy.expand(rad) == 0
+    for a, g in ((a0, P.g1), (a2, P.g3), (a4, k + m - 1)):
+        assert sympy.expand(a - 3 * g) == 0
+    assert sympy.expand(4 * P.g1 * (k + m - 1) - P.g3 ** 2 - 9 * P.g2) == 0
+    # f3 = 0
+    P, a0, a2, a4, rad = reduced(SimpleNamespace(k=k, l=-(1 + k + m + n), m=m, n=n))
+    assert sympy.expand(a4) == 0
+    assert sympy.expand(4 * a0 * a2 - rad - 108 * P.f4) == 0
+
+
 def test_closed_form_examples():
     v = decide_closed_form(CyclicParams(0, 0, 0, 0), "theorem")
     assert v.is_psd and v.fired_clause == "case3/f5>0/f6<0|f7<0"
@@ -351,6 +374,54 @@ def test_cubic_roots_are_ascending_in_their_brackets_and_within_half_the_width()
             a, b = max(lo, x - width / 2), min(hi, x + width / 2)
             assert p.eval(a) * p.eval(b) <= 0
     assert _cubic_roots(F(1, 2), F(1, 54), F(1, 2 ** 20), _Budget(10)) is None
+
+
+def fraction_cubic_roots(tstar, rstar, width, budget):
+    """The bisection as it was before it ran on integer numerators: every
+    end and midpoint a Fraction."""
+    q = (1 - tstar * tstar) / 3
+    ends = [(1 + j * tstar) / 3 for j in (-2, -1, 1, 2)]
+    roots = []
+    for neg, pos in ((ends[0], ends[1]), (ends[2], ends[1]), (ends[2], ends[3])):
+        while abs(pos - neg) > width:
+            if not budget.spend(4):
+                return None
+            mid = (neg + pos) / 2
+            if ((mid - 1) * mid + q) * mid < rstar:
+                neg = mid
+            else:
+                pos = mid
+        roots.append((neg + pos) / 2)
+    return roots
+
+
+def test_cubic_roots_match_the_fraction_bisection():
+    # t* = 0, where r* = r1 = r2, then each t* with r1, r2 and a random r*
+    draws = cubic_draws(random.Random(19))
+    assert draws[0] == (0, F(1, 27)) and r_range(F(0)) == (F(1, 27), F(1, 27))
+    # r* that puts a root of P on a midpoint, where P = 0 takes the P >= 0 side
+    for t in (F(1, 2), F(3, 7), F(5)):
+        ends = [(1 + j * t) / 3 for j in (-2, -1, 1, 2)]
+        for lo, hi in zip(ends, ends[1:]):
+            x = lo + (hi - lo) * F(3, 8)
+            draws.append((t, ((x - 1) * x + (1 - t * t) / 3) * x))
+    widths = [F(1, 2 ** k) for k in (0, 1, 2, 8, 16, 40)] + [F(1, 3), F(2, 7)]
+    for t, r in draws:
+        for width in widths:
+            new, old = _Budget(10 ** 6), _Budget(10 ** 6)
+            assert _cubic_roots(t, r, width, new) == fraction_cubic_roots(t, r, width, old)
+            assert new.left == old.left
+    # the budget runs out at each evaluation of the cubic in turn
+    for t, r in draws[1:5]:
+        width = F(1, 2 ** 12)
+        probe = _Budget(10 ** 6)
+        _cubic_roots(t, r, width, probe)
+        spent = 10 ** 6 - probe.left
+        assert spent > 0
+        for amount in range(spent + 2):
+            new, old = _Budget(amount), _Budget(amount)
+            assert _cubic_roots(t, r, width, new) == fraction_cubic_roots(t, r, width, old)
+            assert new.left == old.left
 
 
 def vasc_perturbations(direction=(F(1, 2), 0, F(1, 3), F(-1, 4))):
