@@ -17,16 +17,11 @@ harness that produces rational counterexample witnesses.
 from .form import (
     BcdeParams,
     CyclicParams,
-    SigmaCoords,
     eval_form,
     from_bcde,
-    h_function,
-    power_sums,
     r_range,
     radicand,
     reduce_to_g,
-    symmetrized_gap,
-    vandermonde_square,
 )
 from .decider import (
     ClausePolynomials,
@@ -51,7 +46,6 @@ __all__ = [
     "CyclicParams",
     "QuadExt",
     "RootCount",
-    "SigmaCoords",
     "SpecialQuartic",
     "UniPoly",
     "Verdict",
@@ -66,18 +60,14 @@ __all__ = [
     "eval_polys",
     "find_witness",
     "from_bcde",
-    "h_function",
     "is_nonneg",
     "is_nonneg_everywhere",
     "parse_rational",
-    "power_sums",
     "r_range",
     "radicand",
     "reduce_to_g",
     "revise",
     "squarefree_decompose",
     "sturm_count",
-    "symmetrized_gap",
-    "vandermonde_square",
     "__version__",
 ]

@@ -20,7 +20,11 @@ as R and a sign); every decider, the CLI and the harness read that object.
 The reduction runs through elementary symmetric coordinates
 p = x+y+z, q = xy+yz+zx, r = xyz and the substitution t = sqrt(1-3q) on
 the slice p = 1; realizability of (1, q, r) by real (x, y, z) is exactly
-r in [r1(t), r2(t)].
+r in [r1(t), r2(t)] (``r_range``).  The identities that carry it (the
+cyclic sums through (p, q, r), the Vandermonde square, the symmetrization
+F(x,y,z) + F(x,z,y) and the endpoint product of the boundary function H)
+are proved in sympy by ``tests/test_identities.py``; this module keeps
+only what the deciders, the harness and the CLI read.
 """
 
 from __future__ import annotations
@@ -34,18 +38,13 @@ from .quartic_rules import SpecialQuartic
 
 __all__ = [
     "CyclicParams",
-    "SigmaCoords",
     "BcdeParams",
     "scaled_coefficients",
     "cyclic_sums",
     "eval_form",
-    "power_sums",
-    "vandermonde_square",
     "r_range",
     "radicand",
     "reduce_to_g",
-    "symmetrized_gap",
-    "h_function",
     "from_bcde",
 ]
 
@@ -76,24 +75,6 @@ class CyclicParams:
             m.numerator * (d // m.denominator),
             n.numerator * (d // n.denominator),
         )
-
-
-@dataclass(frozen=True)
-class SigmaCoords:
-    """Elementary symmetric values (x+y+z, xy+yz+zx, xyz)."""
-
-    p: Fraction
-    q: Fraction
-    r: Fraction
-
-    def __post_init__(self):
-        for name in ("p", "q", "r"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
-
-    @classmethod
-    def of_point(cls, x, y, z) -> "SigmaCoords":
-        x, y, z = Fraction(x), Fraction(y), Fraction(z)
-        return cls(x + y + z, x * y + y * z + z * x, x * y * z)
 
 
 @dataclass(frozen=True)
@@ -155,29 +136,6 @@ def eval_form(c: CyclicParams, x, y, z) -> Fraction:
     return Fraction(d * s4 + K * s22 + L * s211 + M * s31 + N * s13, d * e**4)
 
 
-def power_sums(s: SigmaCoords) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-    """(S4, S22, S211, S31+S13) expressed through (p, q, r).
-
-    These are the closed identities
-        S4        = p**4 - 4*p**2*q + 2*q**2 + 4*p*r
-        S22       = q**2 - 2*p*r
-        S211      = p*r
-        S31 + S13 = q*(p**2 - 2*q) - p*r.
-    """
-    p, q, r = s.p, s.q, s.r
-    sum_x4 = p ** 4 - 4 * p ** 2 * q + 2 * q ** 2 + 4 * p * r
-    sum_x2y2 = q ** 2 - 2 * p * r
-    sum_x2yz = p * r
-    sum_mixed = q * (p ** 2 - 2 * q) - p * r
-    return sum_x4, sum_x2y2, sum_x2yz, sum_mixed
-
-
-def vandermonde_square(s: SigmaCoords) -> Fraction:
-    """``(x-y)**2 * (y-z)**2 * (z-x)**2`` through (p, q, r)."""
-    p, q, r = s.p, s.q, s.r
-    return (4 * (p ** 2 - 3 * q) ** 3 - (2 * p ** 3 - 9 * p * q + 27 * r) ** 2) / 27
-
-
 def r_range(t: Fraction) -> tuple[Fraction, Fraction]:
     """The xyz-interval [r1, r2] realizable by real x, y, z with
     x+y+z = 1 and xy+yz+zx = (1-t**2)/3, for t >= 0."""
@@ -209,41 +167,6 @@ def reduce_to_g(c: CyclicParams) -> SpecialQuartic:
         a2=3 * (4 + c.m + c.n - c.l),
         a4=1 + c.k + c.m + c.n + c.l,
     )
-
-
-def symmetrized_gap(c: CyclicParams, x, y, z) -> Fraction:
-    """Slack of the symmetrized inequality at a point.
-
-    Returns ``(F(x,y,z) + F(x,z,y)) - |(m-n)*(x+y+z)*(x-y)*(y-z)*(z-x)|``,
-    which is nonnegative everywhere iff F is.
-    """
-    x, y, z = Fraction(x), Fraction(y), Fraction(z)
-    s4, s22, s211, s31, s13 = cyclic_sums(x, y, z)
-    lhs = (
-        2 * s4
-        + 2 * c.k * s22
-        + 2 * c.l * s211
-        + (c.n + c.m) * s31
-        + (c.m + c.n) * s13
-    )
-    rhs = (c.m - c.n) * (x + y + z) * (x - y) * (y - z) * (z - x)
-    return lhs - abs(rhs)
-
-
-def h_function(c: CyclicParams, t: Fraction, r: Fraction) -> tuple[Fraction, Fraction]:
-    """The boundary function H(r) of the reduction, as the rational pair
-    ``(u, v)`` of ``H = u + v*sqrt(R)``.
-
-    H(r) = (2*(8-4k+2l-m-n)/3)*t**3 + (3*t**2 - 1 + 27*r)*sqrt(R)/3,
-    using 3*(m-n)**2 + (8-4k+2l-m-n)**2/9 = R/9.  Its two values at the
-    endpoints r1, r2 multiply to -12*t**6*(m-n)**2, which is what forces a
-    root of H inside [r1, r2].
-    """
-    t, r = Fraction(t), Fraction(r)
-    neg_f2 = 8 - 4 * c.k + 2 * c.l - c.m - c.n
-    u = Fraction(2, 3) * neg_f2 * t ** 3
-    v = Fraction(1, 3) * (3 * t ** 2 - 1 + 27 * r)
-    return u, v
 
 
 def from_bcde(b: BcdeParams) -> CyclicParams:

@@ -74,8 +74,10 @@ class FuzzConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if not isinstance(self.strata, (list, tuple)) or not self.strata:
             raise ValueError(f"strata must be a nonempty list of names, got {self.strata!r}")
+        # a string is a sequence too: "12" would read as the range [1, 2]
+        bounds = self.coefficient_range if isinstance(self.coefficient_range, (list, tuple)) else ()
         try:
-            lo, hi = (Fraction(v) for v in self.coefficient_range)
+            lo, hi = (Fraction(v) for v in bounds)
         except (TypeError, ValueError):
             raise ValueError(
                 f"coefficient_range must be two rationals, got {self.coefficient_range!r}"

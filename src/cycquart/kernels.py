@@ -18,7 +18,7 @@ from typing import Optional
 
 from .form import CyclicParams, eval_form, scaled_coefficients
 
-__all__ = ["scaled_coefficients", "face_scan", "find_negative_on_faces"]
+__all__ = ["face_scan", "find_negative_on_faces"]
 
 
 def face_scan(coeffs, d: int, skip_even: bool = False):

@@ -6,17 +6,12 @@ import pytest
 from cycquart.form import (
     BcdeParams,
     CyclicParams,
-    SigmaCoords,
     cyclic_sums,
     eval_form,
     from_bcde,
-    h_function,
-    power_sums,
     r_range,
     radicand,
     reduce_to_g,
-    symmetrized_gap,
-    vandermonde_square,
 )
 from cycquart.decider import eval_polys
 from cycquart.harness import stratum_sampler
@@ -79,37 +74,6 @@ def test_swap_identity():
         swapped = CyclicParams(c.k, c.l, c.n, c.m)
         x, y, z = (rand_fraction(rng) for _ in range(3))
         assert eval_form(swapped, x, y, z) == eval_form(c, x, z, y)
-
-
-def test_power_sums_examples():
-    s4, s22, s211, s_mixed = power_sums(SigmaCoords(6, 11, 6))
-    assert (s4, s22) == (98, 49)
-    assert s211 == 36
-    assert s_mixed == 118
-
-    q, r = F(5, 3), F(-2, 7)
-    s4, s22, _, _ = power_sums(SigmaCoords(0, q, r))
-    assert s4 == 2 * q * q and s22 == q * q
-
-    assert power_sums(SigmaCoords(1, 0, 0)) == (1, 0, 0, 0)
-
-
-def test_power_sums_identity():
-    rng = random.Random(17)
-    for _ in range(200):
-        x, y, z = (rand_fraction(rng) for _ in range(3))
-        sig = SigmaCoords.of_point(x, y, z)
-        s4, s22, s211, s_mixed = power_sums(sig)
-        d4, d22, d211, d31, d13 = cyclic_sums(x, y, z)
-        assert (s4, s22, s211) == (d4, d22, d211)
-        assert s_mixed == d31 + d13
-        assert vandermonde_square(sig) == ((x - y) * (y - z) * (z - x)) ** 2
-
-
-def test_vandermonde_examples():
-    assert vandermonde_square(SigmaCoords(6, 11, 6)) == 4
-    assert vandermonde_square(SigmaCoords(1, F(1, 3), F(1, 27))) == 0
-    assert vandermonde_square(SigmaCoords(0, 0, 0)) == 0
 
 
 def test_r_range_examples():
@@ -180,66 +144,6 @@ def test_to_unipoly_is_rational_exactly_when_r_is_a_square():
         assert rational == is_perfect_square(radicand(c)), c
         seen.add(rational)
     assert seen == {True, False}
-
-
-def test_symmetrized_gap():
-    rng = random.Random(23)
-    for _ in range(30):
-        c = rand_params(rng)
-        assert symmetrized_gap(c, 1, 1, 1) == 6 * (1 + c.k + c.l + c.m + c.n)
-    assert symmetrized_gap(CyclicParams(0, 0, 0, 0), 1, 2, 3) == 196
-    # the gap equals twice the smaller of the two cyclic orientations
-    for _ in range(100):
-        c = rand_params(rng)
-        x, y, z = (rand_fraction(rng) for _ in range(3))
-        gap = symmetrized_gap(c, x, y, z)
-        assert gap == 2 * min(eval_form(c, x, y, z), eval_form(c, x, z, y))
-    # m = n kills the odd part entirely
-    for _ in range(30):
-        k, l, m = (rand_fraction(rng) for _ in range(3))
-        c = CyclicParams(k, l, m, m)
-        x, y, z = (rand_fraction(rng) for _ in range(3))
-        assert symmetrized_gap(c, x, y, z) == 2 * eval_form(c, x, y, z)
-
-
-def test_symmetrized_gap_equivalence_with_verdicts():
-    # the gap is everywhere nonnegative iff the form is PSD: sampled check
-    from cycquart.decider import decide_structural, find_witness
-
-    rng = random.Random(37)
-    for _ in range(40):
-        c = rand_params(rng, span=6)
-        if decide_structural(c).is_psd:
-            for _ in range(25):
-                x, y, z = (rand_fraction(rng) for _ in range(3))
-                assert symmetrized_gap(c, x, y, z) >= 0
-        else:
-            w = find_witness(c)
-            assert w is not None
-            assert symmetrized_gap(c, *w) < 0
-
-
-def test_h_function_examples():
-    # m = n and f2 = 0 force H to vanish identically
-    c = CyclicParams(2, 0, 0, 0)
-    u, _ = h_function(c, F(3, 2), F(1, 5))
-    assert u == 0 and radicand(c) == 0  # H = u + v*sqrt(0) = 0
-
-    c = CyclicParams(0, 0, 1, 0)
-    assert h_function(c, F(1), F(-4, 27)) == (F(14, 3), F(-2, 3))
-    assert radicand(c) == 76
-
-
-def test_h_product_identity():
-    rng = random.Random(29)
-    for _ in range(200):
-        c = rand_params(rng)
-        t = abs(rand_fraction(rng))
-        r1, r2 = r_range(t)
-        (u1, v1), (u2, v2) = h_function(c, t, r1), h_function(c, t, r2)
-        # (u1 + v1*sqrt(R)) * (u2 + v2*sqrt(R)), as rational and sqrt(R) parts
-        assert u1 * v2 + u2 * v1 == 0
-        assert u1 * u2 + v1 * v2 * radicand(c) == -12 * t ** 6 * (c.m - c.n) ** 2
 
 
 def test_from_bcde_examples():

@@ -30,6 +30,16 @@ def test_config_validation():
     assert cfg.strata == ("generic", "R_zero")
 
 
+def test_config_rejects_a_coefficient_range_that_is_not_a_pair():
+    # a string or bytes iterates to its characters: "12" read as [1, 2]
+    for bounds in ("12", b"12", "-5", 12, (1, 2, 3), [F(1)], {1, 2}):
+        with pytest.raises(ValueError, match="coefficient_range"):
+            FuzzConfig(coefficient_range=bounds)
+    with pytest.raises(ValueError, match="coefficient_range"):
+        FuzzConfig.from_dict({"sample_count": 3, "coefficient_range": "12"})
+    assert FuzzConfig(coefficient_range=[-1, "1/2"]).coefficient_range == (F(-1), F(1, 2))
+
+
 def test_config_roundtrip():
     cfg = FuzzConfig(sample_count=7, seed=9, strata=("f3_zero",),
                      coefficient_range=(F(-5), F("7/2")))

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction as F
 
 from cycquart import kernels
-from cycquart.form import CyclicParams, eval_form
+from cycquart.form import CyclicParams, eval_form, scaled_coefficients
 
 
 def rand_params(rng, span=50, den=8):
@@ -14,7 +14,7 @@ def test_scaled_coefficients_preserve_sign():
     rng = random.Random(73)
     for _ in range(50):
         c = rand_params(rng)
-        coeffs = kernels.scaled_coefficients(c)
+        coeffs = scaled_coefficients(c)
         d = rng.randint(1, 6)
         i = rng.randint(-d, d)
         j = rng.randint(-d, d)
@@ -35,7 +35,7 @@ def test_python_kernel_matches_direct_evaluation():
     cases.append(CyclicParams(F(10 ** 14), F(1), F(1), F(1)))  # exact at a large scale
     d = 3
     for c in cases:
-        coeffs = kernels.scaled_coefficients(c)
+        coeffs = scaled_coefficients(c)
         for skip in (False, True):
             found, i, j, evaluated = kernels.face_scan(coeffs, d, skip)
             order = [
