@@ -16,6 +16,7 @@ from cycquart.form import (
 from cycquart.decider import eval_polys
 from cycquart.harness import stratum_sampler
 from cycquart.scalars import QuadExt, is_perfect_square, sgn
+from test_identities import h_parts, odd_part, power_sums, symmetric_part, vandermonde_square
 
 
 def rand_fraction(rng, span=9, den=6):
@@ -74,6 +75,29 @@ def test_swap_identity():
         swapped = CyclicParams(c.k, c.l, c.n, c.m)
         x, y, z = (rand_fraction(rng) for _ in range(3))
         assert eval_form(swapped, x, y, z) == eval_form(c, x, z, y)
+
+
+def test_power_sums_examples():
+    # (x, y, z) = (1, 2, 3) has (p, q, r) = (6, 11, 6)
+    s4, s22, s211, s31, s13 = cyclic_sums(1, 2, 3)
+    assert (s4, s22, s211, s31 + s13) == (98, 49, 36, 118)
+    assert power_sums(6, 11, 6) == (98, 49, 36, 118)
+
+    q, r = F(5, 3), F(-2, 7)
+    s4, s22, _, _ = power_sums(0, q, r)
+    assert s4 == 2 * q * q and s22 == q * q
+
+    assert power_sums(1, 0, 0) == (1, 0, 0, 0)
+
+
+def test_power_sums_identity():
+    rng = random.Random(17)
+    for _ in range(200):
+        x, y, z = (rand_fraction(rng) for _ in range(3))
+        pqr = (x + y + z, x * y + y * z + z * x, x * y * z)
+        d4, d22, d211, d31, d13 = cyclic_sums(x, y, z)
+        assert power_sums(*pqr) == (d4, d22, d211, d31 + d13)
+        assert vandermonde_square(*pqr) == ((x - y) * (y - z) * (z - x)) ** 2
 
 
 def test_r_range_examples():
@@ -144,6 +168,72 @@ def test_to_unipoly_is_rational_exactly_when_r_is_a_square():
         assert rational == is_perfect_square(radicand(c)), c
         seen.add(rational)
     assert seen == {True, False}
+
+
+def symmetrized_gap(c, x, y, z):
+    """Slack of the symmetrized inequality at a point:
+    F(x,y,z) + F(x,z,y) - |(m-n)*(x+y+z)*(x-y)*(y-z)*(z-x)|."""
+    return symmetric_part(c, x, y, z) - abs(odd_part(c, x, y, z))
+
+
+def test_symmetrized_gap():
+    rng = random.Random(23)
+    for _ in range(30):
+        c = rand_params(rng)
+        assert symmetrized_gap(c, 1, 1, 1) == 6 * (1 + c.k + c.l + c.m + c.n)
+    assert symmetrized_gap(CyclicParams(0, 0, 0, 0), 1, 2, 3) == 196
+    # the gap equals twice the smaller of the two cyclic orientations
+    for _ in range(100):
+        c = rand_params(rng)
+        x, y, z = (rand_fraction(rng) for _ in range(3))
+        gap = symmetrized_gap(c, x, y, z)
+        assert gap == 2 * min(eval_form(c, x, y, z), eval_form(c, x, z, y))
+    # m = n kills the odd part entirely
+    for _ in range(30):
+        k, l, m = (rand_fraction(rng) for _ in range(3))
+        c = CyclicParams(k, l, m, m)
+        x, y, z = (rand_fraction(rng) for _ in range(3))
+        assert symmetrized_gap(c, x, y, z) == 2 * eval_form(c, x, y, z)
+
+
+def test_symmetrized_gap_equivalence_with_verdicts():
+    # the gap is everywhere nonnegative iff the form is PSD: sampled check
+    from cycquart.decider import decide_structural, find_witness
+
+    rng = random.Random(37)
+    for _ in range(40):
+        c = rand_params(rng, span=6)
+        if decide_structural(c).is_psd:
+            for _ in range(25):
+                x, y, z = (rand_fraction(rng) for _ in range(3))
+                assert symmetrized_gap(c, x, y, z) >= 0
+        else:
+            w = find_witness(c)
+            assert w is not None
+            assert symmetrized_gap(c, *w) < 0
+
+
+def test_h_function_examples():
+    # m = n and f2 = 0 force H to vanish identically
+    c = CyclicParams(2, 0, 0, 0)
+    u, _ = h_parts(c, F(3, 2), F(1, 5))
+    assert u == 0 and radicand(c) == 0  # H = u + v*sqrt(0) = 0
+
+    c = CyclicParams(0, 0, 1, 0)
+    assert h_parts(c, F(1), F(-4, 27)) == (F(14, 3), F(-2, 3))
+    assert radicand(c) == 76
+
+
+def test_h_product_identity():
+    rng = random.Random(29)
+    for _ in range(200):
+        c = rand_params(rng)
+        t = abs(rand_fraction(rng))
+        r1, r2 = r_range(t)
+        (u1, v1), (u2, v2) = h_parts(c, t, r1), h_parts(c, t, r2)
+        # (u1 + v1*sqrt(R)) * (u2 + v2*sqrt(R)), as rational and sqrt(R) parts
+        assert u1 * v2 + u2 * v1 == 0
+        assert u1 * u2 + v1 * v2 * radicand(c) == -12 * t ** 6 * (c.m - c.n) ** 2
 
 
 def test_from_bcde_examples():

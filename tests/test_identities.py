@@ -34,24 +34,48 @@ def form(a, b, c):
     return s4 + k * s22 + l * s211 + m * s31 + n * s13
 
 
+def power_sums(p, q, r):
+    """(S4, S22, S211, S31 + S13) through (p, q, r)."""
+    return (
+        p**4 - 4 * p**2 * q + 2 * q**2 + 4 * p * r,
+        q**2 - 2 * p * r,
+        p * r,
+        q * (p**2 - 2 * q) - p * r,
+    )
+
+
 def vandermonde_square(p, q, r):
     """(x-y)**2 * (y-z)**2 * (z-x)**2 through (p, q, r)."""
     return (4 * (p**2 - 3 * q) ** 3 - (2 * p**3 - 9 * p * q + 27 * r) ** 2) / 27
 
 
+def symmetric_part(c, a, b, d):
+    """F(a,b,d) + F(a,d,b), symmetric in (a, b, d)."""
+    s4, s22, s211, s31, s13 = cyclic_sums(a, b, d)
+    return 2 * s4 + 2 * c.k * s22 + 2 * c.l * s211 + (c.m + c.n) * (s31 + s13)
+
+
+def odd_part(c, a, b, d):
+    """(m-n)*(a+b+d)*(a-b)*(b-d)*(d-a) = F(a,d,b) - F(a,b,d)."""
+    return (c.m - c.n) * (a + b + d) * (a - b) * (b - d) * (d - a)
+
+
+def h_parts(c, t, r):
+    """The boundary function H(r) = u + v(r)*sqrt(R) of the reduction, as
+    the pair (u, v): u = -2*f2*t**3/3 and v(r) = (3*t**2 - 1 + 27*r)/3."""
+    return -2 * eval_polys(c).f2 * t**3 / 3, (3 * t**2 - 1 + 27 * r) / 3
+
+
 def h_function(r):
-    """The boundary function H(r) = u + v(r)*s of the reduction, s = sqrt(R):
-    u = -2*f2*t**3/3 and v(r) = (3*t**2 - 1 + 27*r)/3."""
-    f2 = eval_polys(PARAMS).f2
-    return -sympy.Rational(2, 3) * f2 * t**3 + (3 * t**2 - 1 + 27 * r) / 3 * s
+    """H(r) over symbols, s = sqrt(R)."""
+    u, v = h_parts(PARAMS, t, r)
+    return u + v * s
 
 
 def test_power_sums_through_pqr():
     s4, s22, s211, s31, s13 = cyclic_sums(x, y, z)
-    assert is_zero(s4 - (P**4 - 4 * P**2 * Q + 2 * Q**2 + 4 * P * R3))
-    assert is_zero(s22 - (Q**2 - 2 * P * R3))
-    assert is_zero(s211 - P * R3)
-    assert is_zero(s31 + s13 - (Q * (P**2 - 2 * Q) - P * R3))
+    for lhs, rhs in zip((s4, s22, s211, s31 + s13), power_sums(P, Q, R3)):
+        assert is_zero(lhs - rhs)
 
 
 def test_vandermonde_square_through_pqr():
@@ -81,11 +105,8 @@ def test_symmetrization():
     #     = 2*min(F(x,y,z), F(x,z,y)),
     # and since (x,y,z) -> (x,z,y) maps R**3 onto itself, the symmetrized
     # inequality holds everywhere iff F >= 0 everywhere.
-    odd = (m - n) * (x + y + z) * (x - y) * (y - z) * (z - x)
-    assert is_zero(form(x, y, z) - form(x, z, y) + odd)
-    s4, s22, s211, s31, s13 = cyclic_sums(x, y, z)
-    even = 2 * s4 + 2 * k * s22 + 2 * l * s211 + (m + n) * (s31 + s13)
-    assert is_zero(form(x, y, z) + form(x, z, y) - even)
+    assert is_zero(form(x, y, z) - form(x, z, y) + odd_part(PARAMS, x, y, z))
+    assert is_zero(form(x, y, z) + form(x, z, y) - symmetric_part(PARAMS, x, y, z))
 
 
 def test_h_endpoint_product():
