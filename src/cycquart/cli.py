@@ -19,7 +19,7 @@ from .decider import _METHODS, DEFAULT_WITNESS_BUDGET, attach_witness, decide
 from .form import BcdeParams, CyclicParams, from_bcde, reduce_to_g
 from .harness import STRATA, FuzzConfig, fuzz_compare, params_dict, verdict_table
 from .quartic_rules import SpecialQuartic, discriminants, is_nonneg
-from .roots import classify_roots, is_nonneg_everywhere, revise, sign_list
+from .roots import is_nonneg_everywhere, revise, root_count, sign_list
 from .scalars import format_rational, parse_rational
 from .unipoly import UniPoly, discriminant_sequence
 
@@ -151,7 +151,7 @@ def _cmd_roots(args) -> int:
     seq = discriminant_sequence(poly)
     signs = sign_list(seq)
     revised = revise(signs)
-    count = classify_roots(poly)
+    count = root_count(revised)
     out = {
         "coefficients": [format_rational(v) for v in poly.coeffs],
         "discriminant_sequence": [format_rational(v) for v in seq],

@@ -299,12 +299,19 @@ def decide_structural(c: CyclicParams) -> Verdict:
     return Verdict(ok, method, f"f3>0/quartic-rule/{rule}")
 
 
+# the oracle's only two outcomes; a Verdict is immutable, so they are shared
+# and a caller that keeps many verdicts keeps no copy of them
+_ORACLE_VERDICTS = {
+    ok: Verdict(ok, "sturm_oracle", "g-nonneg" if ok else "g-negative")
+    for ok in (True, False)
+}
+
+
 def decide_oracle(c: CyclicParams) -> Verdict:
     """Sturm-based oracle: everywhere-nonnegativity of g, over Q when
     sqrt(R) is rational and over Q(sqrt(R)) otherwise."""
     g = reduce_to_g(c).to_unipoly()
-    ok = is_nonneg_everywhere(g)
-    return Verdict(ok, "sturm_oracle", "g-nonneg" if ok else "g-negative")
+    return _ORACLE_VERDICTS[is_nonneg_everywhere(g)]
 
 
 _METHODS = {

@@ -32,6 +32,7 @@ __all__ = [
     "sign_list",
     "revise",
     "count_sign_changes",
+    "root_count",
     "classify_roots",
     "is_nonneg_everywhere",
 ]
@@ -73,14 +74,18 @@ def revise(signs: list[int]) -> list[int]:
     return out
 
 
+def root_count(revised: list[int]) -> RootCount:
+    """Distinct real roots and imaginary pairs from a revised sign list."""
+    v = count_sign_changes(revised)
+    nonvanishing = sum(1 for s in revised if s != 0)
+    return RootCount(distinct_real=nonvanishing - 2 * v, imaginary_pairs=v)
+
+
 def classify_roots(p: UniPoly) -> RootCount:
     """Distinct real roots and imaginary pairs from the discriminant sequence."""
     if p.is_zero or p.degree < 1:
         raise ValueError("root classification needs degree >= 1")
-    revised = revise(sign_list(discriminant_sequence(p)))
-    v = count_sign_changes(revised)
-    nonvanishing = sum(1 for s in revised if s != 0)
-    return RootCount(distinct_real=nonvanishing - 2 * v, imaginary_pairs=v)
+    return root_count(revise(sign_list(discriminant_sequence(p))))
 
 
 def is_nonneg_everywhere(p: UniPoly) -> bool:

@@ -9,7 +9,11 @@ The gcd and the Sturm chain share one remainder sequence, and each root
 count runs it once: the chain of p ends at gcd(p, p'), so the gcd is read
 off the chain, and only a non-squarefree p needs a second chain, of
 p / gcd(p, p').  Yun's squarefree decomposition computes gcd(p, p') by a
-remainder sequence of its own.
+remainder sequence of its own.  The sequence divides by no coefficient:
+each remainder is a signed pseudo-remainder, a positive multiple of the
+negated field remainder, divided by its positive rational content.  Only
+the exact quotients of ``poly_divmod`` (Yun, the squarefree part) divide,
+and ``monic`` takes one reciprocal.
 
 Each coefficient keeps its own domain: rationals are ``Fraction`` and a
 ``QuadExt`` stays as given, so the reduced quartic, whose only irrational
@@ -126,10 +130,17 @@ class UniPoly:
         return Fraction(0) if acc is None else acc
 
     def monic(self) -> "UniPoly":
+        """Times the reciprocal of the leading coefficient, taken once: for
+        a ``QuadExt`` it is the conjugate over the rational norm."""
         if self.is_zero:
             return self
         lead = self.leading
-        return UniPoly([c / lead for c in self.coeffs])
+        if isinstance(lead, QuadExt):
+            nrm = lead.norm()
+            inv = QuadExt(lead.u / nrm, -lead.v / nrm, lead.radicand)
+        else:
+            inv = 1 / lead
+        return UniPoly([c * inv for c in self.coeffs])
 
 
 def _positive_content(p: UniPoly) -> Fraction:
@@ -145,10 +156,10 @@ def _positive_content(p: UniPoly) -> Fraction:
     return Fraction(num, math.lcm(*(f.denominator for f in parts)))
 
 
-def _normalized(p: UniPoly) -> UniPoly:
-    """Divide by the positive content; never changes any sign."""
+def _normalized(p: UniPoly, sign: int = 1) -> UniPoly:
+    """Divide by the positive content, and multiply by ``sign`` (1 or -1)."""
     c = _positive_content(p)
-    return p if c == 1 else p.scale(Fraction(1) / c)
+    return p if c == sign else p.scale(Fraction(sign) / c)
 
 
 def poly_divmod(f: UniPoly, g: UniPoly) -> tuple[UniPoly, UniPoly]:
@@ -172,19 +183,47 @@ def poly_divmod(f: UniPoly, g: UniPoly) -> tuple[UniPoly, UniPoly]:
     return UniPoly(quot), UniPoly(rem[-dg:] if dg > 0 else [])
 
 
+def _pseudo_remainder(a: UniPoly, b: UniPoly) -> tuple[UniPoly, int]:
+    """``lc(b)**steps * rem(a, b)`` by pseudo-division, with that factor's sign.
+
+    Each step ``r <- lc(b)*r - lc(r)*x**k*b`` cancels the leading term of
+    ``r`` with no coefficient division; a position that is already zero is
+    skipped and costs no step.
+    """
+    rem = list(a.coeffs)
+    tail = b.coeffs[1:]
+    lead = b.leading
+    split = max(len(rem) - len(tail), 0)
+    steps = 0
+    for i in range(split):
+        c = rem[i]
+        if sgn(c) == 0:
+            continue
+        steps += 1
+        for j in range(i + 1, len(rem)):
+            rem[j] = rem[j] * lead
+        for j, bc in enumerate(tail, i + 1):
+            rem[j] = rem[j] - c * bc
+    return UniPoly(rem[split:]), -1 if steps % 2 and sgn(lead) < 0 else 1
+
+
 def _remainder_sequence(a: UniPoly, b: UniPoly) -> list[UniPoly]:
     """``[a, b, r1, r2, ...]`` with ``r(i+1)`` the remainder of the two
     entries before it, negated and divided by its positive content.
 
-    Stops at the first zero remainder, so only ``b`` may be zero; the last
-    nonzero entry is a multiple of gcd(a, b).
+    The remainder is a pseudo-remainder, a multiple of the field remainder
+    by a power of the divisor's leading coefficient; the power's sign goes
+    into the negation, so each entry is a positive multiple of the negated
+    field remainder, and no step divides by a coefficient.  Stops at the
+    first zero remainder, so only ``b`` may be zero; the last nonzero entry
+    is a multiple of gcd(a, b).
     """
     seq = [a, b]
     while not seq[-1].is_zero:
-        _, r = poly_divmod(seq[-2], seq[-1])
+        r, factor_sign = _pseudo_remainder(seq[-2], seq[-1])
         if r.is_zero:
             break
-        seq.append(_normalized(-r))
+        seq.append(_normalized(r, -factor_sign))
     return seq
 
 
@@ -278,7 +317,11 @@ def sturm_count(
     the chain is built on the squarefree part.  With the zeros-dropped
     variation count, the chain's variation function is right-continuous,
     which makes the half-open convention exact even at root endpoints.
+    An empty interval (``lo == hi``) holds no root; ``lo > hi`` raises
+    ``ValueError``.
     """
+    if lo is not None and hi is not None and lo > hi:
+        raise ValueError(f"inverted interval: lo = {lo} > hi = {hi}")
     if p.is_zero:
         raise ValueError("root counting needs a nonzero polynomial")
     if p.degree == 0:

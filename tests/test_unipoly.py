@@ -87,6 +87,17 @@ def test_sturm_half_open_intervals():
     assert sturm_count(double, F(1), F(5)) == 0
 
 
+def test_sturm_count_rejects_an_inverted_interval():
+    p = UniPoly([1, 0, -1])  # roots -1, 1
+    assert sturm_count(p, F(-2), F(2)) == 2
+    assert sturm_count(p, F(2), F(2)) == 0
+    assert sturm_count(p, F(1), F(1)) == 0
+    with pytest.raises(ValueError):
+        sturm_count(p, F(2), F(-2))
+    with pytest.raises(ValueError):
+        sturm_count(UniPoly([3]), F(1), F(0))
+
+
 def test_sturm_counts_distinct_roots_of_known_products():
     rng = random.Random(17)
     for _ in range(40):
@@ -101,31 +112,69 @@ def test_sturm_counts_distinct_roots_of_known_products():
 
 def test_sturm_chain_invariants():
     # consecutive entries satisfy the negated-remainder relation up to a
-    # positive rational factor, and the chain ends at (a multiple of)
-    # gcd(p, p')
+    # positive factor, and the chain ends at (a multiple of) gcd(p, p');
+    # the inputs reach Q(sqrt(7)), a divisor with a negative leading
+    # coefficient after an odd number of division steps, and degree skips
     rng = random.Random(53)
+    root = UniPoly([1, QuadExt(-1, -1, 7)])  # t - (1 + sqrt(7))
+    cases = []
     for _ in range(30):
         p = rand_poly(rng, rng.randint(2, 5))
         if rng.random() < 0.5:
             p = p * p.derivative() if not p.derivative().is_zero else p
+        cases += [p, root * p, root * root * p]
+    for n in (3, 4, 5, 6):
+        # depressed (no x**(n-1) term): p / p' takes one division step;
+        # trinomials skip from degree n-1 to degree 1
+        for lead in (-rng.randint(1, 5), rng.randint(1, 5)):
+            rest = [rand_fraction(rng) for _ in range(n - 1)]
+            a, b = rand_fraction(rng), rand_fraction(rng)
+            cases += [UniPoly([lead, 0] + rest), root * UniPoly([lead, 0] + rest)]
+            cases.append(UniPoly([lead] + [0] * (n - 2) + [a, b]))
+    odd_negative = skips = irrational = 0
+    for p in cases:
         if p.degree < 1:
             continue
         chain = sturm_chain(p)
         assert chain[0] == p
         assert chain[1] == p.derivative()
         for a, b, c in zip(chain, chain[1:], chain[2:]):
-            _, rem = poly_divmod(a, b)
-            # c is -rem scaled by the positive content factor
+            quot, rem = poly_divmod(a, b)
+            # c is -rem times a positive factor, rational or in Q(sqrt(7))
             assert not c.is_zero
             ratio = -rem.leading / c.leading
-            assert ratio > 0
+            assert sgn(ratio) > 0
             assert (-rem) == c.scale(ratio)
+            steps = sum(sgn(q) != 0 for q in quot.coeffs)
+            odd_negative += steps % 2 == 1 and sgn(b.leading) < 0
+            skips += c.degree < b.degree - 1
+            irrational += any(isinstance(q, QuadExt) and q.v for q in b.coeffs)
         tail = chain[-1]
         g = poly_gcd(p, p.derivative())
         if g.degree == 0:
             assert tail.degree == 0
         else:
             assert tail.monic() == g
+    assert odd_negative >= 4 and skips >= 6 and irrational >= 40
+
+
+def test_chain_and_gcd_divide_no_quadext(monkeypatch):
+    # the remainder sequence multiplies, and the monic gcd takes one
+    # reciprocal through the rational norm: no QuadExt division at all
+    root = UniPoly([1, QuadExt(-1, -1, 7)])  # t - (1 + sqrt(7))
+    quad = UniPoly([3, QuadExt(0, -1, 7), 2, 0, 1])
+    p = root * root * quad
+
+    def refuse(*args):
+        raise AssertionError("QuadExt division")
+
+    monkeypatch.setattr(QuadExt, "__truediv__", refuse)
+    monkeypatch.setattr(QuadExt, "__rtruediv__", refuse)
+    chain = sturm_chain(p)
+    gcds = [poly_gcd(p, p.derivative()), poly_gcd(root * quad, root * p.derivative())]
+    monkeypatch.undo()
+    assert len(chain) == 6 and chain[-1].monic() == root
+    assert gcds == [root, root] and all(g.leading == 1 for g in gcds)
 
 
 def test_squarefree_sturm_matches_chain_of_quotient_by_gcd():
