@@ -44,7 +44,16 @@ from fractions import Fraction
 from typing import Optional
 
 from . import kernels
-from .form import CyclicParams, eval_form, r_range, radicand, reduce_to_g, scaled_coefficients
+from .form import (
+    CyclicParams,
+    cyclic_sums,
+    eval_form,
+    form_numerator,
+    r_range,
+    radicand,
+    reduce_to_g,
+    scaled_coefficients,
+)
 from .quartic_rules import discriminant_rule, discriminants_of
 from .roots import is_nonneg_everywhere
 from .scalars import QuadExt, sgn
@@ -260,6 +269,34 @@ def _biquadratic_nonneg(a, b, cc) -> tuple[bool, str]:
     return ok, "c>=0/b<0/disc<=0" if ok else "c>=0/b<0/disc>0"
 
 
+# every clause decide_structural can fire, with its verdict; a Verdict is
+# immutable, so each is built once and shared, and a caller that keeps many
+# verdicts keeps no copy of them
+_STRUCTURAL_VERDICTS = {
+    clause: Verdict(ok, "structural", clause)
+    for ok, clause in (
+        (False, "R=0/biquadratic/lead<0"),
+        (True, "R=0/biquadratic/lead=0/b>=0,c>=0"),
+        (False, "R=0/biquadratic/lead=0/fail"),
+        (False, "R=0/biquadratic/c<0"),
+        (True, "R=0/biquadratic/c>=0/b>=0"),
+        (True, "R=0/biquadratic/c>=0/b<0/disc<=0"),
+        (False, "R=0/biquadratic/c>=0/b<0/disc>0"),
+        (False, "f3<0/g(0)<0"),
+        (False, "f3=0/quadratic/f1<=0"),
+        (True, "f3=0/quadratic/disc<=0"),
+        (False, "f3=0/quadratic/disc>0"),
+        (False, "f3>0/f1<=0"),
+        (True, "f3>0/quartic-rule/D4>0/D2<0"),
+        (True, "f3>0/quartic-rule/D4>0/D3<0"),
+        (False, "f3>0/quartic-rule/D4>0/fail"),
+        (True, "f3>0/quartic-rule/D4=0/D3<0"),
+        (False, "f3>0/quartic-rule/D4=0/fail"),
+        (False, "f3>0/quartic-rule/D4<0"),
+    )
+}
+
+
 def decide_structural(c: CyclicParams) -> Verdict:
     """Case analysis on the reduced quartic g(t), in integer arithmetic.
 
@@ -270,10 +307,10 @@ def decide_structural(c: CyclicParams) -> Verdict:
     integers of d*g: with ``(d, K, L, M, N) = scaled_coefficients(c)``,
     ``(a0, s, a2, a4) = (3*d*f1, d**2*R, 3*d*(4+m+n-l), d*f3)``.  Each rule
     reads only signs of expressions homogeneous in them, so every branch
-    is taken exactly as over Q.
+    is taken exactly as over Q.  The verdict of each clause is one shared
+    instance from ``_STRUCTURAL_VERDICTS``.
     """
     d, K, L, M, N = scaled_coefficients(c)
-    method = "structural"
     a0 = 3 * (2 * d + K - M - N)
     s = 27 * (M - N) ** 2 + (4 * K + M + N - 8 * d - 2 * L) ** 2
     a2 = 3 * (4 * d + M + N - L)
@@ -281,22 +318,22 @@ def decide_structural(c: CyclicParams) -> Verdict:
 
     if s == 0:
         # here (a0, a2, a4) = 3*d*(g1, g3, k+m-1)
-        ok, tag = _biquadratic_nonneg(a0, a2, a4)
-        return Verdict(ok, method, f"R=0/biquadratic/{tag}")
+        _, tag = _biquadratic_nonneg(a0, a2, a4)
+        return _STRUCTURAL_VERDICTS[f"R=0/biquadratic/{tag}"]
     if a4 < 0:
-        return Verdict(False, method, "f3<0/g(0)<0")
+        return _STRUCTURAL_VERDICTS["f3<0/g(0)<0"]
     if a4 == 0:
         # g = t**2 * (a0*t**2 - sqrt(R)*t + a2)
         if a0 <= 0:
-            return Verdict(False, method, "f3=0/quadratic/f1<=0")
-        ok = s <= 4 * a0 * a2
-        tag = "f3=0/quadratic/disc<=0" if ok else "f3=0/quadratic/disc>0"
-        return Verdict(ok, method, tag)
+            return _STRUCTURAL_VERDICTS["f3=0/quadratic/f1<=0"]
+        if s <= 4 * a0 * a2:
+            return _STRUCTURAL_VERDICTS["f3=0/quadratic/disc<=0"]
+        return _STRUCTURAL_VERDICTS["f3=0/quadratic/disc>0"]
     if a0 <= 0:
-        return Verdict(False, method, "f3>0/f1<=0")
+        return _STRUCTURAL_VERDICTS["f3>0/f1<=0"]
     _, d2, d3, d4 = discriminants_of(a0, s, a2, a4)
-    ok, rule = discriminant_rule(d2, d3, d4)
-    return Verdict(ok, method, f"f3>0/quartic-rule/{rule}")
+    _, rule = discriminant_rule(d2, d3, d4)
+    return _STRUCTURAL_VERDICTS[f"f3>0/quartic-rule/{rule}"]
 
 
 # the oracle's only two outcomes; a Verdict is immutable, so they are shared
@@ -334,18 +371,22 @@ def decide(c: CyclicParams, method: str = "structural") -> Verdict:
 
 # -- witness search -----------------------------------------------------------
 
-# cheap necessary-condition probes: (1,1,1) has F = 3*f3, (1,-1,0) has F = f1
-_PROBE_POINTS = (
-    (1, 1, 1),
-    (1, -1, 0),
-    (1, 1, 0),
-    (1, 0, -1),
-    (1, -1, 1),
-    (1, 1, -1),
-    (2, -1, -1),
-    (1, -2, 1),
-    (0, 1, -1),
-    (1, 2, -2),
+# cheap necessary-condition probes: (1,1,1) has F = 3*f3, (1,-1,0) has F = f1;
+# each is kept as its witness and the integer cyclic sums at it, built once
+_PROBES = tuple(
+    (tuple(Fraction(v) for v in point), cyclic_sums(*point))
+    for point in (
+        (1, 1, 1),
+        (1, -1, 0),
+        (1, 1, 0),
+        (1, 0, -1),
+        (1, -1, 1),
+        (1, 1, -1),
+        (2, -1, -1),
+        (1, -2, 1),
+        (0, 1, -1),
+        (1, 2, -2),
+    )
 )
 
 
@@ -554,7 +595,7 @@ def _seeded_search(c: CyclicParams, budget: _Budget):
         for triple in ((xs[0], xs[1], xs[2]), (xs[0], xs[2], xs[1])):
             if not budget.spend():
                 return None
-            if eval_form(c, *triple) < 0:
+            if form_numerator(c, *triple) < 0:
                 return triple
     return None
 
@@ -567,15 +608,22 @@ def find_witness(
     Deterministic, in three stages: fixed probe points, integer face grids
     of denominators 1 to 4, then a seeded search driven by an exact
     negative value of the reduced quartic (``_seeded_search``).  Every
-    stage is rational arithmetic only, and every returned point is checked
-    exactly with ``eval_form``.
+    stage is exact arithmetic only, and every sign of F it reads is the
+    sign of the integer numerator d*S4 + K*S22 + L*S211 + M*S31 + N*S13 of
+    F over its positive denominator: at the probe points from their cyclic
+    sums, built once (``_PROBES``); on the faces, all with d <= 4, from the
+    tables of ``kernels.face_scan``, and the reported point again from
+    ``form_numerator``; at the seeded stage's triples from
+    ``form_numerator``.  No Fraction value of F is built here; a probe
+    witness is a shared immutable tuple.
     """
     tracker = _Budget(budget)
-    for point in _PROBE_POINTS:
+    d, K, L, M, N = scaled_coefficients(c)
+    for witness, (s4, s22, s211, s31, s13) in _PROBES:
         if not tracker.spend():
             return None
-        if eval_form(c, *point) < 0:
-            return tuple(Fraction(v) for v in point)
+        if d * s4 + K * s22 + L * s211 + M * s31 + N * s13 < 0:
+            return witness
 
     point, used = kernels.find_negative_on_faces(c, (1, 2, 3, 4), tracker.left)
     tracker.spend(used)

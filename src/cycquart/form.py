@@ -41,6 +41,7 @@ __all__ = [
     "BcdeParams",
     "scaled_coefficients",
     "cyclic_sums",
+    "form_numerator",
     "eval_form",
     "r_range",
     "radicand",
@@ -114,6 +115,26 @@ def cyclic_sums(x, y, z) -> tuple:
     return s4, s22, s211, s31, s13
 
 
+def _scaled_form(c: CyclicParams, x, y, z) -> tuple[int, int]:
+    """``(numerator, d*e**4)`` of F at (x, y, z); see ``eval_form``."""
+    d, K, L, M, N = scaled_coefficients(c)
+    e = math.lcm(x.denominator, y.denominator, z.denominator)
+    s4, s22, s211, s31, s13 = cyclic_sums(
+        x.numerator * (e // x.denominator),
+        y.numerator * (e // y.denominator),
+        z.numerator * (e // z.denominator),
+    )
+    return d * s4 + K * s22 + L * s211 + M * s31 + N * s13, d * e**4
+
+
+def form_numerator(c: CyclicParams, x, y, z) -> int:
+    """The integer numerator of ``eval_form(c, x, y, z)`` over the positive
+    ``d*e**4``: it has the sign of F at the point, and no Fraction is built.
+    Every sign of F the witness search reads comes from here or from the
+    same sum in ``kernels.face_scan``."""
+    return _scaled_form(c, x, y, z)[0]
+
+
 def eval_form(c: CyclicParams, x, y, z) -> Fraction:
     """Exact value of F at a rational point with ``int`` or ``Fraction``
     coordinates.
@@ -123,17 +144,11 @@ def eval_form(c: CyclicParams, x, y, z) -> Fraction:
 
         F(x, y, z) = (d*S4 + K*S22 + L*S211 + M*S31 + N*S13)(X, Y, Z) / (d*e**4),
 
-    the integer sum ``kernels.face_scan`` evaluates on its faces; only the
-    quotient is a Fraction.
+    the integer sum ``kernels.face_scan`` evaluates on its faces.  The
+    numerator is ``form_numerator``, and only this quotient is a Fraction;
+    it serves output values, such as a witness's F value.
     """
-    d, K, L, M, N = scaled_coefficients(c)
-    e = math.lcm(x.denominator, y.denominator, z.denominator)
-    s4, s22, s211, s31, s13 = cyclic_sums(
-        x.numerator * (e // x.denominator),
-        y.numerator * (e // y.denominator),
-        z.numerator * (e // z.denominator),
-    )
-    return Fraction(d * s4 + K * s22 + L * s211 + M * s31 + N * s13, d * e**4)
+    return Fraction(*_scaled_form(c, x, y, z))
 
 
 def r_range(t: Fraction) -> tuple[Fraction, Fraction]:

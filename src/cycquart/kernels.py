@@ -1,24 +1,46 @@
 """Exact integer face-grid sweep of the form.
 
-The sweep falsifies PSD verdicts and finds witnesses; every point it
-reports is re-checked with ``eval_form`` by its callers.  The form is
+The sweep falsifies PSD verdicts and finds witnesses.  The form is
 evaluated at integer points (d, i, j) after clearing denominators:
 
     E(d, i, j) = A*S4 + Bk*S22 + Bl*S211 + Bm*S31 + Bn*S13
 
 where ``(A, Bk, Bl, Bm, Bn) = form.scaled_coefficients(c)``, so
-sign(E) = sign(F(1, i/d, j/d)).  Python integers are unbounded, so no
-coefficient size can overflow the sweep.
+sign(E) = sign(F(1, i/d, j/d)).  A face with d <= 4 reads the integer
+cyclic sums (S4, S22, S211, S31, S13) of its points from a table, built
+once per ``(d, skip_even)`` in scan order; a larger face computes them
+point by point, so no table grows with the falsifier's faces 8, 16 and
+32 (they would hold about 4100 rows).  The point a sweep reports is
+re-checked by the sign of ``form.form_numerator`` at (d, i, j).
+Python integers are unbounded, so no coefficient size can overflow the
+sweep.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from typing import Optional
 
-from .form import CyclicParams, eval_form, scaled_coefficients
+from .form import CyclicParams, cyclic_sums, form_numerator, scaled_coefficients
 
 __all__ = ["face_scan", "find_negative_on_faces"]
+
+# the largest face read from a table: the witness faces 1-4 (130 rows) and
+# the falsifier's faces 1, 2 and 4
+_TABLED_FACES = 4
+
+
+@cache
+def _face_table(d: int, skip_even: bool) -> tuple:
+    """``(i, j, S4, S22, S211, S31, S13)`` at (d, i, j) for each point of
+    face d, in the scan order of ``face_scan``."""
+    return tuple(
+        (i, j) + cyclic_sums(d, i, j)
+        for i in range(-d, d + 1)
+        for j in range(-d, d + 1)
+        if not (skip_even and (i & 1) == 0 and (j & 1) == 0)
+    )
 
 
 def face_scan(coeffs, d: int, skip_even: bool = False):
@@ -28,9 +50,16 @@ def face_scan(coeffs, d: int, skip_even: bool = False):
     scanned point with a negative value (0, 0 when none) and ``evaluated``
     counts the points scanned.  ``skip_even`` drops points with both
     coordinates even, which avoids rescanning points already covered by
-    the face d/2.
+    the face d/2.  Faces with d <= 4 read their cyclic sums from
+    ``_face_table``.
     """
     A, Bk, Bl, Bm, Bn = coeffs
+    if d <= _TABLED_FACES:
+        table = _face_table(d, skip_even)
+        for evaluated, (i, j, s4, s22, s211, s31, s13) in enumerate(table, 1):
+            if A * s4 + Bk * s22 + Bl * s211 + Bm * s31 + Bn * s13 < 0:
+                return True, i, j, evaluated
+        return False, 0, 0, len(table)
     d2 = d * d
     d3 = d2 * d
     d4 = d2 * d2
@@ -63,10 +92,11 @@ def find_negative_on_faces(
     """Sweep faces x = 1, y/x = i/d, z/x = j/d for the given denominators.
 
     Returns ``(point, evaluated)`` where ``point`` is an exact rational
-    triple with ``F(point) < 0`` (re-checked with ``eval_form`` at the
-    integer point (d, i, j), where F has the same sign) or None.  A face d
-    whose half d/2 comes earlier in the schedule skips the points with both
-    coordinates even: those are the points of face d/2.
+    triple with ``F(point) < 0`` (re-checked by the sign of
+    ``form_numerator`` at the integer point (d, i, j), where F has the same
+    sign) or None.  A face d whose half d/2 comes earlier in the schedule
+    skips the points with both coordinates even: those are the points of
+    face d/2.
     """
     coeffs = scaled_coefficients(c)
     spent = 0
@@ -78,10 +108,11 @@ def find_negative_on_faces(
         spent += evaluated
         if found:
             point = (Fraction(1), Fraction(i, d), Fraction(j, d))
-            value = eval_form(c, d, i, j)
-            if value >= 0:
+            numerator = form_numerator(c, d, i, j)
+            if numerator >= 0:
                 raise AssertionError(
-                    f"kernel reported a negative value at {point} but F(d, i, j) = {value}"
+                    f"kernel reported a negative value at {point} but the numerator "
+                    f"of F(d, i, j) is {numerator}"
                 )
             return point, spent
     return None, spent

@@ -5,15 +5,20 @@ import random
 from fractions import Fraction as F
 from types import SimpleNamespace
 
+from dataclasses import FrozenInstanceError
+
 import pytest
 
+from cycquart import decider
 from cycquart.decider import (
     CLOSED_FORM_VARIANTS,
+    DEFAULT_WITNESS_BUDGET,
     Verdict,
     _biquadratic_nonneg,
     _Budget,
     _cubic_roots,
     _find_negative_t,
+    _locus_roots,
     _seeded_search,
     _sturm_in_t,
     attach_witness,
@@ -244,6 +249,143 @@ def test_find_witness_examples():
     assert find_witness(CyclicParams(0, 0, -3, 0)) == (1, 1, 1)
     assert find_witness(CyclicParams(0, 0, 2, 2)) == (1, -1, 0)
     assert find_witness(CyclicParams(F(1, 2), -3, 0, 0)) == (1, 1, 1)
+
+
+# find_witness written out with every sign of F read from a Fraction value
+# of eval_form, each face point one by one and each probe witness built
+# afresh: the reference the integer-numerator search must match
+REFERENCE_PROBE_POINTS = (
+    (1, 1, 1),
+    (1, -1, 0),
+    (1, 1, 0),
+    (1, 0, -1),
+    (1, -1, 1),
+    (1, 1, -1),
+    (2, -1, -1),
+    (1, -2, 1),
+    (0, 1, -1),
+    (1, 2, -2),
+)
+
+
+def reference_find_witness(c, budget):
+    tracker = _Budget(budget)
+    for point in REFERENCE_PROBE_POINTS:
+        if not tracker.spend():
+            return None
+        if eval_form(c, *point) < 0:
+            return tuple(F(v) for v in point)
+    schedule = (1, 2, 3, 4)
+    spent = 0
+    for idx, d in enumerate(schedule):
+        if spent >= tracker.left:
+            break
+        skip = d % 2 == 0 and d // 2 in schedule[:idx]
+        for i, j in itertools.product(range(-d, d + 1), repeat=2):
+            if skip and i % 2 == 0 and j % 2 == 0:
+                continue
+            spent += 1
+            if eval_form(c, 1, F(i, d), F(j, d)) < 0:
+                return F(1), F(i, d), F(j, d)
+    tracker.spend(spent)
+    if tracker.left <= 0 or decide_structural(c).is_psd:
+        return None
+    tstar = _find_negative_t(reduce_to_g(c).to_unipoly(), tracker)
+    if tstar is None:
+        return None
+    for xs in _locus_roots(c, tstar, tracker):
+        for triple in ((xs[0], xs[1], xs[2]), (xs[0], xs[2], xs[1])):
+            if not tracker.spend():
+                return None
+            if eval_form(c, *triple) < 0:
+                return triple
+    return None
+
+
+@pytest.mark.parametrize("params, stage", [
+    ((0, 0, -3, 0), "probe"),
+    ((F(-1, 2), -1, F(3, 2), -1), "face 3"),
+    ((F(29, 8), -1, -2, 4), "seeded"),
+], ids=("probe", "face-3", "seeded"))
+def test_find_witness_matches_the_fraction_reference_at_every_budget(params, stage):
+    c = CyclicParams(*params)
+    witness = reference_find_witness(c, DEFAULT_WITNESS_BUDGET)
+    assert witness is not None and eval_form(c, *witness) < 0
+    # the least budget that finds it, by bisection: a larger budget never
+    # changes the path taken before the budget runs out
+    lo, hi = 0, DEFAULT_WITNESS_BUDGET
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if reference_find_witness(c, mid) is not None else (mid + 1, hi)
+    needed = lo
+    assert reference_find_witness(c, needed) == witness
+    assert {"probe": needed <= 10, "face 3": 10 + 9 + 16 < needed <= 10 + 9 + 16 + 49,
+            "seeded": needed > 150}[stage]
+    budgets = set(range(151)) | set(range(needed - 3, needed + 4)) | {DEFAULT_WITNESS_BUDGET}
+    for budget in sorted(budgets):
+        expected = reference_find_witness(c, budget)
+        assert find_witness(c, budget) == expected, budget
+        assert expected is None or type(expected) is tuple and all(type(v) is F for v in expected)
+
+
+def test_probe_witnesses_are_shared_fraction_tuples():
+    # (1, 1, 1) is the first probe point with F < 0 for both forms
+    first = find_witness(CyclicParams(0, 0, -3, 0))
+    second = find_witness(CyclicParams(0, 0, -4, 0))
+    assert first == (1, 1, 1) and all(type(v) is F for v in first)
+    assert first is second
+
+
+def test_structural_verdicts_are_shared_and_frozen():
+    # two inputs of each clause get the one Verdict of that clause
+    pairs = [
+        ((0, 0, -3, 0), (0, 0, -4, 0)),  # f3 < 0
+        ((3, 0, 0, 0), (4, 0, 0, 0)),  # f3 > 0, the quartic rule
+        ((0, -1, 1, -1), (0, 0, 0, -1)),  # f3 = 0
+        ((2, 0, 0, 0), (1, -2, 0, 0)),  # R = 0
+    ]
+    for a, b in pairs:
+        first, second = decide_structural(CyclicParams(*a)), decide_structural(CyclicParams(*b))
+        assert first.fired_clause == second.fired_clause
+        assert first is second is decider._STRUCTURAL_VERDICTS[first.fired_clause]
+    with pytest.raises(FrozenInstanceError):
+        first.is_psd = not first.is_psd
+    # attaching a witness builds a new verdict and leaves the shared one alone
+    c = CyclicParams(0, 0, -3, 0)
+    shared = decide_structural(c)
+    attached = attach_witness(c, shared)
+    assert attached is not shared and attached.witness == (1, 1, 1)
+    assert shared.witness is None and shared.witness_value is None
+
+
+def test_structural_verdict_table_holds_every_clause():
+    # both rules read only signs (and b*b <= 4*a*cc), so a sign grid
+    # reaches each of their branches
+    signs = (-1, 0, 1)
+    expected = {
+        f"R=0/biquadratic/{tag}": ok
+        for ok, tag in (_biquadratic_nonneg(*v) for v in itertools.product(signs, repeat=3))
+    }
+    expected.update(
+        (f"f3>0/quartic-rule/{rule}", ok)
+        for ok, rule in (discriminant_rule(*v) for v in itertools.product(signs, repeat=3))
+    )
+    expected.update({
+        "f3<0/g(0)<0": False,
+        "f3=0/quadratic/f1<=0": False,
+        "f3=0/quadratic/disc<=0": True,
+        "f3=0/quadratic/disc>0": False,
+        "f3>0/f1<=0": False,
+    })
+    assert len(expected) == 18
+    table = decider._STRUCTURAL_VERDICTS
+    assert {clause: v.is_psd for clause, v in table.items()} == expected
+    for clause, verdict in table.items():
+        assert (verdict.method, verdict.fired_clause, verdict.witness) == ("structural", clause, None)
+    # and every clause the small integer grid fires is one of them
+    for params in itertools.product(range(-2, 3), repeat=4):
+        verdict = decide_structural(CyclicParams(*params))
+        assert verdict is table[verdict.fired_clause]
 
 
 def test_find_witness_soundness():

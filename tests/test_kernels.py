@@ -30,27 +30,44 @@ def test_scaled_coefficients_preserve_sign():
 
 
 def test_python_kernel_matches_direct_evaluation():
+    # every face of the witness schedule (1, 2, 3, 4) and of the falsifier's
+    # (1, 2, 4, 8, 16, 32): d <= 4 reads a table, the larger faces compute
     rng = random.Random(79)
     cases = [rand_params(rng, span=9, den=3) for _ in range(20)]
     cases.append(CyclicParams(F(10 ** 14), F(1), F(1), F(1)))  # exact at a large scale
-    d = 3
-    for c in cases:
-        coeffs = scaled_coefficients(c)
+    # Vasc's form (2, 0, -3, 0), its mirror, and perturbations whose first
+    # negative point lies deep in a face, often the last point scanned
+    cases += [CyclicParams(*p) for p in (
+        (2, 0, -3, 0), (2, 0, 0, -3), (F(199, 100), 0, -3, 0), (2, 0, F(-301, 100), 0),
+        (2, F(-1, 100), -3, 0), (F(39, 20), 0, 0, -3),
+    )]
+    for d in (1, 2, 3, 4, 8, 16, 32):
         for skip in (False, True):
-            found, i, j, evaluated = kernels.face_scan(coeffs, d, skip)
             order = [
                 (a, b)
                 for a in range(-d, d + 1)
                 for b in range(-d, d + 1)
                 if not (skip and a % 2 == 0 and b % 2 == 0)
             ]
-            values = [eval_form(c, 1, F(a, d), F(b, d)) for a, b in order]
-            first_negative = next((idx for idx, v in enumerate(values) if v < 0), None)
-            scanned = len(order) if first_negative is None else first_negative + 1
-            assert found == (first_negative is not None)
-            assert evaluated == scanned
-            if found:
-                assert (i, j) == order[first_negative]
+            depths = set()
+            for c in cases:
+                found, i, j, evaluated = kernels.face_scan(scaled_coefficients(c), d, skip)
+                depths.add((found, evaluated))
+                first_negative = next(
+                    (idx for idx, (a, b) in enumerate(order)
+                     if eval_form(c, 1, F(a, d), F(b, d)) < 0),
+                    None,
+                )
+                scanned = len(order) if first_negative is None else first_negative + 1
+                assert found == (first_negative is not None), (d, skip, c)
+                assert evaluated == scanned, (d, skip, c)
+                if found:
+                    assert (i, j) == order[first_negative], (d, skip, c)
+                else:
+                    assert (i, j) == (0, 0)
+            # a full scan, a hit at the first point, and a hit past it
+            assert (False, len(order)) in depths and (True, 1) in depths
+            assert any(found and evaluated > 1 for found, evaluated in depths)
 
 
 def test_find_negative_on_faces_verifies_exactly():
