@@ -41,12 +41,12 @@ import math
 from collections import deque
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import cache
 from typing import Optional
 
 from . import kernels
 from .form import (
     CyclicParams,
-    cyclic_sums,
     eval_form,
     form_numerator,
     r_range,
@@ -269,32 +269,12 @@ def _biquadratic_nonneg(a, b, cc) -> tuple[bool, str]:
     return ok, "c>=0/b<0/disc<=0" if ok else "c>=0/b<0/disc>0"
 
 
-# every clause decide_structural can fire, with its verdict; a Verdict is
-# immutable, so each is built once and shared, and a caller that keeps many
-# verdicts keeps no copy of them
-_STRUCTURAL_VERDICTS = {
-    clause: Verdict(ok, "structural", clause)
-    for ok, clause in (
-        (False, "R=0/biquadratic/lead<0"),
-        (True, "R=0/biquadratic/lead=0/b>=0,c>=0"),
-        (False, "R=0/biquadratic/lead=0/fail"),
-        (False, "R=0/biquadratic/c<0"),
-        (True, "R=0/biquadratic/c>=0/b>=0"),
-        (True, "R=0/biquadratic/c>=0/b<0/disc<=0"),
-        (False, "R=0/biquadratic/c>=0/b<0/disc>0"),
-        (False, "f3<0/g(0)<0"),
-        (False, "f3=0/quadratic/f1<=0"),
-        (True, "f3=0/quadratic/disc<=0"),
-        (False, "f3=0/quadratic/disc>0"),
-        (False, "f3>0/f1<=0"),
-        (True, "f3>0/quartic-rule/D4>0/D2<0"),
-        (True, "f3>0/quartic-rule/D4>0/D3<0"),
-        (False, "f3>0/quartic-rule/D4>0/fail"),
-        (True, "f3>0/quartic-rule/D4=0/D3<0"),
-        (False, "f3>0/quartic-rule/D4=0/fail"),
-        (False, "f3>0/quartic-rule/D4<0"),
-    )
-}
+@cache
+def _structural_verdict(ok: bool, clause: str) -> Verdict:
+    """The verdict of a fired clause; a Verdict is immutable, so each is built
+    once and shared, and a caller that keeps many verdicts keeps no copy of
+    them."""
+    return Verdict(ok, "structural", clause)
 
 
 def decide_structural(c: CyclicParams) -> Verdict:
@@ -307,8 +287,8 @@ def decide_structural(c: CyclicParams) -> Verdict:
     integers of d*g: with ``(d, K, L, M, N) = scaled_coefficients(c)``,
     ``(a0, s, a2, a4) = (3*d*f1, d**2*R, 3*d*(4+m+n-l), d*f3)``.  Each rule
     reads only signs of expressions homogeneous in them, so every branch
-    is taken exactly as over Q.  The verdict of each clause is one shared
-    instance from ``_STRUCTURAL_VERDICTS``.
+    is taken exactly as over Q.  Each clause's verdict is one shared
+    instance (``_structural_verdict``).
     """
     d, K, L, M, N = scaled_coefficients(c)
     a0 = 3 * (2 * d + K - M - N)
@@ -318,22 +298,22 @@ def decide_structural(c: CyclicParams) -> Verdict:
 
     if s == 0:
         # here (a0, a2, a4) = 3*d*(g1, g3, k+m-1)
-        _, tag = _biquadratic_nonneg(a0, a2, a4)
-        return _STRUCTURAL_VERDICTS[f"R=0/biquadratic/{tag}"]
+        ok, tag = _biquadratic_nonneg(a0, a2, a4)
+        return _structural_verdict(ok, f"R=0/biquadratic/{tag}")
     if a4 < 0:
-        return _STRUCTURAL_VERDICTS["f3<0/g(0)<0"]
+        return _structural_verdict(False, "f3<0/g(0)<0")
     if a4 == 0:
         # g = t**2 * (a0*t**2 - sqrt(R)*t + a2)
         if a0 <= 0:
-            return _STRUCTURAL_VERDICTS["f3=0/quadratic/f1<=0"]
-        if s <= 4 * a0 * a2:
-            return _STRUCTURAL_VERDICTS["f3=0/quadratic/disc<=0"]
-        return _STRUCTURAL_VERDICTS["f3=0/quadratic/disc>0"]
+            return _structural_verdict(False, "f3=0/quadratic/f1<=0")
+        ok = s <= 4 * a0 * a2
+        tag = "f3=0/quadratic/disc<=0" if ok else "f3=0/quadratic/disc>0"
+        return _structural_verdict(ok, tag)
     if a0 <= 0:
-        return _STRUCTURAL_VERDICTS["f3>0/f1<=0"]
+        return _structural_verdict(False, "f3>0/f1<=0")
     _, d2, d3, d4 = discriminants_of(a0, s, a2, a4)
-    _, rule = discriminant_rule(d2, d3, d4)
-    return _STRUCTURAL_VERDICTS[f"f3>0/quartic-rule/{rule}"]
+    ok, rule = discriminant_rule(d2, d3, d4)
+    return _structural_verdict(ok, f"f3>0/quartic-rule/{rule}")
 
 
 # the oracle's only two outcomes; a Verdict is immutable, so they are shared
@@ -372,9 +352,10 @@ def decide(c: CyclicParams, method: str = "structural") -> Verdict:
 # -- witness search -----------------------------------------------------------
 
 # cheap necessary-condition probes: (1,1,1) has F = 3*f3, (1,-1,0) has F = f1;
-# each is kept as its witness and the integer cyclic sums at it, built once
-_PROBES = tuple(
-    (tuple(Fraction(v) for v in point), cyclic_sums(*point))
+# the rows of ``kernels.first_negative``, each labelled with the witness it
+# returns, built once
+_PROBES = kernels.tabulate(
+    (tuple(Fraction(v) for v in point), point)
     for point in (
         (1, 1, 1),
         (1, -1, 0),
@@ -610,20 +591,20 @@ def find_witness(
     negative value of the reduced quartic (``_seeded_search``).  Every
     stage is exact arithmetic only, and every sign of F it reads is the
     sign of the integer numerator d*S4 + K*S22 + L*S211 + M*S31 + N*S13 of
-    F over its positive denominator: at the probe points from their cyclic
-    sums, built once (``_PROBES``); on the faces, all with d <= 4, from the
-    tables of ``kernels.face_scan``, and the reported point again from
-    ``form_numerator``; at the seeded stage's triples from
-    ``form_numerator``.  No Fraction value of F is built here; a probe
-    witness is a shared immutable tuple.
+    F over its positive denominator: at the probe points and on the faces
+    from ``kernels.first_negative``, which reads it off tables of their
+    cyclic sums, and at the face point reported and the seeded stage's
+    triples from ``form_numerator``.  No Fraction value of F is built
+    here; a probe witness is a shared immutable tuple (``_PROBES``).
     """
+    # as many probes as the budget allows, one unit each; a budget that
+    # cannot pay for all ten ends the search here
+    witness, _ = kernels.first_negative(scaled_coefficients(c), _PROBES[: max(budget, 0)])
+    if witness is not None:
+        return witness
     tracker = _Budget(budget)
-    d, K, L, M, N = scaled_coefficients(c)
-    for witness, (s4, s22, s211, s31, s13) in _PROBES:
-        if not tracker.spend():
-            return None
-        if d * s4 + K * s22 + L * s211 + M * s31 + N * s13 < 0:
-            return witness
+    if not tracker.spend(len(_PROBES)):
+        return None
 
     point, used = kernels.find_negative_on_faces(c, (1, 2, 3, 4), tracker.left)
     tracker.spend(used)

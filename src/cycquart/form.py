@@ -115,8 +115,11 @@ def cyclic_sums(x, y, z) -> tuple:
     return s4, s22, s211, s31, s13
 
 
-def _scaled_form(c: CyclicParams, x, y, z) -> tuple[int, int]:
-    """``(numerator, d*e**4)`` of F at (x, y, z); see ``eval_form``."""
+def form_numerator(c: CyclicParams, x, y, z) -> int:
+    """The integer numerator of ``eval_form(c, x, y, z)`` over its positive
+    denominator ``d*e**4``: it has the sign of F at the point, and no
+    Fraction is built.  Every sign of F the witness search reads outside
+    ``kernels.first_negative`` comes from here."""
     d, K, L, M, N = scaled_coefficients(c)
     e = math.lcm(x.denominator, y.denominator, z.denominator)
     s4, s22, s211, s31, s13 = cyclic_sums(
@@ -124,15 +127,7 @@ def _scaled_form(c: CyclicParams, x, y, z) -> tuple[int, int]:
         y.numerator * (e // y.denominator),
         z.numerator * (e // z.denominator),
     )
-    return d * s4 + K * s22 + L * s211 + M * s31 + N * s13, d * e**4
-
-
-def form_numerator(c: CyclicParams, x, y, z) -> int:
-    """The integer numerator of ``eval_form(c, x, y, z)`` over the positive
-    ``d*e**4``: it has the sign of F at the point, and no Fraction is built.
-    Every sign of F the witness search reads comes from here or from the
-    same sum in ``kernels.face_scan``."""
-    return _scaled_form(c, x, y, z)[0]
+    return d * s4 + K * s22 + L * s211 + M * s31 + N * s13
 
 
 def eval_form(c: CyclicParams, x, y, z) -> Fraction:
@@ -144,11 +139,12 @@ def eval_form(c: CyclicParams, x, y, z) -> Fraction:
 
         F(x, y, z) = (d*S4 + K*S22 + L*S211 + M*S31 + N*S13)(X, Y, Z) / (d*e**4),
 
-    the integer sum ``kernels.face_scan`` evaluates on its faces.  The
-    numerator is ``form_numerator``, and only this quotient is a Fraction;
-    it serves output values, such as a witness's F value.
+    the integer sum ``kernels.first_negative`` evaluates on its tables.
+    The numerator is ``form_numerator``; only this quotient is a Fraction,
+    and it serves output values, such as a witness's F value.
     """
-    return Fraction(*_scaled_form(c, x, y, z))
+    e = math.lcm(x.denominator, y.denominator, z.denominator)
+    return Fraction(form_numerator(c, x, y, z), scaled_coefficients(c)[0] * e**4)
 
 
 def r_range(t: Fraction) -> tuple[Fraction, Fraction]:

@@ -6,14 +6,13 @@ evaluated at integer points (d, i, j) after clearing denominators:
     E(d, i, j) = A*S4 + Bk*S22 + Bl*S211 + Bm*S31 + Bn*S13
 
 where ``(A, Bk, Bl, Bm, Bn) = form.scaled_coefficients(c)``, so
-sign(E) = sign(F(1, i/d, j/d)).  A face with d <= 4 reads the integer
-cyclic sums (S4, S22, S211, S31, S13) of its points from a table, built
-once per ``(d, skip_even)`` in scan order; a larger face computes them
-point by point, so no table grows with the falsifier's faces 8, 16 and
-32 (they would hold about 4100 rows).  The point a sweep reports is
-re-checked by the sign of ``form.form_numerator`` at (d, i, j).
-Python integers are unbounded, so no coefficient size can overflow the
-sweep.
+sign(E) = sign(F(1, i/d, j/d)).  The integer cyclic sums (S4, S22, S211,
+S31, S13) of a point do not depend on the form, so a face is read from a
+table of them built once (``tabulate``), and a scan costs five products
+per point (``first_negative``); the witness search's probe points are
+read the same way.  The point a sweep reports is re-checked by the sign of
+``form.form_numerator`` at (d, i, j).  Python integers are unbounded, so
+no coefficient size can overflow the sweep.
 """
 
 from __future__ import annotations
@@ -24,19 +23,42 @@ from typing import Optional
 
 from .form import CyclicParams, cyclic_sums, form_numerator, scaled_coefficients
 
-__all__ = ["face_scan", "find_negative_on_faces"]
+__all__ = ["tabulate", "first_negative", "face_scan", "find_negative_on_faces"]
 
-# the largest face read from a table: the witness faces 1-4 (130 rows) and
-# the falsifier's faces 1, 2 and 4
-_TABLED_FACES = 4
+
+def tabulate(points) -> tuple:
+    """``(label, S4, S22, S211, S31, S13)`` for each ``(label, (x, y, z))``
+    of ``points``, an iterable of labelled integer points, in order: the
+    rows ``first_negative`` reads."""
+    # equal sums share one int: the 15680 sums of the largest face's rows
+    # take 4840 distinct values, and the tables are kept for good
+    shared: dict = {}
+    return tuple(
+        (label, *(shared.setdefault(v, v) for v in cyclic_sums(*point)))
+        for label, point in points
+    )
+
+
+def first_negative(coeffs, rows):
+    """``(label, evaluated)`` for the first row of ``tabulate`` at which
+    ``A*S4 + Bk*S22 + Bl*S211 + Bm*S31 + Bn*S13 < 0``, with
+    ``(A, Bk, Bl, Bm, Bn) = coeffs``, or ``(None, len(rows))`` when there
+    is none; ``evaluated`` counts the rows read."""
+    A, Bk, Bl, Bm, Bn = coeffs
+    for evaluated, (label, s4, s22, s211, s31, s13) in enumerate(rows, 1):
+        if A * s4 + Bk * s22 + Bl * s211 + Bm * s31 + Bn * s13 < 0:
+            return label, evaluated
+    return None, len(rows)
 
 
 @cache
 def _face_table(d: int, skip_even: bool) -> tuple:
-    """``(i, j, S4, S22, S211, S31, S13)`` at (d, i, j) for each point of
-    face d, in the scan order of ``face_scan``."""
-    return tuple(
-        (i, j) + cyclic_sums(d, i, j)
+    """The rows of face d, labelled ``(i, j)``, in scan order.  Built once
+    per ``(d, skip_even)``; the two schedules in use, the witness faces
+    (1, 2, 3, 4) and the falsifier's (1, 2, 4, 8, 16, 32), make seven
+    tables of 4274 rows in all, about 0.9 MB."""
+    return tabulate(
+        ((i, j), (d, i, j))
         for i in range(-d, d + 1)
         for j in range(-d, d + 1)
         if not (skip_even and (i & 1) == 0 and (j & 1) == 0)
@@ -50,38 +72,12 @@ def face_scan(coeffs, d: int, skip_even: bool = False):
     scanned point with a negative value (0, 0 when none) and ``evaluated``
     counts the points scanned.  ``skip_even`` drops points with both
     coordinates even, which avoids rescanning points already covered by
-    the face d/2.  Faces with d <= 4 read their cyclic sums from
-    ``_face_table``.
+    the face d/2.
     """
-    A, Bk, Bl, Bm, Bn = coeffs
-    if d <= _TABLED_FACES:
-        table = _face_table(d, skip_even)
-        for evaluated, (i, j, s4, s22, s211, s31, s13) in enumerate(table, 1):
-            if A * s4 + Bk * s22 + Bl * s211 + Bm * s31 + Bn * s13 < 0:
-                return True, i, j, evaluated
-        return False, 0, 0, len(table)
-    d2 = d * d
-    d3 = d2 * d
-    d4 = d2 * d2
-    evaluated = 0
-    for i in range(-d, d + 1):
-        i2 = i * i
-        i3 = i2 * i
-        i4 = i2 * i2
-        for j in range(-d, d + 1):
-            if skip_even and (i & 1) == 0 and (j & 1) == 0:
-                continue
-            j2 = j * j
-            s4 = d4 + i4 + j2 * j2
-            s22 = d2 * i2 + i2 * j2 + j2 * d2
-            s211 = d * i * j * (d + i + j)
-            s31 = d3 * i + i3 * j + j2 * j * d
-            s13 = d * i3 + i * j2 * j + j * d3
-            val = A * s4 + Bk * s22 + Bl * s211 + Bm * s31 + Bn * s13
-            evaluated += 1
-            if val < 0:
-                return True, i, j, evaluated
-    return False, 0, 0, evaluated
+    label, evaluated = first_negative(coeffs, _face_table(d, skip_even))
+    if label is None:
+        return False, 0, 0, evaluated
+    return True, *label, evaluated
 
 
 def find_negative_on_faces(

@@ -2,14 +2,12 @@ import hashlib
 import itertools
 import json
 import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction as F
 from types import SimpleNamespace
 
-from dataclasses import FrozenInstanceError
-
 import pytest
 
-from cycquart import decider
 from cycquart.decider import (
     CLOSED_FORM_VARIANTS,
     DEFAULT_WITNESS_BUDGET,
@@ -328,6 +326,19 @@ def test_find_witness_matches_the_fraction_reference_at_every_budget(params, sta
         assert expected is None or type(expected) is tuple and all(type(v) is F for v in expected)
 
 
+def test_find_witness_matches_the_fraction_reference_on_a_grid():
+    # with k and l down to -4, many forms are negative at several probe
+    # points, so a change to the probe order changes some witness
+    first_of_several = set()
+    for params in itertools.product(range(-4, 5), range(-4, 5), range(-2, 3), range(-2, 3)):
+        c = CyclicParams(*params)
+        assert find_witness(c) == reference_find_witness(c, DEFAULT_WITNESS_BUDGET), params
+        negative = [p for p in REFERENCE_PROBE_POINTS if eval_form(c, *p) < 0]
+        if len(negative) > 1:
+            first_of_several.add(negative[0])
+    assert len(first_of_several) >= 4
+
+
 def test_probe_witnesses_are_shared_fraction_tuples():
     # (1, 1, 1) is the first probe point with F < 0 for both forms
     first = find_witness(CyclicParams(0, 0, -3, 0))
@@ -347,7 +358,7 @@ def test_structural_verdicts_are_shared_and_frozen():
     for a, b in pairs:
         first, second = decide_structural(CyclicParams(*a)), decide_structural(CyclicParams(*b))
         assert first.fired_clause == second.fired_clause
-        assert first is second is decider._STRUCTURAL_VERDICTS[first.fired_clause]
+        assert first is second
     with pytest.raises(FrozenInstanceError):
         first.is_psd = not first.is_psd
     # attaching a witness builds a new verdict and leaves the shared one alone
@@ -356,36 +367,6 @@ def test_structural_verdicts_are_shared_and_frozen():
     attached = attach_witness(c, shared)
     assert attached is not shared and attached.witness == (1, 1, 1)
     assert shared.witness is None and shared.witness_value is None
-
-
-def test_structural_verdict_table_holds_every_clause():
-    # both rules read only signs (and b*b <= 4*a*cc), so a sign grid
-    # reaches each of their branches
-    signs = (-1, 0, 1)
-    expected = {
-        f"R=0/biquadratic/{tag}": ok
-        for ok, tag in (_biquadratic_nonneg(*v) for v in itertools.product(signs, repeat=3))
-    }
-    expected.update(
-        (f"f3>0/quartic-rule/{rule}", ok)
-        for ok, rule in (discriminant_rule(*v) for v in itertools.product(signs, repeat=3))
-    )
-    expected.update({
-        "f3<0/g(0)<0": False,
-        "f3=0/quadratic/f1<=0": False,
-        "f3=0/quadratic/disc<=0": True,
-        "f3=0/quadratic/disc>0": False,
-        "f3>0/f1<=0": False,
-    })
-    assert len(expected) == 18
-    table = decider._STRUCTURAL_VERDICTS
-    assert {clause: v.is_psd for clause, v in table.items()} == expected
-    for clause, verdict in table.items():
-        assert (verdict.method, verdict.fired_clause, verdict.witness) == ("structural", clause, None)
-    # and every clause the small integer grid fires is one of them
-    for params in itertools.product(range(-2, 3), repeat=4):
-        verdict = decide_structural(CyclicParams(*params))
-        assert verdict is table[verdict.fired_clause]
 
 
 def test_find_witness_soundness():

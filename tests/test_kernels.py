@@ -31,7 +31,7 @@ def test_scaled_coefficients_preserve_sign():
 
 def test_python_kernel_matches_direct_evaluation():
     # every face of the witness schedule (1, 2, 3, 4) and of the falsifier's
-    # (1, 2, 4, 8, 16, 32): d <= 4 reads a table, the larger faces compute
+    # (1, 2, 4, 8, 16, 32)
     rng = random.Random(79)
     cases = [rand_params(rng, span=9, den=3) for _ in range(20)]
     cases.append(CyclicParams(F(10 ** 14), F(1), F(1), F(1)))  # exact at a large scale
