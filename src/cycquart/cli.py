@@ -15,8 +15,8 @@ import re
 import sys
 import traceback
 
-from .decider import _METHODS, DEFAULT_WITNESS_BUDGET, attach_witness, decide
-from .form import BcdeParams, CyclicParams, from_bcde, reduce_to_g
+from .decider import _METHODS, DEFAULT_WITNESS_BUDGET, decide, find_witness
+from .form import BcdeParams, CyclicParams, eval_form, from_bcde, reduce_to_g
 from .harness import STRATA, FuzzConfig, fuzz_compare, params_dict, verdict_table
 from .quartic_rules import SpecialQuartic, discriminants, is_nonneg
 from .roots import is_nonneg_everywhere, revise, root_count, sign_list
@@ -80,29 +80,21 @@ def _discriminant_strings(q: SpecialQuartic) -> dict:
     return {f"D{i}": format_rational(d) for i, d in enumerate(discriminants(q), 1)}
 
 
-def _verdict_dict(c: CyclicParams, verdict) -> dict:
+def _cmd_decide(args) -> int:
+    c = _params_from_args(args)
+    verdict = decide(c, args.method)
     out = {
         "is_psd": verdict.is_psd,
         "method": verdict.method,
         "fired_clause": verdict.fired_clause,
         "params": params_dict(c),
     }
-    if verdict.witness is not None:
-        out["witness"] = [format_rational(v) for v in verdict.witness]
-        out["value"] = format_rational(verdict.witness_value)
-    return out
-
-
-def _cmd_decide(args) -> int:
-    c = _params_from_args(args)
-    verdict = decide(c, args.method)
-    if args.witness:
-        verdict = attach_witness(c, verdict, args.budget)
-    out = _verdict_dict(c, verdict)
     if args.witness and not verdict.is_psd:
-        # the keys stay when the budget runs out before a witness is found
-        out.setdefault("witness", None)
-        out.setdefault("value", None)
+        # the keys stay, null, when the budget runs out before a witness is found
+        witness = find_witness(c, args.budget)
+        found = witness is not None
+        out["witness"] = [format_rational(v) for v in witness] if found else None
+        out["value"] = format_rational(eval_form(c, *witness)) if found else None
     _emit(out, args.pretty)
     return EXIT_PSD if verdict.is_psd else EXIT_NOT_PSD
 

@@ -23,6 +23,10 @@
   discriminant sequences, no clause polynomials, hence an independent
   implementation path.
 
+Each returns a ``Verdict``: PSD or not, the method and the fired clause,
+one shared immutable instance per clause.  A counterexample is not part of
+a verdict; it comes only from ``find_witness``.
+
 ``find_witness`` produces exact rational points with F < 0 for forms that
 are not positive semidefinite: probe points, then integer face grids, then
 a seeded search on the equality locus of the reduction.  No float is used
@@ -47,7 +51,6 @@ from typing import Optional
 from . import kernels
 from .form import (
     CyclicParams,
-    eval_form,
     form_numerator,
     r_range,
     radicand,
@@ -72,7 +75,6 @@ __all__ = [
     "decide_oracle",
     "decide",
     "find_witness",
-    "attach_witness",
     "DEFAULT_WITNESS_BUDGET",
 ]
 
@@ -111,18 +113,22 @@ CLAUSE_POLYNOMIAL_NAMES = tuple(f.name for f in fields(ClausePolynomials))
 
 @dataclass(frozen=True, slots=True)
 class Verdict:
-    """Decision outcome; a witness, when present, satisfies F(witness) < 0
-    exactly and forces ``is_psd`` to be False."""
+    """Decision outcome: PSD or not, the deciding method and the clause that
+    fired.  Every decider returns the one shared instance of its clause
+    (``_verdict``); a counterexample is not part of it, and comes from
+    ``find_witness``."""
 
     is_psd: bool
     method: str
     fired_clause: str
-    witness: Optional[tuple[Fraction, Fraction, Fraction]] = None
-    witness_value: Optional[Fraction] = None
 
-    def __post_init__(self):
-        if self.witness is not None and self.is_psd:
-            raise ValueError("a witness contradicts a PSD verdict")
+
+@cache
+def _verdict(ok: bool, method: str, clause: str) -> Verdict:
+    """The verdict of a fired clause; a Verdict is immutable, so each is built
+    once and shared, and a caller that keeps many verdicts keeps no copy of
+    them."""
+    return Verdict(ok, method, clause)
 
 
 def eval_f5(c: CyclicParams) -> Fraction:
@@ -229,27 +235,27 @@ def closed_form_verdict(c: CyclicParams, P: ClausePolynomials, variant: str) -> 
 
     if P.g4 == 0 and P.f2 == 0:
         if P.g1 == 0 and 1 <= m <= 4:
-            return Verdict(True, method, "case1/g1=0/1<=m<=4")
+            return _verdict(True, method, "case1/g1=0/1<=m<=4")
         if P.g1 > 0 and P.g2 >= 0:
-            return Verdict(True, method, "case1/g1>0/g2>=0")
+            return _verdict(True, method, "case1/g1>0/g2>=0")
         if P.g1 > 0 and P.g3 >= 0:
             if variant != "corrected":
-                return Verdict(True, method, "case1/g1>0/g3>=0")
+                return _verdict(True, method, "case1/g1>0/g3>=0")
             if c.k + m - 1 >= 0:
-                return Verdict(True, method, "case1/g1>0/g3>=0/k+m-1>=0")
+                return _verdict(True, method, "case1/g1>0/g3>=0/k+m-1>=0")
     else:
         if P.f1 > 0 and P.f3 == 0 and P.f4 >= 0:
-            return Verdict(True, method, "case2/f1>0/f3=0/f4>=0")
+            return _verdict(True, method, "case2/f1>0/f3=0/f4>=0")
         if P.f1 > 0 and P.f3 > 0:
             if variant == "proof":
                 if P.f5 > 0 and (P.f6 <= 0 or P.f7 <= 0):
-                    return Verdict(True, method, "case3/f5>0/f6<=0|f7<=0")
+                    return _verdict(True, method, "case3/f5>0/f6<=0|f7<=0")
             else:
                 if P.f5 > 0 and (P.f6 < 0 or P.f7 < 0):
-                    return Verdict(True, method, "case3/f5>0/f6<0|f7<0")
+                    return _verdict(True, method, "case3/f5>0/f6<0|f7<0")
             if P.f5 == 0 and P.f7 < 0:
-                return Verdict(True, method, "case3/f5=0/f7<0")
-    return Verdict(False, method, "none")
+                return _verdict(True, method, "case3/f5=0/f7<0")
+    return _verdict(False, method, "none")
 
 
 def _biquadratic_nonneg(a, b, cc) -> tuple[bool, str]:
@@ -269,14 +275,6 @@ def _biquadratic_nonneg(a, b, cc) -> tuple[bool, str]:
     return ok, "c>=0/b<0/disc<=0" if ok else "c>=0/b<0/disc>0"
 
 
-@cache
-def _structural_verdict(ok: bool, clause: str) -> Verdict:
-    """The verdict of a fired clause; a Verdict is immutable, so each is built
-    once and shared, and a caller that keeps many verdicts keeps no copy of
-    them."""
-    return Verdict(ok, "structural", clause)
-
-
 def decide_structural(c: CyclicParams) -> Verdict:
     """Case analysis on the reduced quartic g(t), in integer arithmetic.
 
@@ -287,8 +285,7 @@ def decide_structural(c: CyclicParams) -> Verdict:
     integers of d*g: with ``(d, K, L, M, N) = scaled_coefficients(c)``,
     ``(a0, s, a2, a4) = (3*d*f1, d**2*R, 3*d*(4+m+n-l), d*f3)``.  Each rule
     reads only signs of expressions homogeneous in them, so every branch
-    is taken exactly as over Q.  Each clause's verdict is one shared
-    instance (``_structural_verdict``).
+    is taken exactly as over Q.
     """
     d, K, L, M, N = scaled_coefficients(c)
     a0 = 3 * (2 * d + K - M - N)
@@ -299,36 +296,28 @@ def decide_structural(c: CyclicParams) -> Verdict:
     if s == 0:
         # here (a0, a2, a4) = 3*d*(g1, g3, k+m-1)
         ok, tag = _biquadratic_nonneg(a0, a2, a4)
-        return _structural_verdict(ok, f"R=0/biquadratic/{tag}")
+        return _verdict(ok, "structural", f"R=0/biquadratic/{tag}")
     if a4 < 0:
-        return _structural_verdict(False, "f3<0/g(0)<0")
+        return _verdict(False, "structural", "f3<0/g(0)<0")
     if a4 == 0:
         # g = t**2 * (a0*t**2 - sqrt(R)*t + a2)
         if a0 <= 0:
-            return _structural_verdict(False, "f3=0/quadratic/f1<=0")
+            return _verdict(False, "structural", "f3=0/quadratic/f1<=0")
         ok = s <= 4 * a0 * a2
         tag = "f3=0/quadratic/disc<=0" if ok else "f3=0/quadratic/disc>0"
-        return _structural_verdict(ok, tag)
+        return _verdict(ok, "structural", tag)
     if a0 <= 0:
-        return _structural_verdict(False, "f3>0/f1<=0")
+        return _verdict(False, "structural", "f3>0/f1<=0")
     _, d2, d3, d4 = discriminants_of(a0, s, a2, a4)
     ok, rule = discriminant_rule(d2, d3, d4)
-    return _structural_verdict(ok, f"f3>0/quartic-rule/{rule}")
-
-
-# the oracle's only two outcomes; a Verdict is immutable, so they are shared
-# and a caller that keeps many verdicts keeps no copy of them
-_ORACLE_VERDICTS = {
-    ok: Verdict(ok, "sturm_oracle", "g-nonneg" if ok else "g-negative")
-    for ok in (True, False)
-}
+    return _verdict(ok, "structural", f"f3>0/quartic-rule/{rule}")
 
 
 def decide_oracle(c: CyclicParams) -> Verdict:
     """Sturm-based oracle: everywhere-nonnegativity of g, over Q when
     sqrt(R) is rational and over Q(sqrt(R)) otherwise."""
-    g = reduce_to_g(c).to_unipoly()
-    return _ORACLE_VERDICTS[is_nonneg_everywhere(g)]
+    ok = is_nonneg_everywhere(reduce_to_g(c).to_unipoly())
+    return _verdict(ok, "sturm_oracle", "g-nonneg" if ok else "g-negative")
 
 
 _METHODS = {
@@ -595,7 +584,9 @@ def find_witness(
     from ``kernels.first_negative``, which reads it off tables of their
     cyclic sums, and at the face point reported and the seeded stage's
     triples from ``form_numerator``.  No Fraction value of F is built
-    here; a probe witness is a shared immutable tuple (``_PROBES``).
+    here; a probe witness is a shared immutable tuple (``_PROBES``).  This
+    is the only source of a witness: a caller that prints F there, as
+    ``cycquart decide --witness`` does, evaluates it with ``eval_form``.
     """
     # as many probes as the budget allows, one unit each; a budget that
     # cannot pay for all ten ends the search here
@@ -613,19 +604,3 @@ def find_witness(
     if tracker.left <= 0 or decide_structural(c).is_psd:
         return None
     return _seeded_search(c, tracker)
-
-
-def attach_witness(c: CyclicParams, verdict: Verdict, budget: int = DEFAULT_WITNESS_BUDGET) -> Verdict:
-    """Return the verdict with a witness attached when one can be found."""
-    if verdict.is_psd:
-        return verdict
-    witness = find_witness(c, budget)
-    if witness is None:
-        return verdict
-    return Verdict(
-        is_psd=False,
-        method=verdict.method,
-        fired_clause=verdict.fired_clause,
-        witness=witness,
-        witness_value=eval_form(c, *witness),
-    )

@@ -2,7 +2,8 @@ import hashlib
 import itertools
 import json
 import random
-from dataclasses import FrozenInstanceError
+from collections import Counter
+from dataclasses import FrozenInstanceError, fields
 from fractions import Fraction as F
 from types import SimpleNamespace
 
@@ -19,7 +20,7 @@ from cycquart.decider import (
     _locus_roots,
     _seeded_search,
     _sturm_in_t,
-    attach_witness,
+    closed_form_verdict,
     decide,
     decide_closed_form,
     decide_oracle,
@@ -361,12 +362,24 @@ def test_structural_verdicts_are_shared_and_frozen():
         assert first is second
     with pytest.raises(FrozenInstanceError):
         first.is_psd = not first.is_psd
-    # attaching a witness builds a new verdict and leaves the shared one alone
-    c = CyclicParams(0, 0, -3, 0)
-    shared = decide_structural(c)
-    attached = attach_witness(c, shared)
-    assert attached is not shared and attached.witness == (1, 1, 1)
-    assert shared.witness is None and shared.witness_value is None
+    assert [f.name for f in fields(Verdict)] == ["is_psd", "method", "fired_clause"]
+    # so does every other decider: on {-1, 0, 1}**4, the inputs that fire
+    # one clause of a method all get the one Verdict of that clause
+    deciders = [decide_structural, decide_oracle] + [
+        lambda c, variant=variant: closed_form_verdict(c, eval_polys(c), variant)
+        for variant in CLOSED_FORM_VARIANTS
+    ]
+    grid = [CyclicParams(*p) for p in itertools.product(range(-1, 2), repeat=4)]
+    methods = set()
+    for decider in deciders:
+        verdicts = [decider(c) for c in grid]
+        shared = {v.fired_clause: v for v in verdicts}
+        assert all(v is shared[v.fired_clause] for v in verdicts)
+        # at least two clauses of each method fire on two inputs or more
+        counts = Counter(v.fired_clause for v in verdicts)
+        assert sum(n >= 2 for n in counts.values()) >= 2
+        methods |= {v.method for v in verdicts}
+    assert len(methods) == 5
 
 
 def test_find_witness_soundness():
@@ -666,25 +679,40 @@ def bisection_inputs():
     return [reduce_to_g(c).to_unipoly() for c in inputs] + dyadic_root_quartics(30)
 
 
+class RecordingBudget(_Budget):
+    """A budget that records the amount of every ``spend``."""
+
+    __slots__ = ("amounts",)
+
+    def __init__(self, amount):
+        super().__init__(amount)
+        self.amounts = []
+
+    def spend(self, amount=1):
+        self.amounts.append(amount)
+        return super().spend(amount)
+
+
 def test_find_negative_t_matches_the_three_evaluation_bisection():
     gs = bisection_inputs()
     assert len(gs) >= 200
     spent = []
     for g in gs:
-        new, old = _Budget(40000), _Budget(40000)
+        new, old = RecordingBudget(40000), RecordingBudget(40000)
         assert _find_negative_t(g, new) == three_evaluation_find_negative_t(g, old)
-        assert new.left == old.left
+        # both read the budget only through what spend returns, so equal
+        # charges fix the result and what is left at every smaller budget too
+        assert new.amounts == old.amounts and new.left == old.left
         spent.append(40000 - new.left)
     assert sum(s > 0 for s in spent) >= 100
-    # a few inputs with the longest searches, at every budget up to theirs:
-    # the budget runs out at each doubling and each midpoint in turn
-    longest = sorted(zip(spent, range(len(gs))), reverse=True)[:3]
-    for amount, index in longest:
-        for budget in range(amount + 2):
-            new, old = _Budget(budget), _Budget(budget)
-            assert _find_negative_t(gs[index], new) == three_evaluation_find_negative_t(
-                gs[index], old)
-            assert new.left == old.left
+    # the input with the longest search, at every budget up to its own: the
+    # budget runs out at each doubling and each midpoint in turn
+    amount, index = max(zip(spent, range(len(gs))))
+    for budget in range(amount + 2):
+        new, old = _Budget(budget), _Budget(budget)
+        assert _find_negative_t(gs[index], new) == three_evaluation_find_negative_t(
+            gs[index], old)
+        assert new.left == old.left
 
 
 def test_rational_chain_matches_the_chain_of_g(monkeypatch):
@@ -829,19 +857,12 @@ def test_decide_dispatch_and_variants():
         decide(c, "nope")
 
 
-def test_verdict_witness_consistency():
-    with pytest.raises(ValueError):
-        Verdict(is_psd=True, method="structural", fired_clause="x",
-                witness=(F(1), F(1), F(1)))
-
-
 def test_attach_witness():
+    # a witness comes from find_witness, and its value from eval_form
     c = CyclicParams(0, 0, -3, 0)
-    v = attach_witness(c, decide_structural(c))
-    assert v.witness == (1, 1, 1) and v.witness_value == -6
-    c = CyclicParams(0, 0, 0, 0)
-    v = attach_witness(c, decide_structural(c))
-    assert v.witness is None
+    witness = find_witness(c)
+    assert witness == (1, 1, 1) and eval_form(c, *witness) == -6
+    assert find_witness(CyclicParams(0, 0, 0, 0)) is None
 
 
 def test_small_integer_grid_deciders_agree_and_witness_every_not_psd():
