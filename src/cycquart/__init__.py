@@ -11,7 +11,9 @@ quantifier-free formula, a case analysis of the reduced univariate quartic
 g(t) = a0*t**4 - sqrt(R)*t**3 + a2*t**2 + a4 in integer arithmetic, and a
 Sturm-sequence oracle on g, whose one irrational coefficient sqrt(R) lives
 in Q(sqrt(R))), and cross-validates them with a differential-testing
-harness that produces rational counterexample witnesses.
+harness that produces rational counterexample witnesses.  g is computed
+once per form, in ``form``, and every decider, the witness search, the
+harness and the CLI read it there.
 """
 
 from .form import (

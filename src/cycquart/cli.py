@@ -53,13 +53,13 @@ def _emit(payload: dict, pretty: bool) -> None:
     sys.stdout.write("\n")
 
 
+def _rationals(args, names) -> list:
+    """The named arguments, parsed as exact rationals in the order given."""
+    return [parse_rational(getattr(args, name)) for name in names]
+
+
 def _params_from_args(args) -> CyclicParams:
-    return CyclicParams(
-        parse_rational(args.k),
-        parse_rational(args.l),
-        parse_rational(args.m),
-        parse_rational(args.n),
-    )
+    return CyclicParams(*_rationals(args, "klmn"))
 
 
 def _g_coefficients(g: SpecialQuartic) -> list[tuple]:
@@ -126,13 +126,7 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_convert(args) -> int:
-    b = BcdeParams(
-        parse_rational(args.B),
-        parse_rational(args.C),
-        parse_rational(args.D),
-        parse_rational(args.E),
-    )
-    _emit(params_dict(from_bcde(b)), args.pretty)
+    _emit(params_dict(from_bcde(BcdeParams(*_rationals(args, "BCDE")))), args.pretty)
     return EXIT_PSD
 
 
@@ -159,11 +153,7 @@ def _cmd_roots(args) -> int:
 
 
 def _cmd_quartic(args) -> int:
-    a0 = parse_rational(args.a0)
-    a1 = parse_rational(args.a1)
-    a2 = parse_rational(args.a2)
-    a4 = parse_rational(args.a4)
-    quartic = SpecialQuartic.from_a1(a0, a1, a2, a4)
+    quartic = SpecialQuartic.from_a1(*_rationals(args, ("a0", "a1", "a2", "a4")))
     out = _discriminant_strings(quartic)
     psd = is_nonneg(quartic)
     out["psd"] = psd

@@ -12,16 +12,14 @@
   it case by case: biquadratic rules when the radicand R vanishes, a
   quadratic-factor rule when the constant term vanishes, and the special
   quartic discriminant rule otherwise.  It reads only the four numbers
-  (a0, a1**2 = R, a2, a4) of g, in integer arithmetic: each is
-  homogeneous in (1, k, l, m, n), so clearing the common denominator of
-  (k, l, m, n) once keeps every sign exact.
+  (a0, a1**2 = R, a2, a4) of g, in integer arithmetic, from
+  ``form.reduced_coefficients``, where g is computed once per form.
 
 * ``decide_oracle`` runs the everywhere-nonnegativity oracle (squarefree
   decomposition plus Sturm counting) on ``reduce_to_g(c).to_unipoly()``,
   over Q when sqrt(R) is rational and otherwise with sqrt(R) its one
-  coefficient in Q(sqrt(R)) -- no
-  discriminant sequences, no clause polynomials, hence an independent
-  implementation path.
+  coefficient in Q(sqrt(R)) -- no discriminant sequences, no clause
+  polynomials, hence an independent implementation path.
 
 Each returns a ``Verdict``: PSD or not, the method and the fired clause,
 one shared immutable instance per clause.  A counterexample is not part of
@@ -34,8 +32,9 @@ anywhere: the seeded stage finds an exact t* with g(t*) < 0 by Sturm
 bisection, then the point of the locus over t* by sign bisection of a cubic
 between its rational critical points, run on integer numerators over the
 common denominator 3*b*2**s of its ends, t* = a/b.  When sqrt(R) is
-irrational, the Sturm chain is built over Q, on p(u) = R**2 * g(u/sqrt(R)),
-and only its values at a point t, read as p_i(sqrt(R)*t), are in Q(sqrt(R)).
+irrational, the Sturm chain is built over Q, on p(u) = R**2 * g(u/sqrt(R))
+(``SpecialQuartic.to_unipoly_in_u``), and only its values at a point t,
+read as p_i(sqrt(R)*t), are in Q(sqrt(R)).
 """
 
 from __future__ import annotations
@@ -53,13 +52,13 @@ from .form import (
     CyclicParams,
     form_numerator,
     r_range,
-    radicand,
     reduce_to_g,
+    reduced_coefficients,
     scaled_coefficients,
 )
-from .quartic_rules import discriminant_rule, discriminants_of
+from .quartic_rules import SpecialQuartic, discriminant_rule, discriminants_of
 from .roots import is_nonneg_everywhere
-from .scalars import QuadExt, sgn
+from .scalars import QuadExt, is_perfect_square, sgn
 from .unipoly import UniPoly, chain_variations, count_sign_changes, squarefree_sturm
 
 __all__ = [
@@ -281,17 +280,12 @@ def decide_structural(c: CyclicParams) -> Verdict:
     R = 0 collapses g to a biquadratic; a vanishing constant term f3
     collapses the decision to a quadratic factor; otherwise (f3 > 0,
     f1 > 0) the special-quartic discriminant rule applies with
-    a1_squared = R.  Only the four numbers of g are read, scaled to the
-    integers of d*g: with ``(d, K, L, M, N) = scaled_coefficients(c)``,
-    ``(a0, s, a2, a4) = (3*d*f1, d**2*R, 3*d*(4+m+n-l), d*f3)``.  Each rule
-    reads only signs of expressions homogeneous in them, so every branch
-    is taken exactly as over Q.
+    a1_squared = R.  Only the integers of d*g are read,
+    ``(a0, s, a2, a4) = (3*d*f1, d**2*R, 3*d*(4+m+n-l), d*f3)``
+    (``reduced_coefficients``); each rule reads only signs of expressions
+    homogeneous in them, so every branch is taken exactly as over Q.
     """
-    d, K, L, M, N = scaled_coefficients(c)
-    a0 = 3 * (2 * d + K - M - N)
-    s = 27 * (M - N) ** 2 + (4 * K + M + N - 8 * d - 2 * L) ** 2
-    a2 = 3 * (4 * d + M + N - L)
-    a4 = d + K + M + N + L
+    _, a0, s, a2, a4, _ = reduced_coefficients(c)
 
     if s == 0:
         # here (a0, a2, a4) = 3*d*(g1, g3, k+m-1)
@@ -381,46 +375,32 @@ def _at_sqrt_r(p: UniPoly, rad: Fraction) -> UniPoly:
     ])
 
 
-def _sturm_in_t(g: UniPoly) -> tuple[list[UniPoly], int, int]:
-    """``squarefree_sturm(g)`` up to positive factors, built over Q when g
-    is rational in u = sqrt(R)*t.
-
-    That holds when, for one radicand R, the coefficients of g at even
-    powers of t are rational and those at odd powers rational multiples of
-    sqrt(R), as in the reduced quartic: then p(u) = R**h * g(u/sqrt(R)),
-    h = ceil(deg g / 2), is in Q[u].  Its chain is built by rational
-    remainders, and entry i is read at t as p_i(sqrt(R)*t) (``_at_sqrt_r``).
-    The substitution, the derivative and the content normalization each
-    scale by a positive factor, so entry i is a positive multiple of entry
-    i of g's own chain: the length, the degrees, the counts at -oo and +oo
-    and every sign variation are the same.  When g is squarefree, g itself
-    heads the chain in place of p(sqrt(R)*t) = R**h * g(t).  A rational g,
-    or one of any other shape, gets its own chain.
+def _sturm_in_t(q: SpecialQuartic, g: UniPoly) -> tuple[list[UniPoly], int, int]:
+    """``squarefree_sturm(g)``, g = ``q.to_unipoly()``, up to positive
+    factors and built over Q: g's own when sqrt(R), R = ``q.a1_squared``, is
+    rational, else the chain of p(u) = R**2 * g(u/sqrt(R))
+    (``q.to_unipoly_in_u()``) with entry i read at t as p_i(sqrt(R)*t)
+    (``_at_sqrt_r``).  The substitution, the derivative and the content
+    normalization each scale by a positive factor, so the length, the
+    degrees, the counts at -oo and +oo and every sign variation are those
+    of g's own chain.  A squarefree g heads the chain itself.
     """
-    rad = next((c.radicand for c in g.coeffs if isinstance(c, QuadExt)), None)
-    if rad is None:
+    rad = q.a1_squared
+    if is_perfect_square(rad):
         return squarefree_sturm(g)
-    n = g.degree
-    h = (n + 1) // 2
-    coeffs = []
-    for j, c in zip(range(n, -1, -1), g.coeffs):
-        u, v = (c.u, c.v) if isinstance(c, QuadExt) else (c, 0)
-        kept, dropped = (v, u) if j % 2 else (u, v)
-        if dropped != 0 or (isinstance(c, QuadExt) and c.radicand != rad):
-            return squarefree_sturm(g)
-        coeffs.append(kept * rad ** (h - j // 2))
-    p = UniPoly(coeffs)
+    p = q.to_unipoly_in_u()
     chain, at_minus, at_plus = squarefree_sturm(p)
     head = [g] if chain[0] is p else []
-    return head + [_at_sqrt_r(q, rad) for q in chain[len(head):]], at_minus, at_plus
+    return head + [_at_sqrt_r(r, rad) for r in chain[len(head):]], at_minus, at_plus
 
 
-def _find_negative_t(g: UniPoly, budget: _Budget) -> Optional[Fraction]:
-    """Exact rational t >= 0 with g(t) < 0, by Sturm-guided bisection.
+def _find_negative_t(q: SpecialQuartic, budget: _Budget) -> Optional[Fraction]:
+    """Exact rational t >= 0 with g(t) < 0, g = ``q.to_unipoly()``, by
+    Sturm-guided bisection.
 
-    Builds the Sturm chain of the squarefree part once, over Q when g is
-    rational in sqrt(R)*t (``_sturm_in_t``), brackets all real roots with a
-    doubling bound, and bisects only subintervals that still contain roots;
+    Builds the Sturm chain of the squarefree part once, over Q
+    (``_sturm_in_t``), brackets all real roots with a doubling bound, and
+    bisects only subintervals that still contain roots;
     every evaluated midpoint is sign-checked exactly, so the first midpoint
     inside the (open) negative region is returned.  Only the chain's values
     at a point are in Q(sqrt(R)).
@@ -432,11 +412,12 @@ def _find_negative_t(g: UniPoly, budget: _Budget) -> Optional[Fraction]:
     ``len(chain) + 1`` budget units either way.  The count at 0 is taken
     once, and the one at the final doubling bound is reused.
     """
+    g = q.to_unipoly()
     if g.is_zero or g.degree < 1:
         return None
     if sgn(g.eval(Fraction(0))) < 0:
         return Fraction(0)
-    chain, vars_minus_inf, vars_plus_inf = _sturm_in_t(g)
+    chain, vars_minus_inf, vars_plus_inf = _sturm_in_t(q, g)
     total_roots = vars_minus_inf - vars_plus_inf
 
     top = Fraction(2)
@@ -536,9 +517,8 @@ def _locus_roots(c: CyclicParams, tstar: Fraction, budget: _Budget):
     yield [(1 + tstar) / 3, (1 + tstar) / 3, (1 - 2 * tstar) / 3]
     yield [(1 - tstar) / 3, (1 - tstar) / 3, (1 + 2 * tstar) / 3]
     r1, r2 = r_range(tstar)
-    rad = radicand(c)
-    f2 = 4 * c.k + c.m + c.n - 8 - 2 * c.l
-    cos2 = f2 * f2 / rad if rad else Fraction(0)  # (f2 / sqrt(R))**2, in [0, 1]
+    _, _, s, _, _, f2 = reduced_coefficients(c)  # d**2*R and d*f2
+    cos2 = Fraction(f2 * f2, s) if s else Fraction(0)  # (f2 / sqrt(R))**2, in [0, 1]
     for bits in itertools.count(8, 8):
         scale = 1 << bits
         cos = Fraction(math.isqrt(cos2.numerator * scale * scale // cos2.denominator), scale)
@@ -557,8 +537,7 @@ def _seeded_search(c: CyclicParams, budget: _Budget):
     tstar comes from the Sturm bisection of ``_find_negative_t``; each root
     set of ``_locus_roots`` is then tried in both orders.
     """
-    g = reduce_to_g(c).to_unipoly()
-    tstar = _find_negative_t(g, budget)
+    tstar = _find_negative_t(reduce_to_g(c), budget)
     if tstar is None:
         return None
     for xs in _locus_roots(c, tstar, budget):
@@ -578,15 +557,11 @@ def find_witness(
     Deterministic, in three stages: fixed probe points, integer face grids
     of denominators 1 to 4, then a seeded search driven by an exact
     negative value of the reduced quartic (``_seeded_search``).  Every
-    stage is exact arithmetic only, and every sign of F it reads is the
-    sign of the integer numerator d*S4 + K*S22 + L*S211 + M*S31 + N*S13 of
-    F over its positive denominator: at the probe points and on the faces
-    from ``kernels.first_negative``, which reads it off tables of their
-    cyclic sums, and at the face point reported and the seeded stage's
-    triples from ``form_numerator``.  No Fraction value of F is built
-    here; a probe witness is a shared immutable tuple (``_PROBES``).  This
-    is the only source of a witness: a caller that prints F there, as
-    ``cycquart decide --witness`` does, evaluates it with ``eval_form``.
+    sign of F it reads is that of the integer numerator
+    d*S4 + K*S22 + L*S211 + M*S31 + N*S13 of F, read off tables of cyclic
+    sums by ``kernels.first_negative`` at the probes and on the faces, and
+    by ``form_numerator`` elsewhere; no Fraction value of F is built.
+    This is the only source of a witness; ``eval_form`` gives F there.
     """
     # as many probes as the budget allows, one unit each; a budget that
     # cannot pay for all ten ends the search here

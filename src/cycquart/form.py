@@ -15,8 +15,10 @@ F is nonnegative on all of R**3 iff the reduced quartic
     g(t) = 3*(2+k-m-n)*t**4 - sqrt(R)*t**3 + 3*(4+m+n-l)*t**2 + (1+k+m+n+l)
 
 with R = 27*(m-n)**2 + (4*k+m+n-8-2*l)**2 is nonnegative on all of R.
-``reduce_to_g`` returns g as one ``SpecialQuartic`` (a1 = -sqrt(R), held
-as R and a sign); every decider, the CLI and the harness read that object.
+g is computed once per form, over the integers (``reduce_scaled``, kept
+by ``reduced_coefficients``).  ``decide_structural`` reads those integers;
+every other reader shares the one ``SpecialQuartic`` that ``reduce_to_g``
+reads off them (a1 = -sqrt(R), held as R and a sign).
 The reduction runs through elementary symmetric coordinates
 p = x+y+z, q = xy+yz+zx, r = xyz and the substitution t = sqrt(1-3q) on
 the slice p = 1; realizability of (1, q, r) by real (x, y, z) is exactly
@@ -46,6 +48,8 @@ __all__ = [
     "r_range",
     "radicand",
     "reduce_to_g",
+    "reduce_scaled",
+    "reduced_coefficients",
     "from_bcde",
 ]
 
@@ -66,16 +70,24 @@ class CyclicParams:
                 object.__setattr__(self, name, Fraction(value))
 
     @cached_property
-    def _scaled(self) -> tuple[int, int, int, int, int]:
+    def _integers(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        # every decision reads both, so they are built together
         k, l, m, n = self.k, self.l, self.m, self.n
         d = math.lcm(k.denominator, l.denominator, m.denominator, n.denominator)
-        return (
+        scaled = (
             d,
             k.numerator * (d // k.denominator),
             l.numerator * (d // l.denominator),
             m.numerator * (d // m.denominator),
             n.numerator * (d // n.denominator),
         )
+        return scaled, (d, *reduce_scaled(*scaled))
+
+    @cached_property
+    def _g(self) -> SpecialQuartic:
+        d, a0, s, a2, a4, _ = self._integers[1]
+        return SpecialQuartic(Fraction(a0, d), Fraction(s, d * d), -1 if s else 0,
+                              Fraction(a2, d), Fraction(a4, d))
 
 
 @dataclass(frozen=True)
@@ -92,15 +104,11 @@ class BcdeParams:
 
 def scaled_coefficients(c: CyclicParams) -> tuple[int, int, int, int, int]:
     """``(d, K, L, M, N)``: the least common denominator d of (k, l, m, n)
-    and the integers ``K = d*k``, ``L = d*l``, ``M = d*m``, ``N = d*n``.
-
-    ``d*F = d*S4 + K*S22 + L*S211 + M*S31 + N*S13``, so F and this integer
-    form have the same sign everywhere.  Every quantity the decision reads
-    is homogeneous in (1, k, l, m, n), so it too keeps its sign when
-    (1, k, l, m, n) is replaced by (d, K, L, M, N).  Computed once per
-    ``CyclicParams`` and kept on it.
+    and the integers ``K = d*k``, ``L = d*l``, ``M = d*m``, ``N = d*n``,
+    computed once per ``CyclicParams`` and kept on it.  F has the sign of
+    ``d*F = d*S4 + K*S22 + L*S211 + M*S31 + N*S13`` everywhere.
     """
-    return c._scaled
+    return c._integers[0]
 
 
 def cyclic_sums(x, y, z) -> tuple:
@@ -158,9 +166,28 @@ def r_range(t: Fraction) -> tuple[Fraction, Fraction]:
     return r1, r2
 
 
+def reduce_scaled(d, K, L, M, N) -> tuple:
+    """``(A0, S, A2, A4, F2) = (d*a0, d**2*R, d*a2, d*a4, d*f2)`` for
+    ``(d, K, L, M, N) = scaled_coefficients(c)``: d*g has the cubic
+    coefficient ``-sqrt(S)``, and R = 27*(m-n)**2 + f2**2.  The one place
+    g's coefficients are computed.  Each is homogeneous in (d, K, L, M, N),
+    so its sign, and any ratio of two of equal degree, is that of g; on
+    (1, k, l, m, n) they are g's own, in any ring (sympy in the proofs)."""
+    f2 = 4 * K + M + N - 8 * d - 2 * L
+    a0, a2 = 3 * (2 * d + K - M - N), 3 * (4 * d + M + N - L)
+    return a0, 27 * (M - N) ** 2 + f2 * f2, a2, d + K + M + N + L, f2
+
+
+def reduced_coefficients(c: CyclicParams) -> tuple[int, int, int, int, int, int]:
+    """``(d, A0, S, A2, A4, F2)``: the common denominator d of (k, l, m, n)
+    and ``reduce_scaled(*scaled_coefficients(c))``, the integers of d*g.
+    Computed once per ``CyclicParams`` and kept on it."""
+    return c._integers[1]
+
+
 def radicand(c: CyclicParams) -> Fraction:
     """``R = 27*(m-n)**2 + (4k+m+n-8-2l)**2``; zero iff both squares vanish."""
-    return 27 * (c.m - c.n) ** 2 + (4 * c.k + c.m + c.n - 8 - 2 * c.l) ** 2
+    return reduce_to_g(c).a1_squared
 
 
 def reduce_to_g(c: CyclicParams) -> SpecialQuartic:
@@ -168,16 +195,10 @@ def reduce_to_g(c: CyclicParams) -> SpecialQuartic:
 
     ``a1`` is carried as ``R`` and a sign, so the discriminants of g stay
     rational; the sign is 0 exactly when R = 0.  Coefficients are never
-    normalized, and ``to_unipoly()`` is rational whenever sqrt(R) is.
+    normalized, and ``to_unipoly()`` is rational whenever sqrt(R) is.  Read
+    off ``reduced_coefficients`` once per form and shared by every caller.
     """
-    rad = radicand(c)
-    return SpecialQuartic(
-        a0=3 * (2 + c.k - c.m - c.n),
-        a1_squared=rad,
-        a1_sign=-1 if rad > 0 else 0,
-        a2=3 * (4 + c.m + c.n - c.l),
-        a4=1 + c.k + c.m + c.n + c.l,
-    )
+    return c._g
 
 
 def from_bcde(b: BcdeParams) -> CyclicParams:

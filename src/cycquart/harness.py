@@ -36,7 +36,7 @@ from .decider import (
     eval_polys,
     find_witness,
 )
-from .form import CyclicParams, eval_form, radicand, reduce_to_g
+from .form import CyclicParams, eval_form, reduce_to_g
 from .quartic_rules import discriminants
 from .scalars import format_rational
 
@@ -283,7 +283,8 @@ def fuzz_compare(cfg: FuzzConfig, record_sink=None) -> DiscrepancyReport:
         strata_counts[stratum] += 1
 
         polys, verdicts, blocks = verdict_table(c)
-        rad = radicand(c)
+        g = reduce_to_g(c)
+        rad = g.a1_squared
         structural, oracle = verdicts["structural"], verdicts["oracle"]
         if structural.is_psd != oracle.is_psd:
             raise AssertionError(
@@ -337,7 +338,7 @@ def fuzz_compare(cfg: FuzzConfig, record_sink=None) -> DiscrepancyReport:
             # exact proportionality between the clause polynomials and the
             # discriminants of g: D2 = 108*f1^2*f6, D3 = 324*f1^2*f7,
             # D4 = 104976*f1^2*f3*f5
-            _, d2, d3, d4 = discriminants(reduce_to_g(c))
+            _, d2, d3, d4 = discriminants(g)
             identity_checked += 1
             if d2 == 108 * polys.f1 ** 2 * polys.f6:
                 identity_holds["d2"] += 1

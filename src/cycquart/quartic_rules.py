@@ -5,7 +5,8 @@ The cubic-coefficient ``a1`` enters the four discriminants only through
 (a rational) together with the sign of ``a1``.  That lets the same rule
 serve rational test quartics and reduced quartics whose cubic coefficient
 is ``-sqrt(R)`` with irrational ``sqrt(R)``: the whole decision stays in
-rational arithmetic.
+rational arithmetic.  As a polynomial it is g itself (``to_unipoly``) or
+the rational p(u) = R**2 * g(u/sqrt(R)) (``to_unipoly_in_u``).
 
 For ``a0 > 0``, ``a4 > 0``, ``a1 != 0``, the quartic is nonnegative on all
 of R iff
@@ -62,12 +63,18 @@ class SpecialQuartic:
         return cls(Fraction(a0), a1 * a1, sgn(a1), Fraction(a2), Fraction(a4))
 
     def to_unipoly(self) -> UniPoly:
-        """The quartic as a polynomial, rational whenever ``a1`` is."""
+        """The quartic g(x) as a polynomial, rational whenever ``a1`` is."""
         if is_perfect_square(self.a1_squared):
             a1 = self.a1_sign * rational_sqrt(self.a1_squared)
         else:
             a1 = QuadExt(0, self.a1_sign, self.a1_squared)
         return UniPoly([self.a0, a1, self.a2, Fraction(0), self.a4])
+
+    def to_unipoly_in_u(self) -> UniPoly:
+        """p(u) = s**2 * g(u/sqrt(s)) = a0*u**4 + a1_sign*s*u**3 + a2*s*u**2
+        + a4*s**2, s = ``a1_squared``; for s > 0, p >= 0 on R iff g is."""
+        s = self.a1_squared
+        return UniPoly([self.a0, self.a1_sign * s, self.a2 * s, Fraction(0), self.a4 * s * s])
 
 
 def discriminants(q: SpecialQuartic) -> tuple[Fraction, Fraction, Fraction, Fraction]:

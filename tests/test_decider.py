@@ -28,7 +28,14 @@ from cycquart.decider import (
     eval_polys,
     find_witness,
 )
-from cycquart.form import CyclicParams, eval_form, r_range, radicand, reduce_to_g
+from cycquart.form import (
+    CyclicParams,
+    eval_form,
+    r_range,
+    radicand,
+    reduce_scaled,
+    reduce_to_g,
+)
 from cycquart.harness import STRATA, stratum_sampler
 from cycquart.quartic_rules import SpecialQuartic, discriminant_rule, discriminants
 from cycquart.roots import is_nonneg_everywhere
@@ -40,6 +47,7 @@ from cycquart.unipoly import (
     squarefree_sturm,
     sturm_chain,
 )
+from test_form import paper_g
 
 
 def rand_params(rng, span=12, den=6):
@@ -96,13 +104,13 @@ def test_discriminant_proportionality_identities():
 
 def test_discriminant_identities_hold_symbolically():
     # the same identities as polynomial identities in Q[k, l, m, n], with
-    # the published expressions of eval_polys evaluated on symbols
+    # the published expressions of eval_polys and the package's reduction
+    # evaluated on symbols
     sympy = pytest.importorskip("sympy")
     k, l, m, n = sympy.symbols("k l m n")
-    c = SimpleNamespace(k=k, l=l, m=m, n=n)
-    P = eval_polys(c)
-    quartic = SimpleNamespace(
-        a0=3 * P.f1, a1_squared=radicand(c), a2=3 * (4 + m + n - l), a4=P.f3)
+    P = eval_polys(SimpleNamespace(k=k, l=l, m=m, n=n))
+    a0, rad, a2, a4, _ = reduce_scaled(1, k, l, m, n)
+    quartic = SimpleNamespace(a0=a0, a1_squared=rad, a2=a2, a4=a4)
     _, d2, d3, d4 = discriminants(quartic)
     assert sympy.expand(d2 - 108 * P.f1 ** 2 * P.f6) == 0
     assert sympy.expand(d3 - 324 * P.f1 ** 2 * P.f7) == 0
@@ -112,13 +120,17 @@ def test_discriminant_identities_hold_symbolically():
 def test_reduction_identities_hold_symbolically():
     # the identities that decide_structural's R = 0 and f3 = 0 branches and
     # the corrected closed form's k + m - 1 >= 0 guard rest on, with g's
-    # coefficients a0 = 3*f1, a2 = 3*(4+m+n-l), a4 = f3
+    # coefficients from the package's reduction (a0 = 3*f1, a2 =
+    # 3*(4+m+n-l), a4 = f3)
     sympy = pytest.importorskip("sympy")
     k, l, m, n = sympy.symbols("k l m n")
 
     def reduced(c):
         P = eval_polys(c)
-        return P, 3 * P.f1, 3 * (4 + c.m + c.n - c.l), P.f3, radicand(c)
+        a0, rad, a2, a4, f2 = reduce_scaled(1, c.k, c.l, c.m, c.n)
+        assert sympy.expand(a0 - 3 * P.f1) == 0 and sympy.expand(a4 - P.f3) == 0
+        assert sympy.expand(f2 - P.f2) == 0
+        return P, a0, a2, a4, rad
 
     # R = 0: m = n and f2 = 0
     P, a0, a2, a4, rad = reduced(SimpleNamespace(k=k, l=2 * k + m - 4, m=m, n=m))
@@ -164,6 +176,42 @@ def test_structural_examples():
     assert v.is_psd and v.fired_clause.startswith("R=0/biquadratic")
 
 
+# Boundary forms that decide a comparison no stratum reaches: the verdict
+# and fired clause of structural, oracle, closed-theorem, closed-proof and
+# closed-corrected, in that order.
+BOUNDARY_PINS = {
+    # F = (x+y+z)**4: g = 27, so lead 0 and b = 0 in the biquadratic; m = 4
+    (6, 12, 4, 4): [
+        (True, "R=0/biquadratic/lead=0/b>=0,c>=0"), (True, "g-nonneg"),
+        (True, "case1/g1=0/1<=m<=4"), (True, "case1/g1=0/1<=m<=4"),
+        (True, "case1/g1=0/1<=m<=4"),
+    ],
+    # a biquadratic with double roots: b*b = 4*a*c, g2 = 0
+    (F(33, 4), F(35, 2), 5, 5): [
+        (True, "R=0/biquadratic/c>=0/b<0/disc<=0"), (True, "g-nonneg"),
+        (True, "case1/g1>0/g2>=0"), (True, "case1/g1>0/g2>=0"), (True, "case1/g1>0/g2>=0"),
+    ],
+    # b = 0 in the lead > 0 branch
+    (4, 4, 0, 0): [
+        (True, "R=0/biquadratic/c>=0/b>=0"), (True, "g-nonneg"),
+        (True, "case1/g1>0/g2>=0"), (True, "case1/g1>0/g2>=0"), (True, "case1/g1>0/g2>=0"),
+    ],
+    # the erratum point with g3 = 0: theorem and proof wrongly accept it
+    (2, -4, -4, -4): [
+        (False, "R=0/biquadratic/c<0"), (False, "g-negative"),
+        (True, "case1/g1>0/g3>=0"), (True, "case1/g1>0/g3>=0"), (False, "none"),
+    ],
+}
+
+
+def test_boundary_comparisons_are_pinned():
+    methods = ("structural", "oracle", "closed-theorem", "closed-proof", "closed-corrected")
+    for params, expected in BOUNDARY_PINS.items():
+        c = CyclicParams(*params)
+        verdicts = [decide(c, method) for method in methods]
+        assert [(v.is_psd, v.fired_clause) for v in verdicts] == expected, params
+
+
 def test_oracle_examples():
     assert decide_oracle(CyclicParams(2, 0, 0, 0)).is_psd
     assert not decide_oracle(CyclicParams(0, 0, 2, 2)).is_psd
@@ -181,7 +229,7 @@ def structural_over_q(c):
     """(is_psd, fired_clause) of decide_structural's case analysis, with
     Fraction arithmetic throughout."""
     k, l, m, n = c.k, c.l, c.m, c.n
-    rad = radicand(c)
+    a0, rad, a2, a4, _ = paper_g(c)
     if rad == 0:
         ok, tag = _biquadratic_nonneg(k - 2 * m + 2, 8 + m - 2 * k, k + m - 1)
         return ok, f"R=0/biquadratic/{tag}"
@@ -195,7 +243,7 @@ def structural_over_q(c):
         return ok, "f3=0/quadratic/disc<=0" if ok else "f3=0/quadratic/disc>0"
     if f1 <= 0:
         return False, "f3>0/f1<=0"
-    _, d2, d3, d4 = discriminants(reduce_to_g(c))
+    _, d2, d3, d4 = discriminants(SpecialQuartic(a0, rad, -1, a2, a4))
     ok, rule = discriminant_rule(d2, d3, d4)
     return ok, f"f3>0/quartic-rule/{rule}"
 
@@ -289,7 +337,7 @@ def reference_find_witness(c, budget):
     tracker.spend(spent)
     if tracker.left <= 0 or decide_structural(c).is_psd:
         return None
-    tstar = _find_negative_t(reduce_to_g(c).to_unipoly(), tracker)
+    tstar = _find_negative_t(reduce_to_g(c), tracker)
     if tstar is None:
         return None
     for xs in _locus_roots(c, tstar, tracker):
@@ -592,16 +640,16 @@ def test_seeded_witnesses_match_pinned_fingerprint():
 
 
 def test_find_negative_t_sign_is_exact():
-    c = CyclicParams(F(29, 8), -1, -2, 4)
-    g = reduce_to_g(c).to_unipoly()
-    t = _find_negative_t(g, _Budget(10 ** 6))
+    q = reduce_to_g(CyclicParams(F(29, 8), -1, -2, 4))
+    g = q.to_unipoly()
+    t = _find_negative_t(q, _Budget(10 ** 6))
     assert t is not None and t >= 0
     assert sgn(g.eval(t)) < 0
 
 
 def test_find_negative_t_none_for_nonneg():
-    g = reduce_to_g(CyclicParams(0, 0, 0, 0)).to_unipoly()
-    assert _find_negative_t(g, _Budget(10 ** 5)) is None
+    q = reduce_to_g(CyclicParams(0, 0, 0, 0))
+    assert _find_negative_t(q, _Budget(10 ** 5)) is None
 
 
 def three_evaluation_find_negative_t(g, budget):
@@ -657,7 +705,7 @@ def dyadic_root_quartics(count):
         c = F(rng.randint(1, 6))
         b = s * c / p
         a = c / p + rng.randint(0, 3)
-        gs.append(UniPoly([a, b - a * s, c - b * s + a * p, 0, c * p]))
+        gs.append(SpecialQuartic.from_a1(a, b - a * s, c - b * s + a * p, c * p))
     return gs
 
 
@@ -676,7 +724,7 @@ def bisection_inputs():
         for seed in range(100)
     ]
     inputs.append(CyclicParams(F(3, 4), F(9, 2), F(1, 4), F(1, 4)))
-    return [reduce_to_g(c).to_unipoly() for c in inputs] + dyadic_root_quartics(30)
+    return [reduce_to_g(c) for c in inputs] + dyadic_root_quartics(30)
 
 
 class RecordingBudget(_Budget):
@@ -694,12 +742,13 @@ class RecordingBudget(_Budget):
 
 
 def test_find_negative_t_matches_the_three_evaluation_bisection():
-    gs = bisection_inputs()
-    assert len(gs) >= 200
+    qs = bisection_inputs()
+    assert len(qs) >= 200
     spent = []
-    for g in gs:
+    for q in qs:
         new, old = RecordingBudget(40000), RecordingBudget(40000)
-        assert _find_negative_t(g, new) == three_evaluation_find_negative_t(g, old)
+        g = q.to_unipoly()
+        assert _find_negative_t(q, new) == three_evaluation_find_negative_t(g, old)
         # both read the budget only through what spend returns, so equal
         # charges fix the result and what is left at every smaller budget too
         assert new.amounts == old.amounts and new.left == old.left
@@ -707,11 +756,11 @@ def test_find_negative_t_matches_the_three_evaluation_bisection():
     assert sum(s > 0 for s in spent) >= 100
     # the input with the longest search, at every budget up to its own: the
     # budget runs out at each doubling and each midpoint in turn
-    amount, index = max(zip(spent, range(len(gs))))
+    amount, index = max(zip(spent, range(len(qs))))
     for budget in range(amount + 2):
         new, old = _Budget(budget), _Budget(budget)
-        assert _find_negative_t(gs[index], new) == three_evaluation_find_negative_t(
-            gs[index], old)
+        assert _find_negative_t(qs[index], new) == three_evaluation_find_negative_t(
+            qs[index].to_unipoly(), old)
         assert new.left == old.left
 
 
@@ -729,12 +778,14 @@ def test_rational_chain_matches_the_chain_of_g(monkeypatch):
         return inner(self, x)
 
     compared = {True: 0, False: 0}
-    for g in bisection_inputs():
-        if not any(isinstance(v, QuadExt) for v in g.coeffs):
-            assert _sturm_in_t(g) == squarefree_sturm(g)
+    for quartic in bisection_inputs():
+        g = quartic.to_unipoly()
+        if is_perfect_square(quartic.a1_squared):
+            assert all(type(v) is F for v in g.coeffs)
+            assert _sturm_in_t(quartic, g) == squarefree_sturm(g)
             continue
         own, own_minus, own_plus = squarefree_sturm(g)
-        chain, at_minus, at_plus = _sturm_in_t(g)
+        chain, at_minus, at_plus = _sturm_in_t(quartic, g)
         assert (at_minus, at_plus) == (own_minus, own_plus)
         assert [q.degree for q in chain] == [q.degree for q in own]
         squarefree = own[0] is g
@@ -749,19 +800,13 @@ def test_rational_chain_matches_the_chain_of_g(monkeypatch):
                 assert (type(v) is QuadExt and v.u == 0) if j % 2 else type(v) is F
         points.clear()
         monkeypatch.setattr(UniPoly, "eval", recorded)
-        _find_negative_t(g, _Budget(40000))
+        _find_negative_t(quartic, _Budget(40000))
         monkeypatch.undo()
         assert points
         for x in set(points):
             assert [sgn(q.eval(x)) for q in chain] == [sgn(q.eval(x)) for q in own]
         compared[squarefree] += 1
     assert compared[True] >= 100 and compared[False] >= 100
-    # a sqrt(R) part at an even power, or a rational part at an odd one,
-    # keeps g's own chain; two radicands are rejected as in any arithmetic
-    for g in (UniPoly([1, QuadExt(1, -1, 2), 0, 0, 3]), UniPoly([QuadExt(1, 1, 2), 0, 1])):
-        assert _sturm_in_t(g) == squarefree_sturm(g)
-    with pytest.raises(ValueError):
-        _sturm_in_t(UniPoly([1, QuadExt(0, 1, 2), 0, QuadExt(0, 1, 3), 1]))
 
 
 def test_find_negative_t_evaluates_the_chain_once_per_midpoint(monkeypatch):
@@ -778,12 +823,13 @@ def test_find_negative_t_evaluates_the_chain_once_per_midpoint(monkeypatch):
 
     bisected = {True: 0, False: 0}
     returned = 0
-    for g in bisection_inputs():
+    for q in bisection_inputs():
+        g = q.to_unipoly()
         chain, _, _ = squarefree_sturm(g)
         squarefree = chain[0] is g
         calls.clear()
         monkeypatch.setattr(UniPoly, "eval", counted)
-        t = _find_negative_t(g, _Budget(40000))
+        t = _find_negative_t(q, _Budget(40000))
         monkeypatch.undo()
         zeros = [i for i, (_, x) in enumerate(calls) if x == 0]
         if len(zeros) == 1:
@@ -795,7 +841,7 @@ def test_find_negative_t_evaluates_the_chain_once_per_midpoint(monkeypatch):
         if t == midpoints[-1][0][1]:
             # the returning midpoint signs g and nothing else
             last = midpoints.pop()
-            assert len(last) == 1 and last[0][0] is g
+            assert len(last) == 1 and last[0][0] == g
             returned += 1
         for run in midpoints:
             assert len(run) == (len(chain) if squarefree else len(chain) + 1)
@@ -838,8 +884,10 @@ def test_reduced_quartic_keeps_rational_coefficients_rational():
         assert sturm_chain(g) == sturm_chain(lifted)
         assert squarefree_decompose(g) == squarefree_decompose(lifted)
         assert is_nonneg_everywhere(g) == is_nonneg_everywhere(lifted)
+        # the search, on g's own chain over Q(sqrt(R)) in the reference
         budget, lifted_budget = _Budget(40000), _Budget(40000)
-        assert _find_negative_t(g, budget) == _find_negative_t(lifted, lifted_budget)
+        assert _find_negative_t(reduce_to_g(c), budget) == three_evaluation_find_negative_t(
+            lifted, lifted_budget)
         assert budget.left == lifted_budget.left
         checked += 1
     assert checked >= 150 and squares >= 3

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -12,10 +13,12 @@ from cycquart.form import (
     r_range,
     radicand,
     reduce_to_g,
+    reduced_coefficients,
 )
 from cycquart.decider import eval_polys
-from cycquart.harness import stratum_sampler
-from cycquart.scalars import QuadExt, is_perfect_square, sgn
+from cycquart.harness import STRATA, stratum_sampler
+from cycquart.quartic_rules import SpecialQuartic
+from cycquart.scalars import QuadExt, is_perfect_square, rational_sqrt, sgn
 from test_identities import h_parts, odd_part, power_sums, symmetric_part, vandermonde_square
 
 
@@ -156,6 +159,79 @@ def test_reduce_degenerate_leading():
     assert g.a0 == 0 and g.a1_squared == 36
     assert g.to_unipoly().degree == 3
     assert g.to_unipoly().coeffs == (-6, 18, 0, 3)
+
+
+def paper_g(c):
+    """(a0, R, a2, a4, f2) of g(t) = a0*t**4 - sqrt(R)*t**3 + a2*t**2 + a4
+    as the paper writes them, R = 27*(m-n)**2 + f2**2, over Fraction: the
+    reference for the package's one integer reduction."""
+    k, l, m, n = c.k, c.l, c.m, c.n
+    f2 = 4 * k + m + n - 8 - 2 * l
+    a0, a2, a4 = 3 * (2 + k - m - n), 3 * (4 + m + n - l), 1 + k + m + n + l
+    return a0, 27 * (m - n) ** 2 + f2**2, a2, a4, f2
+
+
+def reduction_inputs():
+    """Draws from all six strata, each also scaled by 10**200 and
+    10**-200 and redrawn with denominators up to 10**12, and forms with
+    R = 0, with a perfect-square R (a0 = 0 in one) and with R = 108."""
+    inputs = [CyclicParams(2, 0, 0, 0), CyclicParams(0, 0, 0, 0), CyclicParams(0, 0, 1, 1),
+              CyclicParams(0, 0, -1, 0)]
+    for stratum in STRATA:
+        for seed in range(4 if stratum == "f5_zero_near" else 25):
+            c = stratum_sampler(stratum, random.Random(seed))
+            big = stratum_sampler(stratum, random.Random(seed), denominator_bound=10**12)
+            inputs += [c, big]
+            inputs += [
+                CyclicParams(*(v * scale for v in (c.k, c.l, c.m, c.n)))
+                for scale in (F(10) ** 200, F(1, 10**200))
+            ]
+    return inputs
+
+
+def test_reduction_matches_the_papers_g():
+    seen = {"zero": 0, "square": 0, "irrational": 0, "big": 0}
+    for c in reduction_inputs():
+        a0, rad, a2, a4, f2 = paper_g(c)
+        assert reduce_to_g(c) == SpecialQuartic(a0, rad, -1 if rad else 0, a2, a4), c
+        assert radicand(c) == rad
+        d = math.lcm(*(v.denominator for v in (c.k, c.l, c.m, c.n)))
+        integers = reduced_coefficients(c)
+        assert integers == (d, d * a0, d * d * rad, d * a2, d * a4, d * f2), c
+        assert all(type(v) is int for v in integers)
+        seen["zero" if rad == 0 else "square" if is_perfect_square(rad) else "irrational"] += 1
+        seen["big"] += d > 10**100
+    assert min(seen.values()) >= 3, seen
+
+
+def test_p_of_u_is_r_squared_g_of_u_over_sqrt_r():
+    # coefficient by coefficient from g's own polynomial: the coefficient of
+    # t**j, written as c*sqrt(R) for odd j, gives c * R**(2 - j//2) at u**j
+    checked = {True: 0, False: 0}
+    for c in reduction_inputs():
+        q = reduce_to_g(c)
+        rad = q.a1_squared
+        if rad == 0:
+            continue
+        square = is_perfect_square(rad)
+        g, p = q.to_unipoly(), q.to_unipoly_in_u()
+        assert all(type(v) is F for v in p.coeffs)
+        expected = []
+        for j, v in zip(range(g.degree, -1, -1), g.coeffs):
+            if isinstance(v, QuadExt):
+                assert j % 2 and v.u == 0
+                v = v.v
+            elif j % 2:
+                assert square or v == 0
+                v = v / rational_sqrt(rad) if square else v
+            expected.append(v * rad ** (2 - j // 2))
+        assert p.coeffs == tuple(expected), c
+        if square:
+            root = rational_sqrt(rad)
+            for u in (F(0), F(1), F(-3, 2), F(7, 5)):
+                assert p.eval(u) == rad**2 * g.eval(u / root)
+        checked[square] += 1
+    assert checked[True] >= 3 and checked[False] >= 100
 
 
 def test_to_unipoly_is_rational_exactly_when_r_is_a_square():

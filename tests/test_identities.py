@@ -3,7 +3,7 @@ g >= 0 (see ``form``'s module docstring).
 
 Each is a polynomial identity, checked as ``sympy.expand(lhs - rhs) == 0``.
 F is built from ``form.cyclic_sums`` on symbols, and f2 and R come from
-``decider.eval_polys`` and ``form.radicand``, so the proofs run on the
+``decider.eval_polys`` and ``form.reduce_scaled``, so the proofs run on the
 package's own expressions.  sympy is imported at the top: without the
 ``test`` extra this module errors instead of skipping.
 """
@@ -14,7 +14,7 @@ from types import SimpleNamespace
 import sympy
 
 from cycquart.decider import eval_polys
-from cycquart.form import cyclic_sums, r_range, radicand
+from cycquart.form import cyclic_sums, r_range, reduce_scaled
 
 x, y, z, k, l, m, n, t, r, s, X = sympy.symbols("x y z k l m n t r s X")
 P, Q, R3 = x + y + z, x * y + y * z + z * x, x * y * z
@@ -112,7 +112,8 @@ def test_symmetrization():
 def test_h_endpoint_product():
     # with s**2 = R: (u + v(r1)*s)*(u + v(r2)*s) = -12*t**6*(m-n)**2 <= 0,
     # so H, affine in r, has a root in [r1, r2]
-    product = sympy.rem(sympy.expand(h_function(R1) * h_function(R2)), s**2 - radicand(PARAMS), s)
+    radicand = reduce_scaled(1, k, l, m, n)[1]
+    product = sympy.rem(sympy.expand(h_function(R1) * h_function(R2)), s**2 - radicand, s)
     assert is_zero(product + 12 * t**6 * (m - n) ** 2)
 
 
@@ -122,3 +123,21 @@ def test_h_vanishes_at_the_locus_r_star():
     cos = eval_polys(PARAMS).f2 / s
     rstar = (1 - 3 * t**2 + 2 * cos * t**3) / 27
     assert is_zero(h_function(rstar))
+
+
+def test_case_two_forces_a_zero_radicand_when_f1_vanishes():
+    # f1 = f3 = 0 fixes k = s - 2 and l = 1 - 2*s, s = m + n; there
+    #   f4 = -(3/4)*(s - 2)**2 - (1/4)*(m - n)**2 <= -(3/4)*(s - 2)**2,
+    # so f4 >= 0 forces m = n = 1, where R = 0.  Closed-form case 2 runs
+    # only when R != 0, so its f1 > 0 made f1 >= 0 decides every input
+    # the same way: an equivalent mutant.
+    s_mn = m + n
+    line = SimpleNamespace(k=s_mn - 2, l=1 - 2 * s_mn, m=m, n=n)
+    polys = eval_polys(line)
+    assert is_zero(polys.f1) and is_zero(polys.f3)
+    f4_bound = -sympy.Rational(3, 4) * (s_mn - 2) ** 2
+    assert is_zero(polys.f4 - f4_bound + sympy.Rational(1, 4) * (m - n) ** 2)
+    # the only point of the line with f4 >= 0
+    assert sympy.solve([s_mn - 2, m - n], [m, n], dict=True) == [{m: 1, n: 1}]
+    radicand = reduce_scaled(1, line.k, line.l, m, n)[1]
+    assert radicand.subs({m: 1, n: 1}) == 0

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
-from cycquart.decider import _Budget, _find_negative_t
+from cycquart.decider import _Budget
 from cycquart.roots import (
     RootCount,
     classify_roots,
@@ -14,6 +14,7 @@ from cycquart.roots import (
 )
 from cycquart.scalars import QuadExt
 from cycquart.unipoly import UniPoly, sturm_count
+from test_decider import three_evaluation_find_negative_t
 
 signs = st.lists(st.sampled_from([-1, 0, 1]), max_size=12)
 
@@ -114,13 +115,14 @@ def test_nonneg_verdicts_are_consistent_with_sampling():
                 x = F(rng.randint(-40, 40), rng.randint(1, 8))
                 assert p.eval(x) >= 0
         else:
-            # _find_negative_t searches t >= 0 only; p(-x) covers x <= 0
+            # the witness search's bisection on p's own chain finds t >= 0
+            # only; p(-x) covers x <= 0
             mirrored = UniPoly([a * (-1) ** (degree - i) for i, a in enumerate(coeffs)])
-            t = _find_negative_t(p, _Budget(10 ** 6))
+            t = three_evaluation_find_negative_t(p, _Budget(10 ** 6))
             if t is not None:
                 x = t
             else:
-                t = _find_negative_t(mirrored, _Budget(10 ** 6))
+                t = three_evaluation_find_negative_t(mirrored, _Budget(10 ** 6))
                 assert t is not None
                 x = -t
             assert p.eval(x) < 0
