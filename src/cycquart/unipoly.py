@@ -3,8 +3,8 @@
 Coefficients are stored leading-first: ``[a0, a1, ..., an]`` represents
 ``a0*x**n + a1*x**(n-1) + ... + an``.  The module provides evaluation,
 derivatives, gcd, squarefree decomposition, Sturm chains with exact
-root counting, and the discriminant sequence computed from even-order
-leading principal minors of the discrimination matrix of (f, f').
+root counting, and the discriminant sequence, read off the leading
+coefficients of the field remainder sequence of (f, f').
 The gcd and the Sturm chain share one remainder sequence, and each root
 count runs it once: the chain of p ends at gcd(p, p'), so the gcd is read
 off the chain, and only a non-squarefree p needs a second chain, of
@@ -40,7 +40,6 @@ __all__ = [
     "count_sign_changes",
     "sturm_count",
     "discriminant_sequence",
-    "det_bareiss",
 ]
 
 
@@ -335,68 +334,37 @@ def sturm_count(
 # -- discriminant sequence ----------------------------------------------------
 
 
-def det_bareiss(rows: list[list]) -> object:
-    """Exact determinant by fraction-free elimination with row pivoting."""
-    m = [row[:] for row in rows]
-    n = len(m)
-    if n == 0:
-        return Fraction(1)
-    sign = 1
-    prev = Fraction(1)
-    for col in range(n - 1):
-        pivot = None
-        for r in range(col, n):
-            if sgn(m[r][col]) != 0:
-                pivot = r
-                break
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            sign = -sign
-        for r in range(col + 1, n):
-            for c in range(col + 1, n):
-                m[r][c] = (m[r][c] * m[col][col] - m[r][col] * m[col][c]) / prev
-            m[r][col] = Fraction(0)
-        prev = m[col][col]
-    out = m[n - 1][n - 1]
-    return -out if sign < 0 else out
-
-
-def _discrimination_rows(p: UniPoly) -> list[list]:
-    """2n x 2n matrix of shifted (f, f') coefficient row pairs."""
-    n = p.degree
-    zero = Fraction(0)
-    frow = list(p.coeffs)
-    grow = [zero] + list(p.derivative().coeffs)
-    rows = []
-    width = 2 * n
-    for j in range(n):
-        pad_left = [zero] * j
-        pad_right = [zero] * (width - j - (n + 1))
-        rows.append(pad_left + frow + pad_right)
-        rows.append(pad_left + grow + pad_right)
-    return rows
-
-
 def discriminant_sequence(p: UniPoly) -> list:
     """Discriminant sequence ``[D1, ..., Dn]`` of a degree-n polynomial.
 
-    ``Dk`` is the order-2k leading principal minor of the discrimination
-    matrix of (f, f').  The third entry of the degree-4 sequence is halved:
-    with that fixed positive rescaling the quartic sequence coincides with
-    the classical explicit formulas (D1 keeps the raw value 4*a0**2, which
-    only differs from a0**2 by a positive constant; every use of the
-    sequence is through signs, which no positive rescaling can change).
+    ``Dk``, the order-2k leading principal minor of the discrimination
+    matrix of (f, f'), is ``(-1)**(k(k-1)/2) * a0 * psc(n-k)``: its first
+    column is (a0, 0, ..., 0), and it leaves the Sylvester matrix of the
+    principal subresultant coefficient psc(n-k) of (f, f'), rows reordered.
+    By the fundamental theorem of subresultants (Collins 1967; Brown &
+    Traub 1971), psc is 0 off the degrees ni of the field remainders
+    r0 = f, r1 = f', r(i+1) = rem(r(i-1), r(i)), and with pi = lc ri,
+    psc(ni) = (-1)**ti * pi**(n(i-1) - ni) * prod(pj**(n(j-1) - n(j+1))),
+    ti = sum((n(j-1) - ni) * (nj - ni)), both over 1 <= j < i.  D3 of a
+    quartic is halved, to match the classical formula; only signs are read.
     """
     n = p.degree
     if n < 1:
         raise ValueError("discriminant sequence needs degree >= 1")
-    rows = _discrimination_rows(p)
-    seq = []
-    for k in range(1, n + 1):
-        sub = [row[: 2 * k] for row in rows[: 2 * k]]
-        seq.append(det_bareiss(sub))
+    rems = [p, p.derivative()]
+    while rems[-1].degree > 0:
+        rems.append(poly_divmod(rems[-2], rems[-1])[1])
+    if rems[-1].is_zero:
+        rems.pop()
+    degs = [q.degree for q in rems]
+    psc, acc = {}, Fraction(1)  # acc: the product over j < i
+    for i in range(1, len(rems)):
+        ni, lead = degs[i], rems[i].leading
+        tau = sum((degs[j - 1] - ni) * (degs[j] - ni) for j in range(1, i))
+        psc[ni] = (-1) ** tau * math.prod([lead] * (degs[i - 1] - ni), start=acc)
+        if i + 1 < len(rems):
+            acc = math.prod([lead] * (degs[i - 1] - degs[i + 1]), start=acc)
+    seq = [(-1) ** (k * (k - 1) // 2) * p.leading * psc.get(n - k, 0) for k in range(1, n + 1)]
     if n == 4:
         seq[2] = seq[2] / 2
     return seq

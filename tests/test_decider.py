@@ -201,6 +201,13 @@ BOUNDARY_PINS = {
         (False, "R=0/biquadratic/c<0"), (False, "g-negative"),
         (True, "case1/g1>0/g3>=0"), (True, "case1/g1>0/g3>=0"), (False, "none"),
     ],
+    # an exact f6 = 0 point on the f1 > 0, f3 > 0 branch (f7 = -243/2):
+    # D2 = 0 there, so discriminant_rule's d2 < 0 made d2 <= 0 fires D2<0
+    (F(1, 2), 2, 0, 1): [
+        (True, "f3>0/quartic-rule/D4>0/D3<0"), (True, "g-nonneg"),
+        (True, "case3/f5>0/f6<0|f7<0"), (True, "case3/f5>0/f6<=0|f7<=0"),
+        (True, "case3/f5>0/f6<0|f7<0"),
+    ],
 }
 
 

@@ -15,6 +15,7 @@ import sympy
 
 from cycquart.decider import eval_polys
 from cycquart.form import cyclic_sums, r_range, reduce_scaled
+from cycquart.quartic_rules import discriminants_of
 
 x, y, z, k, l, m, n, t, r, s, X = sympy.symbols("x y z k l m n t r s X")
 P, Q, R3 = x + y + z, x * y + y * z + z * x, x * y * z
@@ -141,3 +142,53 @@ def test_case_two_forces_a_zero_radicand_when_f1_vanishes():
     assert sympy.solve([s_mn - 2, m - n], [m, n], dict=True) == [{m: 1, n: 1}]
     radicand = reduce_scaled(1, line.k, line.l, m, n)[1]
     assert radicand.subs({m: 1, n: 1}) == 0
+
+
+def test_a_vanishing_d2_forces_d3_negative_and_d4_positive():
+    # g on the f1 > 0, f3 > 0 branch has a0 = 3*f1 > 0, a4 = f3 > 0 and
+    # a1**2 = R > 0.  D2 = 0 fixes a2 = 3*R/(8*a0), and there
+    #   D3 = -9*R**3/128 < 0,
+    #   D4 = 9*a0**2*R**2*a4**2 + (27/256)*R**4*a4/a0 + 256*a0**5*a4**3 > 0.
+    # By D2 = 108*f1**2*f6, D3 = 324*f1**2*f7 and D4 = 104976*f1**2*f3*f5,
+    # every point of that branch with f6 = 0 has f7 < 0 and f5 > 0, and is
+    # PSD by D4>0/D3<0.  So the closed forms' f6 < 0 and f6 <= 0 decide
+    # alike, and discriminant_rule's d2 < 0 made d2 <= 0 keeps every
+    # verdict; it fires D2<0 instead of D3<0, which a pinned input shows.
+    a0, a2, a4, rad = sympy.symbols("a0 a2 a4 R", positive=True)
+    d2 = discriminants_of(a0, rad, a2, a4)[1]
+    root = 3 * rad / (8 * a0)
+    assert sympy.solve(d2, a2) == [root]
+    _, _, d3, d4 = discriminants_of(a0, rad, root, a4)
+    assert is_zero(d3 + 9 * rad**3 / 128)
+    terms = (9 * a0**2 * rad**2 * a4**2, sympy.Rational(27, 256) * rad**4 * a4 / a0,
+             256 * a0**5 * a4**3)
+    assert is_zero(d4 - sum(terms))
+    assert all(term.is_positive for term in terms)
+
+
+def test_a_vanishing_d3_forces_d2_and_d4_to_opposite_signs():
+    # With a0, a4, R > 0, D3 = 0 needs D2 != 0 (D2 = 0 gives D3 < 0 above),
+    # so it fixes a4 = a2**2*(R - 4*a0*a2)/(2*a0*(3*R - 8*a0*a2)), and there
+    #   D4 = -a2**4*R*(9*R - 32*a0*a2)**2*(R - 4*a0*a2)**2 / (4*(3*R - 8*a0*a2)**3)
+    # with D2 = a0**2*(3*R - 8*a0*a2): D4*D2 <= 0.  D4 = 0 would need
+    # a2 = 0 or R = 4*a0*a2, where a4 = 0, or 9*R = 32*a0*a2, where
+    # a4 = -a2**2/(12*a0) < 0.  So D4 = D3 = 0 is unreachable, and D4 > 0
+    # with D3 = 0 forces D2 < 0: discriminant_rule's two d3 < 0 made
+    # d3 <= 0 decide every input alike.
+    a0, a4, rad = sympy.symbols("a0 a4 R", positive=True)
+    a2 = sympy.Symbol("a2", real=True)
+    d3 = discriminants_of(a0, rad, a2, a4)[2]
+    d2_factor = 3 * rad - 8 * a0 * a2
+    on_locus = a2**2 * (rad - 4 * a0 * a2) / (2 * a0 * d2_factor)
+    (solution,) = sympy.solve(d3, a4)
+    assert sympy.simplify(solution - on_locus) == 0
+    _, d2, d3, d4 = discriminants_of(a0, rad, a2, on_locus)
+    assert sympy.simplify(d3) == 0
+    assert is_zero(d2 - a0**2 * d2_factor)
+    assert sympy.simplify(
+        d4 + a2**4 * rad * (9 * rad - 32 * a0 * a2) ** 2 * (rad - 4 * a0 * a2) ** 2
+        / (4 * d2_factor**3)
+    ) == 0
+    assert on_locus.subs(a2, 0) == 0
+    assert sympy.simplify(on_locus.subs(rad, 4 * a0 * a2)) == 0
+    assert sympy.simplify(on_locus.subs(rad, 32 * a0 * a2 / 9) + a2**2 / (12 * a0)) == 0

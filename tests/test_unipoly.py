@@ -8,7 +8,6 @@ from cycquart.scalars import QuadExt, sgn
 from cycquart.unipoly import (
     UniPoly,
     _normalized,
-    det_bareiss,
     discriminant_sequence,
     poly_divmod,
     poly_gcd,
@@ -246,6 +245,53 @@ def test_discriminant_sequence_matches_explicit_quartic_formulas():
     assert ratios == {F(4)}
 
 
+def discrimination_minors(p):
+    """[D1, ..., Dn] by the definition: Dk is the leading 2k x 2k minor of
+    the discrimination matrix of (f, f'), taken by sympy; D3 is halved at
+    n = 4."""
+    sympy = pytest.importorskip("sympy")
+    n = p.degree
+    f = [sympy.Rational(c.numerator, c.denominator) for c in p.coeffs]
+    df = [0] + [c * (n - i) for i, c in enumerate(f[:-1])]
+    matrix = sympy.zeros(2 * n, 2 * n)
+    for j in range(n):
+        for col in range(n + 1):
+            matrix[2 * j, j + col] = f[col]
+            matrix[2 * j + 1, j + col] = df[col]
+    seq = [F(str(matrix[: 2 * k, : 2 * k].det())) for k in range(1, n + 1)]
+    if n == 4:
+        seq[2] /= 2
+    return seq
+
+
+def test_discriminant_sequence_matches_the_determinant_definition():
+    # dense polynomials, sparse ones that skip degrees in the remainder
+    # sequence of (f, f'), and products with repeated roots
+    rng = random.Random(41)
+    cases = []
+    for _ in range(50):
+        cases.append(rand_poly(rng, rng.randint(1, 6)))
+        sparse = [rand_fraction(rng) if rng.random() < 0.4 else 0 for _ in range(6)]
+        cases.append(UniPoly([rand_fraction(rng) or 1] + sparse[: rng.randint(1, 6)]))
+        root = rand_poly(rng, rng.randint(1, 2))
+        cases.append(root * root * rand_poly(rng, rng.randint(0, 2)))
+    assert {p.degree for p in cases} == {1, 2, 3, 4, 5, 6}
+    assert sum(poly_gcd(p, p.derivative()).degree > 0 for p in cases) >= 50
+    for p in cases:
+        assert discriminant_sequence(p) == discrimination_minors(p), p
+    # remainder sequences that skip degrees or end before a constant
+    pins = {
+        (1, 0, 0, 0, 1): [4, 0, 0, 256],
+        (1, 0, 0, 0, -1, 0): [5, 0, 0, -320, -256],
+        (1, 0, 0, 0, 0, 0, 0): [6, 0, 0, 0, 0, 0],
+        (1, 0, -2, 0, 1): [4, 16, 0, 0],
+        (1, 0, 0, 1): [3, 0, -27],
+    }
+    for coeffs, expected in pins.items():
+        p = UniPoly(coeffs)
+        assert discriminant_sequence(p) == discrimination_minors(p) == expected
+
+
 def test_discriminant_sequence_rejects_constants():
     with pytest.raises(ValueError):
         discriminant_sequence(UniPoly([5]))
@@ -304,26 +350,3 @@ def test_gcd_matches_the_euclidean_loop():
                 assert poly_divmod(operand, g)[1].is_zero
         degrees.append(g.degree)
     assert degrees.count(0) >= 30 and sum(d > 0 for d in degrees) >= 100
-
-
-def test_det_bareiss():
-    assert det_bareiss([[F(1), F(2)], [F(3), F(4)]]) == -2
-    assert det_bareiss([[F(0), F(1)], [F(1), F(0)]]) == -1
-    assert det_bareiss([[F(1), F(2)], [F(2), F(4)]]) == 0
-    rng = random.Random(37)
-    for _ in range(20):
-        n = rng.randint(1, 5)
-        m = [[rand_fraction(rng) for _ in range(n)] for _ in range(n)]
-        # compare against cofactor expansion
-        def cofactor(rows):
-            if len(rows) == 1:
-                return rows[0][0]
-            total = F(0)
-            for j, v in enumerate(rows[0]):
-                if v == 0:
-                    continue
-                minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-                total += (-1) ** j * v * cofactor(minor)
-            return total
-
-        assert det_bareiss(m) == cofactor(m)
