@@ -31,10 +31,9 @@ a seeded search on the equality locus of the reduction.  No float is used
 anywhere: the seeded stage finds an exact t* with g(t*) < 0 by Sturm
 bisection, then the point of the locus over t* by sign bisection of a cubic
 between its rational critical points, run on integer numerators over the
-common denominator 3*b*2**s of its ends, t* = a/b.  When sqrt(R) is
-irrational, the Sturm chain is built over Q, on p(u) = R**2 * g(u/sqrt(R))
-(``SpecialQuartic.to_unipoly_in_u``), and only its values at a point t,
-read as p_i(sqrt(R)*t), are in Q(sqrt(R)).
+common denominator 3*b*2**s of its ends, t* = a/b.  The Sturm chain is
+``SpecialQuartic.sturm_in_t``, built over Q; this module names no element
+of Q(sqrt(R)), and only the chain's values at a point t lie there.
 """
 
 from __future__ import annotations
@@ -58,8 +57,8 @@ from .form import (
 )
 from .quartic_rules import SpecialQuartic, discriminant_rule, discriminants_of
 from .roots import is_nonneg_everywhere
-from .scalars import QuadExt, is_perfect_square, sgn
-from .unipoly import UniPoly, chain_variations, count_sign_changes, squarefree_sturm
+from .scalars import sgn
+from .unipoly import chain_variations, count_sign_changes
 
 __all__ = [
     "ClausePolynomials",
@@ -365,45 +364,15 @@ class _Budget:
         return self.left >= 0
 
 
-def _at_sqrt_r(p: UniPoly, rad: Fraction) -> UniPoly:
-    """p(sqrt(rad)*t) as a polynomial in t: the coefficient c of u**j
-    becomes c*rad**(j/2), a ``QuadExt`` with no rational part for odd j."""
-    n = p.degree
-    return UniPoly([
-        QuadExt(0, c * rad ** (j // 2), rad) if j % 2 else c * rad ** (j // 2)
-        for j, c in zip(range(n, -1, -1), p.coeffs)
-    ])
-
-
-def _sturm_in_t(q: SpecialQuartic, g: UniPoly) -> tuple[list[UniPoly], int, int]:
-    """``squarefree_sturm(g)``, g = ``q.to_unipoly()``, up to positive
-    factors and built over Q: g's own when sqrt(R), R = ``q.a1_squared``, is
-    rational, else the chain of p(u) = R**2 * g(u/sqrt(R))
-    (``q.to_unipoly_in_u()``) with entry i read at t as p_i(sqrt(R)*t)
-    (``_at_sqrt_r``).  The substitution, the derivative and the content
-    normalization each scale by a positive factor, so the length, the
-    degrees, the counts at -oo and +oo and every sign variation are those
-    of g's own chain.  A squarefree g heads the chain itself.
-    """
-    rad = q.a1_squared
-    if is_perfect_square(rad):
-        return squarefree_sturm(g)
-    p = q.to_unipoly_in_u()
-    chain, at_minus, at_plus = squarefree_sturm(p)
-    head = [g] if chain[0] is p else []
-    return head + [_at_sqrt_r(r, rad) for r in chain[len(head):]], at_minus, at_plus
-
-
 def _find_negative_t(q: SpecialQuartic, budget: _Budget) -> Optional[Fraction]:
     """Exact rational t >= 0 with g(t) < 0, g = ``q.to_unipoly()``, by
     Sturm-guided bisection.
 
     Builds the Sturm chain of the squarefree part once, over Q
-    (``_sturm_in_t``), brackets all real roots with a doubling bound, and
-    bisects only subintervals that still contain roots;
+    (``SpecialQuartic.sturm_in_t``), brackets all real roots with a
+    doubling bound, and bisects only subintervals that still contain roots;
     every evaluated midpoint is sign-checked exactly, so the first midpoint
-    inside the (open) negative region is returned.  Only the chain's values
-    at a point are in Q(sqrt(R)).
+    inside the (open) negative region is returned.
 
     Each queued bracket carries the chain's sign variations at both its
     ends, so a midpoint costs one chain evaluation; a squarefree g heads
@@ -417,7 +386,7 @@ def _find_negative_t(q: SpecialQuartic, budget: _Budget) -> Optional[Fraction]:
         return None
     if sgn(g.eval(Fraction(0))) < 0:
         return Fraction(0)
-    chain, vars_minus_inf, vars_plus_inf = _sturm_in_t(q, g)
+    chain, vars_minus_inf, vars_plus_inf = q.sturm_in_t()
     total_roots = vars_minus_inf - vars_plus_inf
 
     top = Fraction(2)

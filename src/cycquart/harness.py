@@ -97,7 +97,7 @@ class FuzzConfig:
     def to_dict(self) -> dict:
         return {
             "sample_count": self.sample_count,
-            "coefficient_range": [str(v) for v in self.coefficient_range],
+            "coefficient_range": [format_rational(v) for v in self.coefficient_range],
             "denominator_bound": self.denominator_bound,
             "seed": self.seed,
             "strata": list(self.strata),

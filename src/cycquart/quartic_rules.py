@@ -5,8 +5,10 @@ The cubic-coefficient ``a1`` enters the four discriminants only through
 (a rational) together with the sign of ``a1``.  That lets the same rule
 serve rational test quartics and reduced quartics whose cubic coefficient
 is ``-sqrt(R)`` with irrational ``sqrt(R)``: the whole decision stays in
-rational arithmetic.  As a polynomial it is g itself (``to_unipoly``) or
-the rational p(u) = R**2 * g(u/sqrt(R)) (``to_unipoly_in_u``).
+rational arithmetic.  As a polynomial it is g itself (``to_unipoly``, in
+Q(sqrt(R)) only for an irrational sqrt(R)) or the rational
+p(u) = R**2 * g(u/sqrt(R)) (``to_unipoly_in_u``), read back at t by
+``sturm_in_t``.
 
 For ``a0 > 0``, ``a4 > 0``, ``a1 != 0``, the quartic is nonnegative on all
 of R iff
@@ -22,9 +24,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .scalars import QuadExt, is_perfect_square, rational_sqrt, sgn
-from .unipoly import UniPoly
+from .unipoly import UniPoly, squarefree_sturm
 
 __all__ = [
     "SpecialQuartic",
@@ -63,7 +66,11 @@ class SpecialQuartic:
         return cls(Fraction(a0), a1 * a1, sgn(a1), Fraction(a2), Fraction(a4))
 
     def to_unipoly(self) -> UniPoly:
-        """The quartic g(x) as a polynomial, rational whenever ``a1`` is."""
+        """g(x) as a polynomial, rational whenever ``a1`` is; built once."""
+        return self._g
+
+    @cached_property
+    def _g(self) -> UniPoly:
         if is_perfect_square(self.a1_squared):
             a1 = self.a1_sign * rational_sqrt(self.a1_squared)
         else:
@@ -75,6 +82,24 @@ class SpecialQuartic:
         + a4*s**2, s = ``a1_squared``; for s > 0, p >= 0 on R iff g is."""
         s = self.a1_squared
         return UniPoly([self.a0, self.a1_sign * s, self.a2 * s, Fraction(0), self.a4 * s * s])
+
+    def sturm_in_t(self) -> tuple[list[UniPoly], int, int]:
+        """``squarefree_sturm(g)`` up to positive factors, built over Q: g's
+        own when sqrt(R), R = ``a1_squared``, is rational, else p(u)'s with
+        entry i written as p_i(sqrt(R)*t): the coefficient c of u**j becomes
+        c*R**(j/2), a ``QuadExt`` with no rational part for odd j.  Each step
+        scales by a positive factor, so every sign count is that of g's own
+        chain.  A squarefree g heads the chain itself."""
+        rad = self.a1_squared
+        if is_perfect_square(rad):
+            return squarefree_sturm(self._g)
+        p = self.to_unipoly_in_u()
+        chain, at_minus, at_plus = squarefree_sturm(p)
+        head = [self._g] if chain[0] is p else []
+        return head + [UniPoly([
+            QuadExt(0, c * rad ** (j // 2), rad) if j % 2 else c * rad ** (j // 2)
+            for j, c in zip(range(r.degree, -1, -1), r.coeffs)
+        ]) for r in chain[len(head):]], at_minus, at_plus
 
 
 def discriminants(q: SpecialQuartic) -> tuple[Fraction, Fraction, Fraction, Fraction]:

@@ -9,8 +9,8 @@ Two scalar domains are used throughout the package:
 * :class:`QuadExt` -- elements ``u + v*sqrt(R)`` of the real quadratic
   extension Q(sqrt(R)) with a fixed positive rational radicand ``R``.
   The package builds them only for an irrational sqrt(R); the sign is
-  exact for any positive ``R``, and division also needs ``R`` to be a
-  non-square.
+  exact for any positive ``R``, and the one inverse, ``reciprocal``, also
+  needs ``R`` to be a non-square.
 
 A polynomial keeps each coefficient in its own domain, and a rational
 operand is coerced into the radicand of the ``QuadExt`` it meets.
@@ -55,8 +55,20 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(value: Fraction) -> str:
-    """Serialize a rational so that :func:`parse_rational` round-trips it."""
-    return str(value)
+    """Serialize a rational as :func:`parse_rational` reads it, at any size,
+    though ``parse_rational`` refuses a literal past the interpreter's digit
+    limit: the limit guards input, and a witness's value can exceed it."""
+    num, den = value.numerator, value.denominator
+    return _digits(num) if den == 1 else f"{_digits(num)}/{_digits(den)}"
+
+
+def _digits(n: int) -> str:
+    """``str(n)`` for an int of any size; one ``str`` call if it is short."""
+    if n.bit_length() <= 2000:  # at most 603 digits, under any limit (>= 640)
+        return str(n)
+    k = n.bit_length() * 3 // 20  # about half of the digits of n
+    hi, lo = divmod(abs(n), 10**k)
+    return ("-" if n < 0 else "") + _digits(hi) + _digits(lo).zfill(k)
 
 
 def is_perfect_square(value: Fraction) -> bool:
@@ -81,8 +93,8 @@ class QuadExt:
     between the operands of binary operations and of ``==``; plain
     rationals are coerced on demand.  A ``Fraction`` argument is stored as
     given, any other is converted.  The sign is exact for any positive
-    radicand; division also needs it to be a non-square, so that a value
-    is zero exactly when its norm is.
+    radicand; ``reciprocal`` also needs it to be a non-square, so that a
+    value is zero exactly when its norm is.
     """
 
     __slots__ = ("u", "v", "radicand")
@@ -148,27 +160,15 @@ class QuadExt:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        # for a non-square radicand, norm 0 means value 0
-        nrm = other.norm()
-        if nrm == 0:
-            raise ZeroDivisionError("division by a QuadExt value of norm 0")
-        prod = self * other.conjugate()
-        return QuadExt(prod.u / nrm, prod.v / nrm, self.radicand)
-
-    def __rtruediv__(self, other):
-        lifted = self._coerce(other)
-        if lifted is NotImplemented:
-            return NotImplemented
-        return lifted / self
-
     # -- field structure -------------------------------------------------
 
-    def conjugate(self) -> "QuadExt":
-        return QuadExt(self.u, -self.v, self.radicand)
+    def reciprocal(self) -> "QuadExt":
+        """The inverse, the conjugate over the rational norm; for a
+        non-square radicand, norm 0 means value 0."""
+        nrm = self.norm()
+        if nrm == 0:
+            raise ZeroDivisionError("reciprocal of a QuadExt value of norm 0")
+        return QuadExt(self.u / nrm, -self.v / nrm, self.radicand)
 
     def norm(self) -> Fraction:
         """The product with the conjugate: u**2 - v**2 * radicand."""

@@ -12,8 +12,8 @@ p / gcd(p, p').  Yun's squarefree decomposition computes gcd(p, p') by a
 remainder sequence of its own.  The sequence divides by no coefficient:
 each remainder is a signed pseudo-remainder, a positive multiple of the
 negated field remainder, divided by its positive rational content.  Only
-the exact quotients of ``poly_divmod`` (Yun, the squarefree part) divide,
-and ``monic`` takes one reciprocal.
+``monic`` and the exact quotients of ``poly_divmod`` (Yun, the squarefree
+part) invert a coefficient, once per call (``QuadExt.reciprocal``).
 
 Each coefficient keeps its own domain: rationals are ``Fraction`` and a
 ``QuadExt`` stays as given, so the reduced quartic, whose only irrational
@@ -129,16 +129,11 @@ class UniPoly:
         return Fraction(0) if acc is None else acc
 
     def monic(self) -> "UniPoly":
-        """Times the reciprocal of the leading coefficient, taken once: for
-        a ``QuadExt`` it is the conjugate over the rational norm."""
+        """Times the reciprocal of the leading coefficient, taken once."""
         if self.is_zero:
             return self
         lead = self.leading
-        if isinstance(lead, QuadExt):
-            nrm = lead.norm()
-            inv = QuadExt(lead.u / nrm, -lead.v / nrm, lead.radicand)
-        else:
-            inv = 1 / lead
+        inv = lead.reciprocal() if isinstance(lead, QuadExt) else 1 / lead
         return UniPoly([c * inv for c in self.coeffs])
 
 
@@ -170,12 +165,13 @@ def poly_divmod(f: UniPoly, g: UniPoly) -> tuple[UniPoly, UniPoly]:
     if f.degree < dg:
         return UniPoly([]), f
     quot = [Fraction(0)] * (f.degree - dg + 1)
-    glead = g.leading
+    lead = g.leading
+    inv = lead.reciprocal() if isinstance(lead, QuadExt) else 1 / lead
     for i in range(len(quot)):
         c = rem[i]
         if sgn(c) == 0:
             continue
-        q = c / glead
+        q = c * inv
         quot[i] = q
         for j, gc in enumerate(g.coeffs):
             rem[i + j] = rem[i + j] - q * gc
@@ -366,5 +362,5 @@ def discriminant_sequence(p: UniPoly) -> list:
             acc = math.prod([lead] * (degs[i - 1] - degs[i + 1]), start=acc)
     seq = [(-1) ** (k * (k - 1) // 2) * p.leading * psc.get(n - k, 0) for k in range(1, n + 1)]
     if n == 4:
-        seq[2] = seq[2] / 2
+        seq[2] = seq[2] * Fraction(1, 2)
     return seq

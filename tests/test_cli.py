@@ -1,7 +1,9 @@
 import json
 
 from cycquart.cli import main
-from cycquart.scalars import parse_rational
+from cycquart.decider import find_witness
+from cycquart.form import CyclicParams, eval_form
+from cycquart.scalars import Fraction, format_rational, parse_rational
 
 
 def run(capsys, *argv):
@@ -228,6 +230,27 @@ def test_malformed_input_exits_2(capsys):
         code, _, err = run(capsys, *argv)
         assert code == 2
         assert err
+
+
+def test_a_witness_past_the_int_digit_limit_is_printed(capsys):
+    # k = 29/8 + 10**-4290 has 4291 digits above and below, under the
+    # 4300-digit limit of int/str conversion, so it parses; the witness's
+    # value and the explain fields have more digits than that
+    k = Fraction(29 * 10**4290 + 8, 8 * 10**4290)
+    text = format_rational(k)
+    code, out, err = run_json(capsys, "decide", text, "-1", "-2", "4", "--witness")
+    assert (code, err) == (1, "")
+    c = CyclicParams(k, -1, -2, 4)
+    witness = find_witness(c)
+    assert out["witness"] == [format_rational(v) for v in witness]
+    assert out["value"] == format_rational(eval_form(c, *witness))
+    assert len(out["value"]) > 4300
+    code, out, err = run_json(capsys, "explain", text, "-1", "-2", "4")
+    assert (code, err) == (1, "")
+    assert out["verdicts"]["structural"]["is_psd"] is False
+    # the limit stays the input guard: a 5000-digit argument is a usage error
+    code, _, err = run(capsys, "decide", "1" * 5000, "-1", "-2", "4")
+    assert code == 2 and "4300" in err
 
 
 def test_rationals_round_trip(capsys):

@@ -19,7 +19,6 @@ from cycquart.decider import (
     _find_negative_t,
     _locus_roots,
     _seeded_search,
-    _sturm_in_t,
     closed_form_verdict,
     decide,
     decide_closed_form,
@@ -208,6 +207,19 @@ BOUNDARY_PINS = {
         (True, "case3/f5>0/f6<0|f7<0"), (True, "case3/f5>0/f6<=0|f7<=0"),
         (True, "case3/f5>0/f6<0|f7<0"),
     ],
+    # exact f5 = 0 points, g = 3*(t - t0)**2 * (t**2 + b*t + c), b = 2*c/t0
+    # (test_exact_f5_zero_pins_have_a_double_root): t0 = 2, c = 1 is PSD
+    # with f7 = -1323/4, so a closed form that reads f5 > 0 as f5 >= 0 fires
+    # case3/f5>0 here instead of case3/f5=0
+    (2, 6, F(3, 2), F(3, 2)): [
+        (True, "f3>0/quartic-rule/D4=0/D3<0"), (True, "g-nonneg"),
+        (True, "case3/f5=0/f7<0"), (True, "case3/f5=0/f7<0"), (True, "case3/f5=0/f7<0"),
+    ],
+    # t0 = -2, c = 5 > t0**2: NotPSD with a double root at t0
+    (14, 30, F(15, 2), F(15, 2)): [
+        (False, "f3>0/quartic-rule/D4=0/fail"), (False, "g-negative"),
+        (False, "none"), (False, "none"), (False, "none"),
+    ],
 }
 
 
@@ -217,6 +229,23 @@ def test_boundary_comparisons_are_pinned():
         c = CyclicParams(*params)
         verdicts = [decide(c, method) for method in methods]
         assert [(v.is_psd, v.fired_clause) for v in verdicts] == expected, params
+
+
+def test_exact_f5_zero_pins_have_a_double_root():
+    # g = lam*(t - t0)**2 * (t**2 + b*t + c) with b = 2*c/t0 has no linear
+    # term, so it is a reduced quartic; m = n puts (k, l, m, n) on it
+    for params, (lam, t0, c) in {
+        (2, 6, F(3, 2), F(3, 2)): (3, 2, 1),
+        (14, 30, F(15, 2), F(15, 2)): (3, -2, 5),
+    }.items():
+        form = CyclicParams(*params)
+        root = UniPoly([1, -t0])
+        assert reduce_to_g(form).to_unipoly() == UniPoly([lam]) * root * root * UniPoly(
+            [1, F(2 * c, t0), c])
+        assert eval_polys(form).f5 == 0
+    form = CyclicParams(14, 30, F(15, 2), F(15, 2))
+    witness = find_witness(form)
+    assert witness == (1, F(-1, 2), 0) and eval_form(form, *witness) == F(-1, 8)
 
 
 def test_oracle_examples():
@@ -789,16 +818,17 @@ def test_rational_chain_matches_the_chain_of_g(monkeypatch):
         g = quartic.to_unipoly()
         if is_perfect_square(quartic.a1_squared):
             assert all(type(v) is F for v in g.coeffs)
-            assert _sturm_in_t(quartic, g) == squarefree_sturm(g)
+            assert quartic.sturm_in_t() == squarefree_sturm(g)
             continue
         own, own_minus, own_plus = squarefree_sturm(g)
-        chain, at_minus, at_plus = _sturm_in_t(quartic, g)
+        chain, at_minus, at_plus = quartic.sturm_in_t()
         assert (at_minus, at_plus) == (own_minus, own_plus)
         assert [q.degree for q in chain] == [q.degree for q in own]
         squarefree = own[0] is g
         assert (chain[0] is g) == squarefree
         for q, ref in zip(chain, own):
-            factor = q.leading / ref.leading
+            lead = ref.leading
+            factor = q.leading * (lead.reciprocal() if isinstance(lead, QuadExt) else 1 / lead)
             assert sgn(factor) > 0 and ref.scale(factor) == q
         # every entry but g itself is p_i(sqrt(R)*t) for a rational p_i:
         # rational at even powers of t, a rational multiple of sqrt(R) at odd

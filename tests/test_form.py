@@ -149,7 +149,7 @@ def test_reduced_quartic_cubic_coefficient_is_minus_sqrt_r():
         assert g.a1_sign == (-1 if radicand(c) > 0 else 0)
         # the odd part of g is a1*t**3: a1 = (g(1) - g(-1)) / 2
         poly = g.to_unipoly()
-        a1 = (poly.eval(F(1)) - poly.eval(F(-1))) / 2
+        a1 = (poly.eval(F(1)) - poly.eval(F(-1))) * F(1, 2)
         assert sgn(a1) == g.a1_sign and a1 * a1 == radicand(c)
 
 

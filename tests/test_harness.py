@@ -161,6 +161,18 @@ def test_fuzz_compare_smoke_all_strata():
         assert record["falsifier_checked"] == expected
 
 
+def test_fuzz_with_coefficients_past_the_int_digit_limit():
+    # at |k|, |l|, |m|, |n| up to 10**900 a record's f5, of degree 5 in
+    # them, can have more than 4300 digits; one sample per stratum
+    cfg = FuzzConfig(sample_count=len(STRATA), seed=1, strata=STRATA,
+                     coefficient_range=(-10**900, 10**900))
+    report = fuzz_compare(cfg)
+    assert report.summary["witness_failures"] == 0
+    assert report.summary["structural_oracle_disagreements"] == 0
+    assert report.summary["config"]["coefficient_range"] == ["-1" + "0" * 900, "1" + "0" * 900]
+    assert max(len(r["polys"]["f5"]) for r in report.records) > 4300
+
+
 def test_fuzz_records_shape():
     cfg = FuzzConfig(sample_count=6, seed=3, strata=("generic", "f3_zero"))
     report = fuzz_compare(cfg)

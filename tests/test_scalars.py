@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -19,8 +20,9 @@ NON_SQUARES = [r for r in range(1, 51) if math.isqrt(r) ** 2 != r]
 
 def test_norm_product():
     a = QuadExt(1, 1, 2)
-    assert a * a.conjugate() == QuadExt(-1, 0, 2)
-    assert (a * a.conjugate()).v == 0
+    conjugate = QuadExt(a.u, -a.v, a.radicand)
+    assert a * conjugate == QuadExt(-1, 0, 2)
+    assert (a * conjugate).v == 0 and (a * conjugate).u == a.norm()
 
 
 def test_additive_identity():
@@ -74,6 +76,7 @@ def test_rational_operands_lift():
 
 
 def test_division_roundtrip():
+    # division is multiplication by the one inverse, ``reciprocal``
     rng = random.Random(23)
     for _ in range(200):
         rad = F(rng.choice([2, 3, 5, 7, 11]))
@@ -81,15 +84,17 @@ def test_division_roundtrip():
         b = QuadExt(F(rng.randint(-9, 9)), F(rng.randint(-9, 9)), rad)
         if b.sign() == 0:
             continue
-        assert (a * b) / b == a
+        assert (a * b) * b.reciprocal() == a
+        assert b * b.reciprocal() == 1
 
 
 def test_division_by_zero_value():
     with pytest.raises(ZeroDivisionError):
-        QuadExt(1, 0, 2) / QuadExt(0, 0, 2)
+        QuadExt(0, 0, 2).reciprocal()
     # value zero even though the pair is nonzero: norm 0 is refused
     with pytest.raises(ZeroDivisionError):
-        QuadExt(1, 0, 4) / QuadExt(2, -1, 4)
+        QuadExt(2, -1, 4).reciprocal()
+    assert not any(hasattr(QuadExt, name) for name in ("__truediv__", "__rtruediv__"))
 
 
 def test_negative_radicand_rejected():
@@ -134,19 +139,52 @@ def test_products_and_quotients_with_int_and_fraction_operands():
         check(a * q, u * q, v * q, R)
         check(q * a, u * q, v * q, R)
         if q != 0:
-            check(a / q, u / q, v / q, R)
+            check(a * (1 / F(q)), u / q, v / q, R)
         if b.sign() != 0:
             norm = bu * bu - bv * bv * R
-            check(a / b, (u * bu - v * bv * R) / norm, (v * bu - u * bv) / norm, R)
+            check(b.reciprocal(), bu / norm, -bv / norm, R)
+            check(a * b.reciprocal(), (u * bu - v * bv * R) / norm, (v * bu - u * bv) / norm, R)
         if a.sign() != 0:
             norm = u * u - v * v * R
-            check(q / a, q * u / norm, -q * v / norm, R)
+            check(q * a.reciprocal(), q * u / norm, -q * v / norm, R)
 
 
 def test_parse_and_format_roundtrip():
     for text in ["-3/7", "12", "0", "+5", "1000/64", "-1"]:
         value = parse_rational(text)
         assert parse_rational(format_rational(value)) == value
+
+
+def digits_value(text):
+    """The int written by ``text``, read in pieces under the interpreter's
+    int/str digit limit."""
+    sign, text = (-1, text[1:]) if text.startswith("-") else (1, text)
+    value = 0
+    for start in range(0, len(text), 600):
+        piece = text[start:start + 600]
+        value = value * 10 ** len(piece) + int(piece)
+    return sign * value
+
+
+def test_format_rational_writes_a_rational_of_any_size():
+    # str() of an int refuses more than 4300 digits by default; a witness
+    # near the PSD boundary can need more
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    assert format_rational(F(10**5000 + 7, 3)) == "1" + "0" * 4999 + "7/3"
+    assert format_rational(F(-(10**9000), 7)) == "-1" + "0" * 9000 + "/7"
+    assert format_rational(F(3, 10**6000)) == "3/1" + "0" * 6000
+    rng = random.Random(5)
+    for bits in (1990, 2000, 2001, 2100, 14300, 30000, 70000):
+        num, den = rng.getrandbits(bits) | 1 << (bits - 1), rng.getrandbits(bits) | 1
+        value = F(-num, den)
+        text = format_rational(value)
+        top, bottom = text.split("/") if "/" in text else (text, "1")
+        assert F(digits_value(top), digits_value(bottom)) == value, bits
+        assert not top.startswith("-0") and not bottom.startswith("0")
+    for value in (F(0), F(-3, 7), F(12), F(10**600 + 1, 10**599)):
+        assert format_rational(value) == str(value)
+    if limit is not None:
+        assert sys.get_int_max_str_digits() == limit
 
 
 @pytest.mark.parametrize("bad", ["1.5", "1e3", "", "/3", "3/0", "nan", "0x10", "1/2/3"])
