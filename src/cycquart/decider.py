@@ -1,12 +1,15 @@
-"""Three independent decision procedures for the cyclic ternary quartic.
+"""Three decision procedures for the cyclic ternary quartic.
 
-* ``decide_closed_form`` evaluates a quantifier-free formula in the
-  coefficients (k, l, m, n) directly.  Three textual variants are shipped
-  because the source formula is self-contradictory on boundary strata: the
-  ``theorem`` variant uses the strict comparisons ``f6 < 0 or f7 < 0``, the
-  ``proof`` variant the non-strict ones, and the ``corrected`` variant adds
-  the missing guard ``k + m - 1 >= 0`` to the degenerate-radicand clause
-  (see ``decide_closed_form``).
+* ``decide_closed_form`` evaluates a quantifier-free formula in the clause
+  polynomials of (k, l, m, n) (``eval_polys``).  f1, f2, f3, f6 and f7 are
+  read off g and the cofactors of its discriminants, so this path shares
+  g's reduction and discriminant formulas with ``decide_structural``; f4,
+  f5 and g1..g4 are the published polynomials.  Three textual variants are
+  shipped because the source formula is self-contradictory on boundary
+  strata: the ``theorem`` variant uses the strict comparisons ``f6 < 0 or
+  f7 < 0``, the ``proof`` variant the non-strict ones, and the
+  ``corrected`` variant adds the missing guard ``k + m - 1 >= 0`` to the
+  degenerate-radicand clause (see ``decide_closed_form``).
 
 * ``decide_structural`` reduces to the univariate quartic g(t) and decides
   it case by case: biquadratic rules when the radicand R vanishes, a
@@ -51,11 +54,12 @@ from .form import (
     CyclicParams,
     form_numerator,
     r_range,
+    reduce_scaled,
     reduce_to_g,
     reduced_coefficients,
     scaled_coefficients,
 )
-from .quartic_rules import SpecialQuartic, discriminant_rule, discriminants_of
+from .quartic_rules import SpecialQuartic, discriminant_cofactors, discriminant_rule
 from .roots import is_nonneg_everywhere
 from .scalars import sgn
 from .unipoly import chain_variations, count_sign_changes
@@ -167,37 +171,22 @@ def eval_f5(c: CyclicParams) -> Fraction:
 
 
 def eval_polys(c: CyclicParams) -> ClausePolynomials:
-    """Exact values of f1..f7 and g1..g4 at the given coefficients."""
+    """Exact values of f1..f7 and g1..g4 at the given coefficients.
+
+    f1 = a0/3, f2, f3 = a4, f6 = E2/12 and f7 = E3/36 are read off g
+    (``form.reduce_scaled`` on (1, k, l, m, n)) and the cofactors of its
+    discriminants (``quartic_rules.discriminant_cofactors``); f4, f5 and
+    g1..g4 keep their published forms.  No two ints are divided, so the
+    values are exact on ``Fraction``, ``int`` and sympy inputs alike.
+    """
     k, l, m, n = c.k, c.l, c.m, c.n
-    f1 = 2 + k - m - n
-    f2 = 4 * k + m + n - 8 - 2 * l
-    f3 = 1 + k + m + n + l
+    a0, s, a2, f3, f2 = reduce_scaled(1, k, l, m, n)
+    e2, e3, _ = discriminant_cofactors(a0, s, a2, f3)
+    f1 = a0 * Fraction(1, 3)
     f4 = 3 * (1 + k) - m ** 2 - n ** 2 - m * n
     f5 = eval_f5(c)
-    f6 = (
-        4 * k**2 + 2 * k * l - 4 * k * m - 4 * k * n + l**2 - 7 * l * m - 7 * l * n
-        + 13 * m**2 - m * n + 13 * n**2 - 40 * k + 20 * l + 8 * m + 8 * n - 32
-    )
-    f7 = (
-        -768 + 352 * k**2 - 332 * l**2 + 180 * n**2 + 180 * m**2 + 56 * k**3 - 8 * k**4
-        + 14 * l**3 + 132 * n**3 + 132 * m**3 + 42 * n**4 + 42 * m**4 - 480 * k
-        - 60 * l * m * n - 192 * n
-        + 32 * k * l * m * n - 192 * m + 912 * l + l**4 - 354 * k * m * n
-        + 158 * k * l * n + 158 * k * l * m + 26 * k**2 * m * n
-        - 11 * k * l * n**2 + 22 * k**2 * l * m + 22 * k**2 * l * n - 45 * k * m * n**2
-        - 90 * l * m**2 * n - 45 * k * m**2 * n
-        - 11 * k * l * m**2 + 23 * l**2 * m * n - 90 * l * m * n**2 + k * l**2 * m
-        + k * l**2 * n + 36 * m * n - 480 * k * m + 592 * k * l
-        - 480 * k * n - 60 * l * m - 60 * l * n + 8 * k**3 * m + 8 * k**3 * n
-        - 20 * k**2 * l + 32 * k**2 * n + 32 * k**2 * m
-        - 12 * k**3 * l + 234 * m * n**2 + 234 * m**2 * n - 192 * l * n**2
-        - 258 * k * n**2 - 192 * l * m**2 - 258 * k * m**2
-        + 116 * l**2 * m + 116 * l**2 * n + 87 * m**3 * n + 87 * m * n**3
-        - 15 * k * n**3 + 90 * m**2 * n**2 - 30 * l * n**3
-        - 15 * k * m**3 - 30 * l * m**3 + 25 * l**2 * m**2 + 25 * l**2 * n**2
-        - 14 * k**2 * m**2 - 14 * k**2 * n**2
-        - 146 * k * l**2 - 10 * l**3 * m - 10 * l**3 * n - 2 * k**2 * l**2 + 3 * k * l**3
-    )
+    f6 = e2 * Fraction(1, 12)
+    f7 = e3 * Fraction(1, 36)
     g1 = k - 2 * m + 2
     g2 = 4 * k - m ** 2 - 8
     g3 = 8 + m - 2 * k
@@ -301,8 +290,8 @@ def decide_structural(c: CyclicParams) -> Verdict:
         return _verdict(ok, "structural", tag)
     if a0 <= 0:
         return _verdict(False, "structural", "f3>0/f1<=0")
-    _, d2, d3, d4 = discriminants_of(a0, s, a2, a4)
-    ok, rule = discriminant_rule(d2, d3, d4)
+    # a0 > 0 and a4 > 0: D2, D3 and D4 have the signs of their cofactors
+    ok, rule = discriminant_rule(*discriminant_cofactors(a0, s, a2, a4))
     return _verdict(ok, "structural", f"f3>0/quartic-rule/{rule}")
 
 

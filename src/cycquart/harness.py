@@ -337,7 +337,8 @@ def fuzz_compare(cfg: FuzzConfig, record_sink=None) -> DiscrepancyReport:
         if polys.f1 != 0:
             # exact proportionality between the clause polynomials and the
             # discriminants of g: D2 = 108*f1^2*f6, D3 = 324*f1^2*f7,
-            # D4 = 104976*f1^2*f3*f5
+            # D4 = 104976*f1^2*f3*f5; f6 and f7 are read off D2 and D3, so
+            # only D4 checks a published polynomial (f5)
             _, d2, d3, d4 = discriminants(g)
             identity_checked += 1
             if d2 == 108 * polys.f1 ** 2 * polys.f6:

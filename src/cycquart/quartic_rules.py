@@ -33,6 +33,7 @@ __all__ = [
     "SpecialQuartic",
     "discriminants",
     "discriminants_of",
+    "discriminant_cofactors",
     "discriminant_rule",
     "is_nonneg",
 ]
@@ -114,31 +115,34 @@ def discriminants(q: SpecialQuartic) -> tuple[Fraction, Fraction, Fraction, Frac
 
 
 def discriminants_of(a0, s, a2, a4) -> tuple:
-    """(D1, D2, D3, D4) from plain ``a0``, ``s = a1**2``, ``a2``, ``a4``.
+    """(D1, D2, D3, D4) from plain ``a0``, ``s = a1**2``, ``a2``, ``a4``:
+    ``(a0**2, a0**2*E2, a0**2*E3, a0**2*a4*E4)`` with the cofactors of
+    ``discriminant_cofactors``, in any ring."""
+    e2, e3, e4 = discriminant_cofactors(a0, s, a2, a4)
+    d1 = a0 * a0
+    return d1, d1 * e2, d1 * e3, d1 * a4 * e4
 
-    Works on ``int`` and ``Fraction`` alike.  Each Di is homogeneous in
-    (a0, a1, a2, a4), of degree 2, 4, 6 and 8, so scaling a0, a2, a4 by
-    d > 0 and s by d**2 multiplies Di by a positive power of d and keeps
-    its sign: integer coefficients with cleared denominators decide the
-    same branch of ``discriminant_rule``.
+
+def discriminant_cofactors(a0, s, a2, a4) -> tuple:
+    """``(E2, E3, E4)`` with D2 = a0**2*E2, D3 = a0**2*E3 and
+    D4 = a0**2*a4*E4, in any ring: the one place the special quartic's
+    discriminants are written.  Each Ei is homogeneous in (a0, a1, a2, a4),
+    of degree 2, 4 and 6, so scaling a0, a2, a4 by d > 0 and s by d**2
+    keeps its sign; for a0 > 0 and a4 > 0 it has the sign of Di, so
+    ``discriminant_rule`` reads the cofactors of g's integers as it would
+    g's discriminants.
     """
-    d1 = a0 ** 2
-    d2 = -8 * a0 ** 3 * a2 + 3 * s * a0 ** 2
-    d3 = (
-        -4 * a0 ** 3 * a2 ** 3
-        + 16 * a0 ** 4 * a2 * a4
-        + a0 ** 2 * s * a2 ** 2
-        - 6 * a0 ** 3 * s * a4
+    e2 = 3 * s - 8 * a0 * a2
+    e3 = -4 * a0 * a2 ** 3 + 16 * a0 ** 2 * a2 * a4 + s * a2 ** 2 - 6 * a0 * s * a4
+    e4 = (
+        -27 * s ** 2 * a4
+        + 16 * a0 * a2 ** 4
+        - 128 * a0 ** 2 * a2 ** 2 * a4
+        - 4 * s * a2 ** 3
+        + 144 * a0 * a2 * s * a4
+        + 256 * a0 ** 3 * a4 ** 2
     )
-    d4 = (
-        -27 * a0 ** 2 * s ** 2 * a4 ** 2
-        + 16 * a0 ** 3 * a2 ** 4 * a4
-        - 128 * a0 ** 4 * a2 ** 2 * a4 ** 2
-        - 4 * a0 ** 2 * s * a2 ** 3 * a4
-        + 144 * a0 ** 3 * a2 * s * a4 ** 2
-        + 256 * a0 ** 5 * a4 ** 3
-    )
-    return d1, d2, d3, d4
+    return e2, e3, e4
 
 
 def discriminant_rule(d2: Fraction, d3: Fraction, d4: Fraction) -> tuple[bool, str]:

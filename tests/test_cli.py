@@ -3,6 +3,7 @@ import json
 from cycquart.cli import main
 from cycquart.decider import find_witness
 from cycquart.form import CyclicParams, eval_form
+from cycquart.harness import FuzzConfig
 from cycquart.scalars import Fraction, format_rational, parse_rational
 
 
@@ -312,6 +313,21 @@ def test_fuzz_config_with_a_wrongly_typed_value_exits_2(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert "sample_count" in err and "Traceback" not in err
+
+
+def test_fuzz_config_is_read_under_the_int_digit_limit(capsys, tmp_path):
+    # to_dict writes bounds of any size, and from_dict reads them back
+    # through int/str conversion: a bound within Python's 4300-digit limit
+    # round-trips, and a longer one is a usage error, not a traceback
+    cfg = FuzzConfig(sample_count=1, coefficient_range=(-(10**900), 10**900))
+    assert FuzzConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+    cfg_path = tmp_path / "cfg.json"
+    huge = FuzzConfig(sample_count=1, coefficient_range=(-(10**5000), 10**5000))
+    cfg_path.write_text(json.dumps(huge.to_dict()))
+    code, out, err = run(capsys, "fuzz", "--config", str(cfg_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_fuzz_with_empty_strata_exits_2(capsys):

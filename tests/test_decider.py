@@ -101,13 +101,47 @@ def test_discriminant_proportionality_identities():
     assert checked > 100
 
 
+def published_clause_polynomials(k, l, m, n) -> dict:
+    """f1, f2, f3, f6 and f7 as the paper prints them; eval_polys reads
+    them off g, and the proof below checks that it reads these."""
+    f6 = (
+        4 * k**2 + 2 * k * l - 4 * k * m - 4 * k * n + l**2 - 7 * l * m - 7 * l * n
+        + 13 * m**2 - m * n + 13 * n**2 - 40 * k + 20 * l + 8 * m + 8 * n - 32
+    )
+    f7 = (
+        -768 + 352 * k**2 - 332 * l**2 + 180 * n**2 + 180 * m**2 + 56 * k**3 - 8 * k**4
+        + 14 * l**3 + 132 * n**3 + 132 * m**3 + 42 * n**4 + 42 * m**4 - 480 * k
+        - 60 * l * m * n - 192 * n
+        + 32 * k * l * m * n - 192 * m + 912 * l + l**4 - 354 * k * m * n
+        + 158 * k * l * n + 158 * k * l * m + 26 * k**2 * m * n
+        - 11 * k * l * n**2 + 22 * k**2 * l * m + 22 * k**2 * l * n - 45 * k * m * n**2
+        - 90 * l * m**2 * n - 45 * k * m**2 * n
+        - 11 * k * l * m**2 + 23 * l**2 * m * n - 90 * l * m * n**2 + k * l**2 * m
+        + k * l**2 * n + 36 * m * n - 480 * k * m + 592 * k * l
+        - 480 * k * n - 60 * l * m - 60 * l * n + 8 * k**3 * m + 8 * k**3 * n
+        - 20 * k**2 * l + 32 * k**2 * n + 32 * k**2 * m
+        - 12 * k**3 * l + 234 * m * n**2 + 234 * m**2 * n - 192 * l * n**2
+        - 258 * k * n**2 - 192 * l * m**2 - 258 * k * m**2
+        + 116 * l**2 * m + 116 * l**2 * n + 87 * m**3 * n + 87 * m * n**3
+        - 15 * k * n**3 + 90 * m**2 * n**2 - 30 * l * n**3
+        - 15 * k * m**3 - 30 * l * m**3 + 25 * l**2 * m**2 + 25 * l**2 * n**2
+        - 14 * k**2 * m**2 - 14 * k**2 * n**2
+        - 146 * k * l**2 - 10 * l**3 * m - 10 * l**3 * n - 2 * k**2 * l**2 + 3 * k * l**3
+    )
+    return {"f1": 2 + k - m - n, "f2": 4 * k + m + n - 8 - 2 * l,
+            "f3": 1 + k + m + n + l, "f6": f6, "f7": f7}
+
+
 def test_discriminant_identities_hold_symbolically():
     # the same identities as polynomial identities in Q[k, l, m, n], with
-    # the published expressions of eval_polys and the package's reduction
-    # evaluated on symbols
+    # eval_polys and the package's reduction evaluated on symbols.  f1, f2,
+    # f3, f6 and f7 are read off g, so they are first proved equal to the
+    # published expressions; f5 is the published one itself
     sympy = pytest.importorskip("sympy")
     k, l, m, n = sympy.symbols("k l m n")
     P = eval_polys(SimpleNamespace(k=k, l=l, m=m, n=n))
+    for name, published in published_clause_polynomials(k, l, m, n).items():
+        assert sympy.expand(getattr(P, name) - published) == 0, name
     a0, rad, a2, a4, _ = reduce_scaled(1, k, l, m, n)
     quartic = SimpleNamespace(a0=a0, a1_squared=rad, a2=a2, a4=a4)
     _, d2, d3, d4 = discriminants(quartic)

@@ -3,8 +3,8 @@ g >= 0 (see ``form``'s module docstring).
 
 Each is a polynomial identity, checked as ``sympy.expand(lhs - rhs) == 0``.
 F is built from ``form.cyclic_sums`` on symbols, and f2 and R come from
-``decider.eval_polys`` and ``form.reduce_scaled``, so the proofs run on the
-package's own expressions.  sympy is imported at the top: without the
+``form.reduce_scaled`` (f2 through ``decider.eval_polys``, which reads it
+off g), so the proofs run on the package's own expressions.  sympy is imported at the top: without the
 ``test`` extra this module errors instead of skipping.
 """
 
