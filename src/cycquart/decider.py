@@ -1,15 +1,17 @@
 """Three decision procedures for the cyclic ternary quartic.
 
 * ``decide_closed_form`` evaluates a quantifier-free formula in the clause
-  polynomials of (k, l, m, n) (``eval_polys``).  f1, f2, f3, f6 and f7 are
-  read off g and the cofactors of its discriminants, so this path shares
-  g's reduction and discriminant formulas with ``decide_structural``; f4,
-  f5 and g1..g4 are the published polynomials.  Three textual variants are
-  shipped because the source formula is self-contradictory on boundary
-  strata: the ``theorem`` variant uses the strict comparisons ``f6 < 0 or
-  f7 < 0``, the ``proof`` variant the non-strict ones, and the
-  ``corrected`` variant adds the missing guard ``k + m - 1 >= 0`` to the
-  degenerate-radicand clause (see ``decide_closed_form``).
+  polynomials of (k, l, m, n) (``eval_polys``).  All eleven are read off
+  the integers the form keeps: f1, f2 and f3 off g, f5, f6 and f7 off the
+  cofactors of its discriminants, f4 and g1..g4 off d*(k, l, m, n).  So
+  this path shares g's reduction and discriminant formulas with
+  ``decide_structural``; the published polynomials are the references of
+  the tests.  Three textual variants are shipped because the source
+  formula is self-contradictory on boundary strata: the ``theorem``
+  variant uses the strict comparisons ``f6 < 0 or f7 < 0``, the ``proof``
+  variant the non-strict ones, and the ``corrected`` variant adds the
+  missing guard ``k + m - 1 >= 0`` to the degenerate-radicand clause (see
+  ``decide_closed_form``).
 
 * ``decide_structural`` reduces to the univariate quartic g(t) and decides
   it case by case: biquadratic rules when the radicand R vanishes, a
@@ -54,7 +56,6 @@ from .form import (
     CyclicParams,
     form_numerator,
     r_range,
-    reduce_scaled,
     reduce_to_g,
     reduced_coefficients,
     scaled_coefficients,
@@ -69,7 +70,7 @@ __all__ = [
     "CLAUSE_POLYNOMIAL_NAMES",
     "Verdict",
     "CLOSED_FORM_VARIANTS",
-    "eval_f5",
+    "clause_quotients",
     "eval_polys",
     "decide_closed_form",
     "closed_form_verdict",
@@ -133,65 +134,37 @@ def _verdict(ok: bool, method: str, clause: str) -> Verdict:
     return Verdict(ok, method, clause)
 
 
-def eval_f5(c: CyclicParams) -> Fraction:
-    """Exact value of f5 alone, proportional to the discriminant D4 of g."""
-    k, l, m, n = c.k, c.l, c.m, c.n
-    return (
-        -4 * k**3 * m**2 - 4 * k**3 * n**2 - 4 * k**2 * l * m**2 + 4 * k**2 * l * m * n
-        - 4 * k**2 * l * n**2
-        - k * l**2 * m**2 + 4 * k * l**2 * m * n - k * l**2 * n**2 + 8 * k * l * m**3
-        + 6 * k * l * m**2 * n + 6 * k * l * m * n**2
-        + 8 * k * l * n**3 - 2 * k * m**4 + 10 * k * m**3 * n - 3 * k * m**2 * n**2
-        + 10 * k * m * n**3 - 2 * k * n**4
-        + l**3 * m * n - 9 * l**2 * m**2 * n - 9 * l**2 * m * n**2 + l * m**4
-        + 13 * l * m**3 * n - 3 * l * m**2 * n**2
-        + 13 * l * m * n**3 + l * n**4 - 7 * m**5 - 8 * m**4 * n - 16 * m**3 * n**2
-        - 16 * m**2 * n**3 - 8 * m * n**4
-        - 7 * n**5 + 16 * k**4 + 16 * k**3 * l - 32 * k**2 * l * m - 32 * k**2 * l * n
-        + 12 * k**2 * m**2
-        - 48 * k**2 * m * n + 12 * k**2 * n**2 - 4 * k * l**3 + 4 * k * l**2 * m
-        + 4 * k * l**2 * n - 12 * k * l * m**2
-        - 60 * k * l * m * n - 12 * k * l * n**2 + 40 * k * m**3 + 48 * k * m**2 * n
-        + 48 * k * m * n**2 + 40 * k * n**3
-        - l**4 + 10 * l**3 * m + 10 * l**3 * n - 21 * l**2 * m**2 + 12 * l**2 * m * n
-        - 21 * l**2 * n**2
-        + 10 * l * m**3 + 48 * l * m**2 * n + 48 * l * m * n**2 + 10 * l * n**3
-        - 17 * m**4 - 14 * m**3 * n
-        - 21 * m**2 * n**2 - 14 * m * n**3 - 17 * n**4 - 16 * k**3 + 32 * k**2 * l
-        - 48 * k**2 * m
-        - 48 * k**2 * n + 80 * k * l**2 - 48 * k * l * m - 48 * k * l * n + 96 * k * m**2
-        + 48 * k * m * n + 96 * k * n**2
-        - 24 * l**3 - 24 * l**2 * m - 24 * l**2 * n + 24 * l * m**2 - 24 * l * m * n
-        + 24 * l * n**2 - 16 * m**3
-        - 48 * m**2 * n - 48 * m * n**2 - 16 * n**3 - 96 * k**2 - 64 * k * l + 64 * k * m
-        + 64 * k * n + 96 * l**2
-        - 32 * l * m - 32 * l * n - 16 * m**2 - 32 * m * n - 16 * n**2 + 64 * k
-        - 128 * l + 64 * m + 64 * n + 128
+def clause_quotients(scaled, reduced) -> tuple[tuple, tuple]:
+    """The eleven clause values as ``(numerators, denominators)``, in the
+    order of ``ClausePolynomials``, from ``(d, K, L, M, N) =
+    scaled_coefficients(c)`` and ``(d, A0, S, A2, A4, F2) =
+    reduced_coefficients(c)``, the integers of d*(1, k, l, m, n) and d*g.
+
+    f1 = A0/(3*d), f2 = F2/d and f3 = A4/d are g's coefficients.  The
+    cofactors (E2, E3, E4) of ``discriminant_cofactors`` at d*g are d**2,
+    d**4 and d**5 times g's own, so D2 = 108*f1**2*f6, D3 = 324*f1**2*f7
+    and D4 = 104976*f1**2*f3*f5 give f6 = E2/(12*d**2), f7 = E3/(36*d**4)
+    and f5 = E4/(11664*d**5).  f4 and g1..g4 are the published polynomials
+    times d**2 or d.  Every denominator is positive.  Nothing is divided,
+    so it runs in any ring; the sympy proofs run it on symbols.
+    """
+    d, K, _, M, N = scaled
+    _, a0, s, a2, a4, f2 = reduced
+    e2, e3, e4 = discriminant_cofactors(a0, s, a2, a4)
+    dd = d * d
+    numerators = (
+        a0, f2, a4, 3 * d * (d + K) - M * M - N * N - M * N, e4, e2, e3,
+        K - 2 * M + 2 * d, 4 * d * K - M * M - 8 * dd, 8 * d + M - 2 * K, M - N,
     )
+    denominators = (3 * d, d, d, dd, 11664 * dd * dd * d, 12 * dd, 36 * dd * dd, d, dd, d, d)
+    return numerators, denominators
 
 
 def eval_polys(c: CyclicParams) -> ClausePolynomials:
-    """Exact values of f1..f7 and g1..g4 at the given coefficients.
-
-    f1 = a0/3, f2, f3 = a4, f6 = E2/12 and f7 = E3/36 are read off g
-    (``form.reduce_scaled`` on (1, k, l, m, n)) and the cofactors of its
-    discriminants (``quartic_rules.discriminant_cofactors``); f4, f5 and
-    g1..g4 keep their published forms.  No two ints are divided, so the
-    values are exact on ``Fraction``, ``int`` and sympy inputs alike.
-    """
-    k, l, m, n = c.k, c.l, c.m, c.n
-    a0, s, a2, f3, f2 = reduce_scaled(1, k, l, m, n)
-    e2, e3, _ = discriminant_cofactors(a0, s, a2, f3)
-    f1 = a0 * Fraction(1, 3)
-    f4 = 3 * (1 + k) - m ** 2 - n ** 2 - m * n
-    f5 = eval_f5(c)
-    f6 = e2 * Fraction(1, 12)
-    f7 = e3 * Fraction(1, 36)
-    g1 = k - 2 * m + 2
-    g2 = 4 * k - m ** 2 - 8
-    g3 = 8 + m - 2 * k
-    g4 = m - n
-    return ClausePolynomials(f1, f2, f3, f4, f5, f6, f7, g1, g2, g3, g4)
+    """Exact values of f1..f7 and g1..g4 at ``c``: ``clause_quotients`` on
+    the integers kept on ``c``, and one exact division per value."""
+    numerators, denominators = clause_quotients(scaled_coefficients(c), reduced_coefficients(c))
+    return ClausePolynomials(*map(Fraction, numerators, denominators))
 
 
 def decide_closed_form(c: CyclicParams, variant: str = "theorem") -> Verdict:

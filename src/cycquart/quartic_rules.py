@@ -127,10 +127,11 @@ def discriminant_cofactors(a0, s, a2, a4) -> tuple:
     """``(E2, E3, E4)`` with D2 = a0**2*E2, D3 = a0**2*E3 and
     D4 = a0**2*a4*E4, in any ring: the one place the special quartic's
     discriminants are written.  Each Ei is homogeneous in (a0, a1, a2, a4),
-    of degree 2, 4 and 6, so scaling a0, a2, a4 by d > 0 and s by d**2
-    keeps its sign; for a0 > 0 and a4 > 0 it has the sign of Di, so
-    ``discriminant_rule`` reads the cofactors of g's integers as it would
-    g's discriminants.
+    of degree 2, 4 and 5, so scaling a0, a2, a4 by d > 0 and s by d**2
+    multiplies E2, E3 and E4 by d**2, d**4 and d**5 and keeps their signs
+    (``decider.clause_quotients`` divides by those powers); for a0 > 0 and
+    a4 > 0 each has the sign of Di, so ``discriminant_rule`` reads the
+    cofactors of g's integers as it would g's discriminants.
     """
     e2 = 3 * s - 8 * a0 * a2
     e3 = -4 * a0 * a2 ** 3 + 16 * a0 ** 2 * a2 * a4 + s * a2 ** 2 - 6 * a0 * s * a4

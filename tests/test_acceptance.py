@@ -8,7 +8,6 @@ strict-vs-nonstrict boundary study).
 import random
 import time
 from fractions import Fraction as F
-from types import SimpleNamespace
 
 import pytest
 
@@ -264,7 +263,7 @@ def _integer_f7_zero_samples(limit=20):
     for k in range(-4, 5):
         for m in range(-4, 5):
             for n in range(-4, 5):
-                q = [eval_polys(SimpleNamespace(k=k, l=l, m=m, n=n)).f7 - l**4
+                q = [eval_polys(CyclicParams(k, l, m, n)).f7 - l**4
                      for l in range(4)]
                 d1 = q[1] - q[0]
                 d2 = q[2] - 2 * q[1] + q[0]

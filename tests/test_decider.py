@@ -10,6 +10,7 @@ from types import SimpleNamespace
 import pytest
 
 from cycquart.decider import (
+    CLAUSE_POLYNOMIAL_NAMES,
     CLOSED_FORM_VARIANTS,
     DEFAULT_WITNESS_BUDGET,
     Verdict,
@@ -19,6 +20,7 @@ from cycquart.decider import (
     _find_negative_t,
     _locus_roots,
     _seeded_search,
+    clause_quotients,
     closed_form_verdict,
     decide,
     decide_closed_form,
@@ -34,9 +36,15 @@ from cycquart.form import (
     radicand,
     reduce_scaled,
     reduce_to_g,
+    scaled_coefficients,
 )
-from cycquart.harness import STRATA, stratum_sampler
-from cycquart.quartic_rules import SpecialQuartic, discriminant_rule, discriminants
+from cycquart.harness import STRATA, published_f5, stratum_sampler
+from cycquart.quartic_rules import (
+    SpecialQuartic,
+    discriminant_cofactors,
+    discriminant_rule,
+    discriminants,
+)
 from cycquart.roots import is_nonneg_everywhere
 from cycquart.scalars import QuadExt, is_perfect_square, sgn
 from cycquart.unipoly import (
@@ -47,6 +55,7 @@ from cycquart.unipoly import (
     sturm_chain,
 )
 from test_form import paper_g
+from test_identities import symbolic_polys
 
 
 def rand_params(rng, span=12, den=6):
@@ -102,8 +111,10 @@ def test_discriminant_proportionality_identities():
 
 
 def published_clause_polynomials(k, l, m, n) -> dict:
-    """f1, f2, f3, f6 and f7 as the paper prints them; eval_polys reads
-    them off g, and the proof below checks that it reads these."""
+    """The eleven clause polynomials as the paper prints them, f5 from its
+    one copy in the package (the ``f5_zero_near`` ranking key), in any
+    ring; eval_polys reads them off the form's integers, and the tests
+    below check that it reads these."""
     f6 = (
         4 * k**2 + 2 * k * l - 4 * k * m - 4 * k * n + l**2 - 7 * l * m - 7 * l * n
         + 13 * m**2 - m * n + 13 * n**2 - 40 * k + 20 * l + 8 * m + 8 * n - 32
@@ -128,20 +139,36 @@ def published_clause_polynomials(k, l, m, n) -> dict:
         - 14 * k**2 * m**2 - 14 * k**2 * n**2
         - 146 * k * l**2 - 10 * l**3 * m - 10 * l**3 * n - 2 * k**2 * l**2 + 3 * k * l**3
     )
-    return {"f1": 2 + k - m - n, "f2": 4 * k + m + n - 8 - 2 * l,
-            "f3": 1 + k + m + n + l, "f6": f6, "f7": f7}
+    return {
+        "f1": 2 + k - m - n, "f2": 4 * k + m + n - 8 - 2 * l, "f3": 1 + k + m + n + l,
+        "f4": 3 * (1 + k) - m**2 - n**2 - m * n, "f5": published_f5(k, l, m, n),
+        "f6": f6, "f7": f7, "g1": k - 2 * m + 2, "g2": 4 * k - m**2 - 8,
+        "g3": 8 + m - 2 * k, "g4": m - n,
+    }
 
 
 def test_discriminant_identities_hold_symbolically():
     # the same identities as polynomial identities in Q[k, l, m, n], with
-    # eval_polys and the package's reduction evaluated on symbols.  f1, f2,
-    # f3, f6 and f7 are read off g, so they are first proved equal to the
-    # published expressions; f5 is the published one itself
+    # the package's reduction and clause values evaluated on symbols.
+    # Scaling g's coefficients (a0, a2, a4) by d and a1**2 by d**2 scales
+    # E2, E3 and E4 by d**2, d**4 and d**5, the powers eval_polys divides by
     sympy = pytest.importorskip("sympy")
-    k, l, m, n = sympy.symbols("k l m n")
-    P = eval_polys(SimpleNamespace(k=k, l=l, m=m, n=n))
-    for name, published in published_clause_polynomials(k, l, m, n).items():
-        assert sympy.expand(getattr(P, name) - published) == 0, name
+    k, l, m, n, d = sympy.symbols("k l m n d")
+    g = sympy.symbols("a0 s a2 a4")
+    scaled_g = (d * g[0], d**2 * g[1], d * g[2], d * g[3])
+    for power, e, e_scaled in zip(
+        (2, 4, 5), discriminant_cofactors(*g), discriminant_cofactors(*scaled_g)
+    ):
+        assert sympy.expand(e_scaled - d**power * e) == 0, power
+    # each of the eleven values eval_polys reads off d*(1, k, l, m, n), at
+    # any common denominator d, is the published polynomial
+    scaled = (d, d * k, d * l, d * m, d * n)
+    numerators, denominators = clause_quotients(scaled, (d, *reduce_scaled(*scaled)))
+    published = published_clause_polynomials(k, l, m, n)
+    assert tuple(published) == CLAUSE_POLYNOMIAL_NAMES
+    for name, p, q in zip(CLAUSE_POLYNOMIAL_NAMES, numerators, denominators):
+        assert sympy.expand(p - q * published[name]) == 0, name
+    P = symbolic_polys(SimpleNamespace(k=k, l=l, m=m, n=n))
     a0, rad, a2, a4, _ = reduce_scaled(1, k, l, m, n)
     quartic = SimpleNamespace(a0=a0, a1_squared=rad, a2=a2, a4=a4)
     _, d2, d3, d4 = discriminants(quartic)
@@ -159,7 +186,7 @@ def test_reduction_identities_hold_symbolically():
     k, l, m, n = sympy.symbols("k l m n")
 
     def reduced(c):
-        P = eval_polys(c)
+        P = symbolic_polys(c)
         a0, rad, a2, a4, f2 = reduce_scaled(1, c.k, c.l, c.m, c.n)
         assert sympy.expand(a0 - 3 * P.f1) == 0 and sympy.expand(a4 - P.f3) == 0
         assert sympy.expand(f2 - P.f2) == 0
@@ -320,8 +347,9 @@ def structural_over_q(c):
 
 def test_structural_integers_match_a_fraction_reference():
     # stratum draws; every fifth one also scaled by 10**200 and 10**-200 and
-    # redrawn with denominators up to 10**12.  An f5_zero_near draw costs 32
-    # eval_f5 calls, so that stratum gets fewer seeds.
+    # redrawn with denominators up to 10**12.  An f5_zero_near draw ranks 32
+    # forms by the published f5 in Fraction arithmetic, so that stratum gets
+    # fewer seeds.
     inputs = []
     for stratum in STRATA:
         for seed in range(20 if stratum == "f5_zero_near" else 300):
@@ -351,6 +379,27 @@ def test_structural_integers_match_a_fraction_reference():
         assert (verdict.is_psd, verdict.fired_clause) == structural_over_q(c), c
         clauses.add(verdict.fired_clause)
     assert len(clauses) == 18  # every branch
+
+
+def test_clause_polynomials_match_the_published_ones_on_samples():
+    # eval_polys reads each value off the form's integers and divides by a
+    # power of their common denominator d; here all eleven are compared with
+    # the paper's polynomials in Fraction arithmetic, on stratum draws, their
+    # scalings by 10**200 and 10**-200, and draws with d up to 10**12
+    inputs = []
+    for stratum in STRATA:
+        for seed in range(2 if stratum == "f5_zero_near" else 10):
+            c = stratum_sampler(stratum, random.Random(seed))
+            inputs += [c, stratum_sampler(stratum, random.Random(seed), denominator_bound=10**12)]
+            inputs += [
+                CyclicParams(*(v * scale for v in (c.k, c.l, c.m, c.n)))
+                for scale in (F(10) ** 200, F(1, 10**200))
+            ]
+    assert max(scaled_coefficients(c)[0] for c in inputs) > 10**200
+    for c in inputs:
+        P = eval_polys(c)
+        values = {name: getattr(P, name) for name in CLAUSE_POLYNOMIAL_NAMES}
+        assert values == published_clause_polynomials(c.k, c.l, c.m, c.n), c
 
 
 def test_psd_implies_necessary_conditions():

@@ -3,9 +3,10 @@ g >= 0 (see ``form``'s module docstring).
 
 Each is a polynomial identity, checked as ``sympy.expand(lhs - rhs) == 0``.
 F is built from ``form.cyclic_sums`` on symbols, and f2 and R come from
-``form.reduce_scaled`` (f2 through ``decider.eval_polys``, which reads it
-off g), so the proofs run on the package's own expressions.  sympy is imported at the top: without the
-``test`` extra this module errors instead of skipping.
+``form.reduce_scaled`` (f2 through ``decider.clause_quotients``, which
+``eval_polys`` reads), so the proofs run on the package's own
+expressions.  sympy is imported at the top: without the ``test`` extra
+this module errors instead of skipping.
 """
 
 from fractions import Fraction
@@ -13,7 +14,7 @@ from types import SimpleNamespace
 
 import sympy
 
-from cycquart.decider import eval_polys
+from cycquart.decider import CLAUSE_POLYNOMIAL_NAMES, clause_quotients
 from cycquart.form import cyclic_sums, r_range, reduce_scaled
 from cycquart.quartic_rules import discriminants_of
 
@@ -24,6 +25,17 @@ PARAMS = SimpleNamespace(k=k, l=l, m=m, n=n)
 # the endpoints of the realizable xyz-interval on p = 1, q = (1 - t**2)/3
 R1 = (1 - 3 * t**2 - 2 * t**3) / 27
 R2 = (1 - 3 * t**2 + 2 * t**3) / 27
+
+
+def symbolic_polys(c) -> SimpleNamespace:
+    """``eval_polys(c)`` for symbolic (k, l, m, n): ``clause_quotients`` at
+    d = 1, each numerator over its denominator, since a Fraction holds no
+    symbol."""
+    scaled = (1, c.k, c.l, c.m, c.n)
+    numerators, denominators = clause_quotients(scaled, (1, *reduce_scaled(*scaled)))
+    return SimpleNamespace(**{
+        name: p / q for name, p, q in zip(CLAUSE_POLYNOMIAL_NAMES, numerators, denominators)
+    })
 
 
 def is_zero(expr) -> bool:
@@ -64,7 +76,7 @@ def odd_part(c, a, b, d):
 def h_parts(c, t, r):
     """The boundary function H(r) = u + v(r)*sqrt(R) of the reduction, as
     the pair (u, v): u = -2*f2*t**3/3 and v(r) = (3*t**2 - 1 + 27*r)/3."""
-    return -2 * eval_polys(c).f2 * t**3 / 3, (3 * t**2 - 1 + 27 * r) / 3
+    return -2 * symbolic_polys(c).f2 * t**3 / 3, (3 * t**2 - 1 + 27 * r) / 3
 
 
 def h_function(r):
@@ -121,7 +133,7 @@ def test_h_endpoint_product():
 def test_h_vanishes_at_the_locus_r_star():
     # decider._locus_roots takes r* = (1 - 3*t**2 + 2*cos*t**3)/27 with cos
     # rounded from f2/sqrt(R); with the exact cosine f2/s, H(r*) = 0
-    cos = eval_polys(PARAMS).f2 / s
+    cos = symbolic_polys(PARAMS).f2 / s
     rstar = (1 - 3 * t**2 + 2 * cos * t**3) / 27
     assert is_zero(h_function(rstar))
 
@@ -134,7 +146,7 @@ def test_case_two_forces_a_zero_radicand_when_f1_vanishes():
     # the same way: an equivalent mutant.
     s_mn = m + n
     line = SimpleNamespace(k=s_mn - 2, l=1 - 2 * s_mn, m=m, n=n)
-    polys = eval_polys(line)
+    polys = symbolic_polys(line)
     assert is_zero(polys.f1) and is_zero(polys.f3)
     f4_bound = -sympy.Rational(3, 4) * (s_mn - 2) ** 2
     assert is_zero(polys.f4 - f4_bound + sympy.Rational(1, 4) * (m - n) ** 2)
