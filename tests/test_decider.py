@@ -381,11 +381,9 @@ def test_structural_integers_match_a_fraction_reference():
     assert len(clauses) == 18  # every branch
 
 
-def test_clause_polynomials_match_the_published_ones_on_samples():
-    # eval_polys reads each value off the form's integers and divides by a
-    # power of their common denominator d; here all eleven are compared with
-    # the paper's polynomials in Fraction arithmetic, on stratum draws, their
-    # scalings by 10**200 and 10**-200, and draws with d up to 10**12
+def sample_forms():
+    """Stratum draws, their scalings by 10**200 and 10**-200, and draws
+    with common denominators d up to 10**12."""
     inputs = []
     for stratum in STRATA:
         for seed in range(2 if stratum == "f5_zero_near" else 10):
@@ -395,6 +393,14 @@ def test_clause_polynomials_match_the_published_ones_on_samples():
                 CyclicParams(*(v * scale for v in (c.k, c.l, c.m, c.n)))
                 for scale in (F(10) ** 200, F(1, 10**200))
             ]
+    return inputs
+
+
+def test_clause_polynomials_match_the_published_ones_on_samples():
+    # eval_polys reads each value off the form's integers and divides by a
+    # power of their common denominator d; here all eleven are compared with
+    # the paper's polynomials in Fraction arithmetic on sample_forms()
+    inputs = sample_forms()
     assert max(scaled_coefficients(c)[0] for c in inputs) > 10**200
     for c in inputs:
         P = eval_polys(c)

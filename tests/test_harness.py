@@ -1,22 +1,29 @@
+import dataclasses
 import hashlib
 import json
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
 
 from cycquart.decider import eval_polys
-from cycquart.form import CyclicParams, eval_form, radicand
+from cycquart.form import CyclicParams, eval_form, radicand, reduce_to_g
 from cycquart.harness import (
     _FALSIFIER_FACES,
     _FALSIFIER_POINTS,
     STRATA,
+    _discriminant_identities,
+    _fitting_denominator,
+    _random_rational,
     DiscrepancyReport,
     FuzzConfig,
     fuzz_compare,
     stratum_sampler,
 )
 from cycquart.kernels import find_negative_on_faces
+from cycquart.quartic_rules import discriminants
+from test_decider import sample_forms
 
 
 def test_config_validation():
@@ -120,6 +127,80 @@ def test_sampler_covers_a_wide_coefficient_range():
     assert sum(abs(v) > 10 ** 3 for v in values) > len(values) // 2
 
 
+def reference_random_rational(rng, lo, hi, den_bound):
+    """The sampler's draw in Fraction arithmetic, as it was written before it
+    moved to the integers of lo and hi: the reference it must match."""
+    e_max = 3
+    while 10**e_max < max(abs(lo), abs(hi)):
+        e_max += 1
+    den = rng.randint(1, den_bound)
+    scale = F(10 ** rng.randint(0, e_max))
+    lo_eff = max(lo, -scale)
+    hi_eff = min(hi, scale)
+    lo_num = math.ceil(lo_eff * den)
+    hi_num = math.floor(hi_eff * den)
+    if lo_num > hi_num:
+        lo_num, hi_num = math.ceil(lo * den), math.floor(hi * den)
+    if lo_num > hi_num:
+        den = _fitting_denominator(rng, lo, hi, den_bound)
+        lo_num, hi_num = math.ceil(lo * den), math.floor(hi * den)
+    return F(rng.randint(lo_num, hi_num), den)
+
+
+@pytest.mark.parametrize("lo, hi, bound", [
+    (F(-1000), F(1000), 64),
+    (F(1, 3), F(1, 2), 64),
+    (F(-5), F(7, 2), 12),
+    (F(5000), F(6000), 7),        # outside every scale window 10**e, e <= 3
+    (F(-10**12), F(10**12), 64),
+    (F(-10**900), F(10**900), 64),
+    (F(-7, 3), F(-1, 9), 5),
+    (F(999), F(1001), 1),
+    (F(-1001), F(1000), 64),      # the range's magnitude sits at lo
+    (F(1, 1000), F(1, 999), 1000),  # only _fitting_denominator's d fit
+    (F(-1), F(99999, 100), 3),
+])
+def test_sampler_draws_match_the_fraction_reference(lo, hi, bound):
+    # the same values from the same calls on the generator, draw by draw
+    rng, ref = random.Random(17), random.Random(17)
+    for _ in range(60):
+        assert _random_rational(rng, lo, hi, bound) == reference_random_rational(ref, lo, hi, bound)
+        assert rng.getstate() == ref.getstate()
+
+
+def fraction_identities(c, P):
+    _, d2, d3, d4 = discriminants(reduce_to_g(c))
+    return (
+        d2 == 108 * P.f1 ** 2 * P.f6,
+        d3 == 324 * P.f1 ** 2 * P.f7,
+        d4 == 104976 * P.f1 ** 2 * P.f3 * P.f5,
+    )
+
+
+def test_integer_discriminant_identities_match_fraction_ones_and_can_fail():
+    # the fuzz compares d*g's discriminants with the clause values in
+    # integers; on sample_forms() with f1 != 0 each comparison equals the
+    # Fraction one on g, and a clause value moved by 1/7 fails it, so it
+    # compares two values, not one with itself.
+    # D4's moves f5 where f3 != 0 and f3 where f5 != 0 (f3_zero has f3 = 0)
+    inputs = [c for c in sample_forms() if eval_polys(c).f1 != 0]
+    assert len(inputs) > 150
+    moves = 0
+    for c in inputs:
+        P = eval_polys(c)
+        assert _discriminant_identities(c, P) == fraction_identities(c, P) == (True,) * 3, c
+        for index, name, factor in ((0, "f6", None), (1, "f7", None), (2, "f5", "f3"),
+                                    (2, "f3", "f5")):
+            if factor is not None and getattr(P, factor) == 0:
+                continue
+            moved = dataclasses.replace(P, **{name: getattr(P, name) + F(1, 7)})
+            holds = _discriminant_identities(c, moved)
+            assert holds == fraction_identities(c, moved), (c, name)
+            assert holds[index] is False, (c, name)
+            moves += 1
+    assert moves > 3 * len(inputs)
+
+
 def falsifier_point(c):
     # the falsifier sweep of fuzz_compare
     point, _ = find_negative_on_faces(c, _FALSIFIER_FACES, _FALSIFIER_POINTS)
@@ -206,6 +287,15 @@ def test_records_match_pinned_fingerprint():
     cfg = FuzzConfig(sample_count=24, seed=99, strata=STRATA)
     digest = hashlib.sha256(fuzz_compare(cfg).to_jsonl().encode()).hexdigest()
     assert digest == "e0df8f217e36a92e3430823655699b8fd4bff3c05d95008c048be3a81ae0ac80"
+
+
+def test_records_of_a_narrow_range_match_pinned_fingerprint():
+    # the one pin of a configuration away from the default range and
+    # denominator bound: captured before the sampler moved to integers
+    cfg = FuzzConfig(sample_count=24, seed=4, strata=STRATA,
+                     coefficient_range=(F(-5), F(7, 2)), denominator_bound=12)
+    digest = hashlib.sha256(fuzz_compare(cfg).to_jsonl().encode()).hexdigest()
+    assert digest == "357d746cbd1a22603096d65dafe92d7acc6e776de49e2b4cf0899d2f5786cff9"
 
 
 def test_records_without_witness_points_match_the_parent():
