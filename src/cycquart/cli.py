@@ -17,7 +17,7 @@ import traceback
 
 from .decider import _METHODS, DEFAULT_WITNESS_BUDGET, decide, find_witness
 from .form import BcdeParams, CyclicParams, eval_form, from_bcde, reduce_to_g
-from .harness import STRATA, FuzzConfig, fuzz_compare, params_dict, verdict_table
+from .harness import STRATA, FuzzConfig, fuzz_compare, params_dict, record_line, verdict_table
 from .quartic_rules import SpecialQuartic, discriminants, is_nonneg
 from .roots import is_nonneg_everywhere, revise, root_count, sign_list
 from .scalars import format_rational, parse_rational
@@ -103,7 +103,6 @@ def _cmd_explain(args) -> int:
     c = _params_from_args(args)
     polys, verdicts, out = verdict_table(c)
     g = reduce_to_g(c)
-    out["R"] = format_rational(g.a1_squared)
     out["g_coefficients"] = _g_strings(g)
     out["g_discriminants"] = _discriminant_strings(g) if polys.f1 != 0 else None
     _emit(out, args.pretty)
@@ -163,21 +162,20 @@ def _cmd_quartic(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
+    data = {}
     if args.config:
         with open(args.config) as handle:
-            cfg = FuzzConfig.from_dict(json.load(handle))
-    else:
-        cfg = FuzzConfig(
-            sample_count=args.count,
-            seed=args.seed,
-            strata=tuple(args.strata.split(",")),
-        )
+            data = json.load(handle)
+    if isinstance(data, dict):  # from_dict refuses anything else
+        flags = {"sample_count": args.count, "seed": args.seed, "strata": args.strata}
+        data.update((key, value) for key, value in flags.items() if value is not None)
+    cfg = FuzzConfig.from_dict(data)
     if args.out:
         # stream records as they are produced so aborted runs stay salvageable
         with open(args.out, "w") as handle:
 
             def sink(record):
-                handle.write(json.dumps(record, sort_keys=True) + "\n")
+                handle.write(record_line(record))
                 handle.flush()
 
             report = fuzz_compare(cfg, record_sink=sink)
@@ -242,15 +240,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_quartic)
 
     p = sub.add_parser("fuzz", help="differential testing of all deciders")
-    p.add_argument("--count", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--count", type=int)
+    p.add_argument("--seed", type=int)
     p.add_argument(
         "--strata",
-        default="generic",
+        type=lambda text: text.split(","),
         help=f"comma-separated subset of {','.join(STRATA)}",
     )
     p.add_argument("--out", help="write per-sample JSONL records to this path")
-    p.add_argument("--config", help="JSON file with the full fuzz configuration")
+    p.add_argument("--config", help="JSON file of FuzzConfig keys; flags given override them")
     p.set_defaults(func=_cmd_fuzz)
 
     for each in (parser, *sub.choices.values()):

@@ -35,7 +35,7 @@ from .decider import (
     eval_polys,
     find_witness,
 )
-from .form import CyclicParams, eval_form, reduce_to_g, reduced_coefficients
+from .form import CyclicParams, eval_form, radicand, reduced_coefficients
 from .quartic_rules import discriminants_of
 from .scalars import format_rational
 
@@ -47,6 +47,7 @@ __all__ = [
     "published_f5",
     "params_dict",
     "verdict_table",
+    "record_line",
     "fuzz_compare",
 ]
 
@@ -93,6 +94,13 @@ class FuzzConfig:
         for stratum in self.strata:
             if stratum not in STRATA:
                 raise ValueError(f"unknown stratum {stratum!r}")
+        # with no integer in the range, a draw may test each d < 1/(hi - lo), ~4 us each
+        scan = min(math.ceil(1 / (hi - lo)), self.denominator_bound + 1) - 1
+        if math.floor(hi) < lo and scan >= 10**5:
+            raise ValueError(
+                f"coefficient_range [{format_rational(lo)}, {format_rational(hi)}] holds no "
+                f"integer, and a draw in it would test up to {scan} denominators (limit 99999)"
+            )
 
     def to_dict(self) -> dict:
         return {
@@ -126,7 +134,12 @@ class DiscrepancyReport:
     summary: dict = field(default_factory=dict)
 
     def to_jsonl(self) -> str:
-        return "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in self.records)
+        return "".join(map(record_line, self.records))
+
+
+def record_line(record: dict) -> str:
+    """One record as a line of the JSON Lines report."""
+    return json.dumps(record, sort_keys=True) + "\n"
 
 
 def _random_rational(rng: random.Random, lo: Fraction, hi: Fraction, den_bound: int) -> Fraction:
@@ -213,8 +226,8 @@ def published_f5(k, l, m, n):
 def stratum_sampler(
     stratum: str,
     rng: random.Random,
-    coefficient_range: tuple[Fraction, Fraction] = (Fraction(-1000), Fraction(1000)),
-    denominator_bound: int = 64,
+    coefficient_range: tuple[Fraction, Fraction] = FuzzConfig.coefficient_range,
+    denominator_bound: int = FuzzConfig.denominator_bound,
 ) -> CyclicParams:
     """Draw one parameter point lying exactly on the requested stratum."""
     lo, hi = coefficient_range
@@ -252,19 +265,15 @@ def stratum_sampler(
     raise ValueError(f"unknown stratum {stratum!r}")
 
 
-def _in_erratum_region(c: CyclicParams, polys) -> bool:
-    return (
+def _classify_disagreement(c: CyclicParams, polys) -> str:
+    if (
         polys.g4 == 0
         and polys.f2 == 0
         and polys.g1 > 0
         and polys.g3 >= 0
         and polys.g2 < 0
         and c.k + c.m - 1 < 0
-    )
-
-
-def _classify_disagreement(c: CyclicParams, polys, rad: Fraction) -> str:
-    if _in_erratum_region(c, polys):
+    ):
         return "erratum-region"
     if (
         polys.f5 == 0
@@ -272,7 +281,7 @@ def _classify_disagreement(c: CyclicParams, polys, rad: Fraction) -> str:
         or polys.f7 == 0
         or polys.f3 == 0
         or polys.f1 == 0
-        or rad == 0
+        or polys.g4 == polys.f2 == 0  # R = 27*g4**2 + f2**2 = 0
     ):
         return "boundary"
     return "unexplained"
@@ -285,7 +294,7 @@ def params_dict(c: CyclicParams) -> dict:
 
 def verdict_table(c: CyclicParams) -> tuple[ClausePolynomials, dict[str, Verdict], dict]:
     """The clause polynomials of ``c``, its five verdicts keyed structural,
-    oracle and closed_<variant>, and the ``params``, ``polys`` and
+    oracle and closed_<variant>, and the ``params``, ``R``, ``polys`` and
     ``verdicts`` blocks that a fuzz record and ``cycquart explain`` print."""
     polys = eval_polys(c)
     verdicts = {
@@ -298,6 +307,7 @@ def verdict_table(c: CyclicParams) -> tuple[ClausePolynomials, dict[str, Verdict
     }
     blocks = {
         "params": params_dict(c),
+        "R": format_rational(radicand(c)),
         "polys": {name: format_rational(getattr(polys, name)) for name in CLAUSE_POLYNOMIAL_NAMES},
         "verdicts": {
             name: {"is_psd": v.is_psd, "fired_clause": v.fired_clause}
@@ -340,28 +350,17 @@ def fuzz_compare(cfg: FuzzConfig, record_sink=None) -> DiscrepancyReport:
     """
     started = time.monotonic()
     records: list[dict] = []
-    strata_counts = {s: 0 for s in cfg.strata}
-    closed_tally = {
-        variant: {"agree": 0, "erratum-region": 0, "boundary": 0, "unexplained": 0}
-        for variant in CLOSED_FORM_VARIANTS
-    }
+    # no record holds these two; the rest of the summary is counted from
+    # the records once the last one is produced
     identity_checked = 0
     identity_holds = {"d2": 0, "d3": 0, "d4": 0}
-    boundary_tally = {"f5_zero": 0, "f6_zero": 0, "f7_zero": 0}
-    theorem_proof_disagreements = 0
-    psd_count = 0
-    witness_failures = 0
-    erratum_hits = 0
 
     for index in range(cfg.sample_count):
         stratum = cfg.strata[index % len(cfg.strata)]
         rng = random.Random(cfg.seed ^ index)
         c = stratum_sampler(stratum, rng, cfg.coefficient_range, cfg.denominator_bound)
-        strata_counts[stratum] += 1
 
         polys, verdicts, blocks = verdict_table(c)
-        g = reduce_to_g(c)
-        rad = g.a1_squared
         structural, oracle = verdicts["structural"], verdicts["oracle"]
         if structural.is_psd != oracle.is_psd:
             raise AssertionError(
@@ -370,11 +369,8 @@ def fuzz_compare(cfg: FuzzConfig, record_sink=None) -> DiscrepancyReport:
             )
 
         witness = None
-        witness_value = None
-        witness_exhausted = False
         falsifier_checked = 0
         if structural.is_psd:
-            psd_count += 1
             attack, falsifier_checked = kernels.find_negative_on_faces(
                 c, _FALSIFIER_FACES, _FALSIFIER_POINTS
             )
@@ -384,32 +380,6 @@ def fuzz_compare(cfg: FuzzConfig, record_sink=None) -> DiscrepancyReport:
                 )
         else:
             witness = find_witness(c)
-            if witness is None:
-                witness_exhausted = True
-                witness_failures += 1
-            else:
-                witness_value = eval_form(c, *witness)
-
-        disagreements = {}
-        for variant in CLOSED_FORM_VARIANTS:
-            if verdicts[f"closed_{variant}"].is_psd == structural.is_psd:
-                disagreements[variant] = "agree"
-                closed_tally[variant]["agree"] += 1
-            else:
-                kind = _classify_disagreement(c, polys, rad)
-                disagreements[variant] = kind
-                closed_tally[variant][kind] += 1
-
-        if verdicts["closed_theorem"].is_psd != verdicts["closed_proof"].is_psd:
-            theorem_proof_disagreements += 1
-        if _in_erratum_region(c, polys):
-            erratum_hits += 1
-        if polys.f5 == 0:
-            boundary_tally["f5_zero"] += 1
-        if polys.f6 == 0:
-            boundary_tally["f6_zero"] += 1
-        if polys.f7 == 0:
-            boundary_tally["f7_zero"] += 1
 
         if polys.f1 != 0:
             # D2 = 108*f1^2*f6, D3 = 324*f1^2*f7 and D4 = 104976*f1^2*f3*f5,
@@ -426,36 +396,55 @@ def fuzz_compare(cfg: FuzzConfig, record_sink=None) -> DiscrepancyReport:
             "index": index,
             "stratum": stratum,
             **blocks,
-            "R": format_rational(rad),
             "witness": [format_rational(v) for v in witness] if witness else None,
-            "witness_value": format_rational(witness_value)
-            if witness_value is not None
-            else None,
-            "witness_budget_exhausted": witness_exhausted,
+            "witness_value": format_rational(eval_form(c, *witness)) if witness else None,
+            "witness_budget_exhausted": not structural.is_psd and witness is None,
             "falsifier_checked": falsifier_checked,
-            "closed_form_disagreements": disagreements,
+            "closed_form_disagreements": {
+                variant: "agree"
+                if verdicts[f"closed_{variant}"].is_psd == structural.is_psd
+                else _classify_disagreement(c, polys)
+                for variant in CLOSED_FORM_VARIANTS
+            },
         }
         records.append(record)
         if record_sink is not None:
             record_sink(record)
 
+    psd_count = sum(rec["verdicts"]["structural"]["is_psd"] for rec in records)
+    closed_tally = {
+        variant: {
+            kind: sum(rec["closed_form_disagreements"][variant] == kind for rec in records)
+            for kind in ("agree", "erratum-region", "boundary", "unexplained")
+        }
+        for variant in CLOSED_FORM_VARIANTS
+    }
     summary = {
         "config": cfg.to_dict(),
         "samples": cfg.sample_count,
-        "strata_counts": strata_counts,
+        "strata_counts": {s: sum(rec["stratum"] == s for rec in records) for s in cfg.strata},
         "structural_oracle_disagreements": 0,
         "falsifier_hits_on_psd": 0,
         "psd_count": psd_count,
         "notpsd_count": cfg.sample_count - psd_count,
-        "witness_failures": witness_failures,
-        "erratum_hits": erratum_hits,
+        "witness_failures": sum(rec["witness_budget_exhausted"] for rec in records),
+        # an erratum-region sample is NotPSD (R=0/biquadratic/c<0) but PSD by
+        # the theorem (case1/g1>0/g3>=0), and no other sample is classed so
+        "erratum_hits": closed_tally["theorem"]["erratum-region"],
         "closed_form": closed_tally,
-        "theorem_proof_disagreements": theorem_proof_disagreements,
+        "theorem_proof_disagreements": sum(
+            rec["verdicts"]["closed_theorem"]["is_psd"] != rec["verdicts"]["closed_proof"]["is_psd"]
+            for rec in records
+        ),
         "discriminant_identities": {
             "checked": identity_checked,
             "holds": identity_holds,
         },
-        "boundary_tallies": boundary_tally,
+        # format_rational writes "0" for zero only
+        "boundary_tallies": {
+            f"{name}_zero": sum(rec["polys"][name] == "0" for rec in records)
+            for name in ("f5", "f6", "f7")
+        },
         "elapsed_seconds": round(time.monotonic() - started, 3),
     }
     return DiscrepancyReport(records=records, summary=summary)

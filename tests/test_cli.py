@@ -295,6 +295,26 @@ def test_fuzz_config_file(capsys, tmp_path):
     assert out["strata_counts"] == {"f3_zero": 5}
 
 
+def test_fuzz_flags_override_the_config_file(capsys, tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"sample_count": 5, "seed": 11, "strata": ["f3_zero", "R_zero"]}))
+    code, out, _ = run_json(capsys, "fuzz", "--config", str(cfg_path), "--count", "2", "--seed", "4")
+    assert code == 0
+    assert out["samples"] == 2
+    assert out["config"] == FuzzConfig(sample_count=2, seed=4, strata=("f3_zero", "R_zero")).to_dict()
+    assert out["strata_counts"] == {"f3_zero": 1, "R_zero": 1}
+
+
+def test_fuzz_config_that_is_not_an_object_exits_2(capsys, tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    for text in ("[]", "3", '"generic"', "null"):
+        cfg_path.write_text(text)
+        code, out, err = run(capsys, "fuzz", "--config", str(cfg_path), "--count", "1")
+        assert code == 2
+        assert out == ""
+        assert "JSON object" in err and "Traceback" not in err
+
+
 def test_fuzz_config_with_an_unknown_key_exits_2(capsys, tmp_path):
     cfg_path = tmp_path / "cfg.json"
     # the two budget keys are gone: the sweep and the witness search use constants

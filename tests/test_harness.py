@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -110,6 +111,23 @@ def test_sampler_lands_in_narrow_ranges(lo, hi, bound):
 def test_sampler_rejects_a_range_without_a_bounded_denominator():
     with pytest.raises(ValueError, match="no rational with denominator <= 64"):
         stratum_sampler("generic", random.Random(0), (F(1, 1000), F(1, 999)), 64)
+
+
+@pytest.mark.parametrize("bound", [10**5, 10**6, 10**12])
+def test_config_refuses_a_narrow_range_that_would_stall_the_sampler(bound):
+    # with no integer in [lo, hi], a draw may test each denominator below
+    # 1/(hi - lo) = 10**15 up to the bound, some 4 us apiece
+    lo, hi = F(1, 10**15), F(2, 10**15)
+    started = time.monotonic()
+    with pytest.raises(ValueError, match="holds no integer"):
+        FuzzConfig(coefficient_range=(lo, hi), denominator_bound=bound)
+    with pytest.raises(ValueError, match="holds no integer"):
+        FuzzConfig.from_dict({"coefficient_range": [str(lo), str(hi)], "denominator_bound": bound})
+    assert time.monotonic() - started < 0.5
+    # below 10**5 candidates the range stands, and so does a range of any
+    # width that holds an integer: every denominator fits it
+    FuzzConfig(coefficient_range=(lo, hi), denominator_bound=10**5 - 1)
+    FuzzConfig(coefficient_range=(1 - lo, 1 + lo), denominator_bound=bound)
 
 
 def test_sampler_covers_a_wide_coefficient_range():
@@ -296,6 +314,22 @@ def test_records_of_a_narrow_range_match_pinned_fingerprint():
                      coefficient_range=(F(-5), F(7, 2)), denominator_bound=12)
     digest = hashlib.sha256(fuzz_compare(cfg).to_jsonl().encode()).hexdigest()
     assert digest == "357d746cbd1a22603096d65dafe92d7acc6e776de49e2b4cf0899d2f5786cff9"
+
+
+@pytest.mark.parametrize("cfg, expected", [
+    (FuzzConfig(sample_count=24, seed=99, strata=STRATA),
+     "71cf1990361ab0bef05166ef4c8db6867ef0cfdfc57e18ef725c81279e011bca"),
+    # one erratum-region sample: erratum_hits and its closed_form tallies are 1
+    (FuzzConfig(sample_count=30, seed=5, strata=("case1_boundary",)),
+     "df4e353067b3c012f4c52e4e11e3ecd014d6b5b9ba89be84addeb4543d0d002a"),
+])
+def test_summary_matches_pinned_fingerprint(cfg, expected):
+    # pinned while the summary was still tallied sample by sample, beside
+    # the records it is now counted from
+    summary = dict(fuzz_compare(cfg).summary)
+    summary.pop("elapsed_seconds")
+    digest = hashlib.sha256(json.dumps(summary, sort_keys=True).encode()).hexdigest()
+    assert digest == expected
 
 
 def test_records_without_witness_points_match_the_parent():
