@@ -37,6 +37,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .quartic_rules import SpecialQuartic
+from .scalars import exact_rational
 
 __all__ = [
     "CyclicParams",
@@ -67,7 +68,7 @@ class CyclicParams:
         for name in ("k", "l", "m", "n"):
             value = getattr(self, name)
             if type(value) is not Fraction:
-                object.__setattr__(self, name, Fraction(value))
+                object.__setattr__(self, name, exact_rational(value))
 
     @cached_property
     def _integers(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -99,7 +100,7 @@ class BcdeParams:
 
     def __post_init__(self):
         for name in ("B", "C", "D", "E"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
+            object.__setattr__(self, name, exact_rational(getattr(self, name)))
 
 
 def scaled_coefficients(c: CyclicParams) -> tuple[int, int, int, int, int]:

@@ -9,7 +9,8 @@ where ``(A, Bk, Bl, Bm, Bn) = form.scaled_coefficients(c)``, so
 sign(E) = sign(F(1, i/d, j/d)).  The integer cyclic sums (S4, S22, S211,
 S31, S13) of a point do not depend on the form, so a face is read from a
 table of them built once (``tabulate``), and a scan costs five products
-per point (``first_negative``); the witness search's probe points are
+per point (``first_negative``).  A face is scanned whole, the points it
+shares with a smaller face included; the witness search's probe points are
 read the same way.  The point a sweep reports is re-checked by the sign of
 ``form.form_numerator`` at (d, i, j).  Python integers are unbounded, so
 no coefficient size can overflow the sweep.
@@ -52,29 +53,21 @@ def first_negative(coeffs, rows):
 
 
 @cache
-def _face_table(d: int, skip_even: bool) -> tuple:
+def _face_table(d: int) -> tuple:
     """The rows of face d, labelled ``(i, j)``, in scan order.  Built once
-    per ``(d, skip_even)``; the two schedules in use, the witness faces
-    (1, 2, 3, 4) and the falsifier's (1, 2, 4, 8, 16, 32), make seven
-    tables of 4274 rows in all, about 0.9 MB."""
-    return tabulate(
-        ((i, j), (d, i, j))
-        for i in range(-d, d + 1)
-        for j in range(-d, d + 1)
-        if not (skip_even and (i & 1) == 0 and (j & 1) == 0)
-    )
+    per d; the two schedules in use, the witness faces (1, 2, 3, 4) and the
+    falsifier's (32,), make five tables of 4389 rows in all, about 0.9 MB."""
+    return tabulate(((i, j), (d, i, j)) for i in range(-d, d + 1) for j in range(-d, d + 1))
 
 
-def face_scan(coeffs, d: int, skip_even: bool = False):
+def face_scan(coeffs, d: int):
     """Scan the lattice face x = d, |i|, |j| <= d.
 
     Returns ``(found, ni, nj, evaluated)`` where ``(ni, nj)`` is the first
     scanned point with a negative value (0, 0 when none) and ``evaluated``
-    counts the points scanned.  ``skip_even`` drops points with both
-    coordinates even, which avoids rescanning points already covered by
-    the face d/2.
+    counts the points scanned.
     """
-    label, evaluated = first_negative(coeffs, _face_table(d, skip_even))
+    label, evaluated = first_negative(coeffs, _face_table(d))
     if label is None:
         return False, 0, 0, evaluated
     return True, *label, evaluated
@@ -90,17 +83,16 @@ def find_negative_on_faces(
     Returns ``(point, evaluated)`` where ``point`` is an exact rational
     triple with ``F(point) < 0`` (re-checked by the sign of
     ``form_numerator`` at the integer point (d, i, j), where F has the same
-    sign) or None.  A face d whose half d/2 comes earlier in the schedule
-    skips the points with both coordinates even: those are the points of
-    face d/2.
+    sign) or None.  The budget is read only between faces, so a face begun
+    under it runs to its first negative point or its end, and every point
+    it scans is charged.
     """
     coeffs = scaled_coefficients(c)
     spent = 0
-    for idx, d in enumerate(schedule):
+    for d in schedule:
         if spent >= budget:
             break
-        skip = d % 2 == 0 and d // 2 in schedule[:idx]
-        found, i, j, evaluated = face_scan(coeffs, d, skip)
+        found, i, j, evaluated = face_scan(coeffs, d)
         spent += evaluated
         if found:
             point = (Fraction(1), Fraction(i, d), Fraction(j, d))

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .scalars import QuadExt, is_perfect_square, rational_sqrt, sgn
+from .scalars import QuadExt, exact_rational, is_perfect_square, rational_sqrt, sgn
 from .unipoly import UniPoly, squarefree_sturm
 
 __all__ = [
@@ -53,7 +53,7 @@ class SpecialQuartic:
         for name in ("a0", "a1_squared", "a2", "a4"):
             value = getattr(self, name)
             if type(value) is not Fraction:
-                object.__setattr__(self, name, Fraction(value))
+                object.__setattr__(self, name, exact_rational(value))
         if self.a1_squared < 0:
             raise ValueError("a1_squared must be nonnegative")
         if self.a1_sign not in (-1, 0, 1):
@@ -63,8 +63,8 @@ class SpecialQuartic:
 
     @classmethod
     def from_a1(cls, a0, a1, a2, a4) -> "SpecialQuartic":
-        a1 = Fraction(a1)
-        return cls(Fraction(a0), a1 * a1, sgn(a1), Fraction(a2), Fraction(a4))
+        a1 = exact_rational(a1)
+        return cls(a0, a1 * a1, sgn(a1), a2, a4)
 
     def to_unipoly(self) -> UniPoly:
         """g(x) as a polynomial, rational whenever ``a1`` is; built once."""

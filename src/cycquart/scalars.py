@@ -28,6 +28,7 @@ __all__ = [
     "Fraction",
     "QuadExt",
     "parse_rational",
+    "exact_rational",
     "format_rational",
     "is_perfect_square",
     "rational_sqrt",
@@ -52,6 +53,15 @@ def parse_rational(text: str) -> Fraction:
             raise ValueError(f"zero denominator: {text!r}")
         return Fraction(int(num), int(den))
     return Fraction(int(text))
+
+
+def exact_rational(value) -> Fraction:
+    """``Fraction(value)`` for an int, a rational string or another exact
+    rational; TypeError for a float, whose binary value is seldom the number
+    it was written as (0.1 is 3602879701896397/36028797018963968)."""
+    if isinstance(value, float):
+        raise TypeError(f"{value!r} is a float; give an exact rational such as '1/10'")
+    return Fraction(value)
 
 
 def format_rational(value: Fraction) -> str:

@@ -450,15 +450,11 @@ def reference_find_witness(c, budget):
             return None
         if eval_form(c, *point) < 0:
             return tuple(F(v) for v in point)
-    schedule = (1, 2, 3, 4)
     spent = 0
-    for idx, d in enumerate(schedule):
+    for d in (1, 2, 3, 4):
         if spent >= tracker.left:
             break
-        skip = d % 2 == 0 and d // 2 in schedule[:idx]
         for i, j in itertools.product(range(-d, d + 1), repeat=2):
-            if skip and i % 2 == 0 and j % 2 == 0:
-                continue
             spent += 1
             if eval_form(c, 1, F(i, d), F(j, d)) < 0:
                 return F(1), F(i, d), F(j, d)
@@ -494,7 +490,7 @@ def test_find_witness_matches_the_fraction_reference_at_every_budget(params, sta
         lo, hi = (lo, mid) if reference_find_witness(c, mid) is not None else (mid + 1, hi)
     needed = lo
     assert reference_find_witness(c, needed) == witness
-    assert {"probe": needed <= 10, "face 3": 10 + 9 + 16 < needed <= 10 + 9 + 16 + 49,
+    assert {"probe": needed <= 10, "face 3": 10 + 9 + 25 < needed <= 10 + 9 + 25 + 49,
             "seeded": needed > 150}[stage]
     budgets = set(range(151)) | set(range(needed - 3, needed + 4)) | {DEFAULT_WITNESS_BUDGET}
     for budget in sorted(budgets):

@@ -318,6 +318,31 @@ def test_from_bcde_examples():
     assert from_bcde(BcdeParams(0, 0, 0, 1)) == CyclicParams(7, 13, 4, 5)
 
 
+EXACT_CLASSES = {
+    "CyclicParams": (CyclicParams, ("k", "l", "m", "n")),
+    "BcdeParams": (BcdeParams, ("B", "C", "D", "E")),
+    "SpecialQuartic": (
+        lambda a0, s, a2, a4: SpecialQuartic(a0, s, 1, a2, a4),
+        ("a0", "a1_squared", "a2", "a4"),
+    ),
+    "SpecialQuartic.from_a1": (SpecialQuartic.from_a1, ("a0", "a2", "a4")),
+}
+
+
+@pytest.mark.parametrize("build, names", EXACT_CLASSES.values(), ids=EXACT_CLASSES)
+def test_a_float_coefficient_is_refused(build, names):
+    # 0.1 would be decided as its binary value 3602879701896397/36028797018963968
+    for slot in range(4):
+        values = [1, 1, 1, 1]
+        values[slot] = 0.1
+        with pytest.raises(TypeError, match="0.1 is a float"):
+            build(*values)
+    for value in (1, F(1, 10), "1/10"):
+        built = build(value, value, value, value)
+        for name in names:
+            assert type(getattr(built, name)) is F and getattr(built, name) == F(value)
+
+
 def test_reduced_quartic_coefficient_shape():
     rng = random.Random(31)
     for _ in range(50):

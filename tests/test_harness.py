@@ -8,13 +8,17 @@ from fractions import Fraction as F
 
 import pytest
 
-from cycquart.decider import eval_polys
+from cycquart import harness, kernels
+from cycquart.cli import main
+from cycquart.decider import CLOSED_FORM_VARIANTS, closed_form_verdict, eval_polys
 from cycquart.form import CyclicParams, eval_form, radicand, reduce_to_g
 from cycquart.harness import (
     _FALSIFIER_FACES,
     _FALSIFIER_POINTS,
     STRATA,
+    _classify_disagreement,
     _discriminant_identities,
+    _fitting_below,
     _fitting_denominator,
     _random_rational,
     DiscrepancyReport,
@@ -106,6 +110,26 @@ def test_sampler_lands_in_narrow_ranges(lo, hi, bound):
     cfg = FuzzConfig.from_dict(
         {"sample_count": 5, "coefficient_range": [str(lo), str(hi)], "denominator_bound": bound})
     assert fuzz_compare(cfg).summary["samples"] == 5
+
+
+def test_config_refuses_a_float_bound():
+    # 0.1 would be read as its binary value 3602879701896397/36028797018963968
+    with pytest.raises(ValueError, match="coefficient_range"):
+        FuzzConfig(coefficient_range=(0.1, 1))
+    assert FuzzConfig(coefficient_range=("1/10", 1)).coefficient_range == (F(1, 10), F(1))
+
+
+def test_fitting_denominators_are_listed_once_per_range():
+    # the narrow range of [1/99991, 1/99990] fits only d = 99990 and 99991,
+    # so nearly every draw falls back to the list of fitting denominators
+    lo, hi, bound = F(1, 99991), F(1, 99990), 99999
+    _fitting_below.cache_clear()
+    rng = random.Random(0)
+    for _ in range(4):
+        assert _random_rational(rng, lo, hi, bound) in (lo, hi)
+    info = _fitting_below.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
+    assert _fitting_below(lo, hi, bound) == (99990, 99991)
 
 
 def test_sampler_rejects_a_range_without_a_bounded_denominator():
@@ -235,6 +259,90 @@ def test_falsifier_point_is_exact():
     point = falsifier_point(CyclicParams(0, 0, 2, 2))
     assert point is not None
     assert eval_form(CyclicParams(0, 0, 2, 2), *point) < 0
+
+
+def test_falsifier_face_holds_every_point_of_the_halving_faces():
+    # (1, i/e, j/e) on a face e dividing 32 is (1, (32/e)*i/32, (32/e)*j/32)
+    (d,) = _FALSIFIER_FACES
+    face = {(F(i, d), F(j, d)) for i in range(-d, d + 1) for j in range(-d, d + 1)}
+    halving = {
+        (F(i, e), F(j, e))
+        for e in (1, 2, 4, 8, 16, 32)
+        for i in range(-e, e + 1)
+        for j in range(-e, e + 1)
+    }
+    assert face == halving and len(face) == _FALSIFIER_POINTS == 4225
+
+
+def in_erratum_region(c, polys):
+    """The erratum region read off the clause values: R = 0 (g4 = f2 = 0),
+    g1 > 0, g3 >= 0, g2 < 0 and a negative constant term k + m - 1."""
+    return (
+        polys.g4 == 0
+        and polys.f2 == 0
+        and polys.g1 > 0
+        and polys.g3 >= 0
+        and polys.g2 < 0
+        and c.k + c.m - 1 < 0
+    )
+
+
+def test_erratum_region_is_read_off_the_closed_form_verdicts():
+    inside = outside_but_fired = 0
+    for stratum in ("R_zero", "case1_boundary"):
+        for index in range(1500):
+            c = stratum_sampler(stratum, random.Random(index))
+            polys = eval_polys(c)
+            verdicts = {
+                f"closed_{variant}": closed_form_verdict(c, polys, variant)
+                for variant in CLOSED_FORM_VARIANTS
+            }
+            expected = in_erratum_region(c, polys)
+            # the rest of the classification does not read the verdicts
+            assert (_classify_disagreement(polys, verdicts) == "erratum-region") == expected, c
+            inside += expected
+            fired = verdicts["closed_theorem"].fired_clause == "case1/g1>0/g3>=0"
+            outside_but_fired += fired and not expected
+    # both sides of the k + m - 1 < 0 guard are drawn
+    assert inside >= 100 and outside_but_fired >= 50
+
+
+# four R_zero samples in [-10, 10] at seed 0: the last one is PSD
+ABORT_CONFIG = {"sample_count": 4, "seed": 0, "strata": ["R_zero"], "coefficient_range": [-10, 10]}
+
+
+def assert_fuzz_aborts(capsys, tmp_path, message):
+    with pytest.raises(AssertionError, match=message):
+        fuzz_compare(FuzzConfig.from_dict(ABORT_CONFIG))
+    config = tmp_path / "abort.json"
+    config.write_text(json.dumps(ABORT_CONFIG))
+    assert main(["fuzz", "--config", str(config)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"internal assertion failed: {message}" in captured.err
+
+
+def test_fuzz_aborts_on_a_structural_oracle_disagreement(capsys, tmp_path, monkeypatch):
+    decide_oracle = harness.decide_oracle
+
+    def flipped(c):
+        verdict = decide_oracle(c)
+        return dataclasses.replace(verdict, is_psd=not verdict.is_psd)
+
+    monkeypatch.setattr(harness, "decide_oracle", flipped)
+    assert_fuzz_aborts(capsys, tmp_path, "structural/oracle disagreement at")
+
+
+def test_fuzz_aborts_on_a_falsifier_hit_on_a_psd_sample(capsys, tmp_path, monkeypatch):
+    find_negative_on_faces = kernels.find_negative_on_faces
+
+    def hit(c, schedule, budget):
+        if schedule == _FALSIFIER_FACES:
+            return (F(1), F(0), F(0)), 1
+        return find_negative_on_faces(c, schedule, budget)
+
+    monkeypatch.setattr(kernels, "find_negative_on_faces", hit)
+    assert_fuzz_aborts(capsys, tmp_path, "falsifier refuted a PSD verdict at")
 
 
 def test_fuzz_compare_smoke_all_strata():

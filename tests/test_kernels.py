@@ -30,8 +30,8 @@ def test_scaled_coefficients_preserve_sign():
 
 
 def test_python_kernel_matches_direct_evaluation():
-    # every face of the witness schedule (1, 2, 3, 4) and of the falsifier's
-    # (1, 2, 4, 8, 16, 32)
+    # every face of the witness schedule (1, 2, 3, 4), the falsifier's 32,
+    # and the faces 8 and 16 between them
     rng = random.Random(79)
     cases = [rand_params(rng, span=9, den=3) for _ in range(20)]
     cases.append(CyclicParams(F(10 ** 14), F(1), F(1), F(1)))  # exact at a large scale
@@ -42,32 +42,26 @@ def test_python_kernel_matches_direct_evaluation():
         (2, F(-1, 100), -3, 0), (F(39, 20), 0, 0, -3),
     )]
     for d in (1, 2, 3, 4, 8, 16, 32):
-        for skip in (False, True):
-            order = [
-                (a, b)
-                for a in range(-d, d + 1)
-                for b in range(-d, d + 1)
-                if not (skip and a % 2 == 0 and b % 2 == 0)
-            ]
-            depths = set()
-            for c in cases:
-                found, i, j, evaluated = kernels.face_scan(scaled_coefficients(c), d, skip)
-                depths.add((found, evaluated))
-                first_negative = next(
-                    (idx for idx, (a, b) in enumerate(order)
-                     if eval_form(c, 1, F(a, d), F(b, d)) < 0),
-                    None,
-                )
-                scanned = len(order) if first_negative is None else first_negative + 1
-                assert found == (first_negative is not None), (d, skip, c)
-                assert evaluated == scanned, (d, skip, c)
-                if found:
-                    assert (i, j) == order[first_negative], (d, skip, c)
-                else:
-                    assert (i, j) == (0, 0)
-            # a full scan, a hit at the first point, and a hit past it
-            assert (False, len(order)) in depths and (True, 1) in depths
-            assert any(found and evaluated > 1 for found, evaluated in depths)
+        order = [(a, b) for a in range(-d, d + 1) for b in range(-d, d + 1)]
+        depths = set()
+        for c in cases:
+            found, i, j, evaluated = kernels.face_scan(scaled_coefficients(c), d)
+            depths.add((found, evaluated))
+            first_negative = next(
+                (idx for idx, (a, b) in enumerate(order)
+                 if eval_form(c, 1, F(a, d), F(b, d)) < 0),
+                None,
+            )
+            scanned = len(order) if first_negative is None else first_negative + 1
+            assert found == (first_negative is not None), (d, c)
+            assert evaluated == scanned, (d, c)
+            if found:
+                assert (i, j) == order[first_negative], (d, c)
+            else:
+                assert (i, j) == (0, 0)
+        # a full scan, a hit at the first point, and a hit past it
+        assert (False, len(order)) in depths and (True, 1) in depths
+        assert any(found and evaluated > 1 for found, evaluated in depths)
 
 
 def test_find_negative_on_faces_verifies_exactly():
@@ -82,13 +76,13 @@ def test_find_negative_on_faces_verifies_exactly():
     assert point is None
 
 
-def test_faces_skip_the_points_of_an_earlier_half_face():
+def test_faces_are_scanned_and_charged_whole():
     psd = CyclicParams(2, 0, 0, 0)
-    # 9 + (25 - 9) + 49 + (81 - 25): face 4 skips face 2, face 3 has no half
-    assert kernels.find_negative_on_faces(psd, (1, 2, 3, 4), 10 ** 6) == (None, 130)
-    # each face skips its half, and a face begun under budget runs whole:
-    # the sweep stops after face 32, the first to end over budget, 65**2 points in all
-    assert kernels.find_negative_on_faces(psd, (1, 2, 4, 8, 16, 32, 64, 128), 4000) == (None, 4225)
+    # 9 + 25 + 49 + 81: every face charges all (2d + 1)**2 of its points
+    assert kernels.find_negative_on_faces(psd, (1, 2, 3, 4), 10 ** 6) == (None, 164)
+    # a face begun under budget runs whole: the sweep stops after face 32,
+    # the first to end over budget, 9 + 25 + 81 + 289 + 1089 + 4225 points
+    assert kernels.find_negative_on_faces(psd, (1, 2, 4, 8, 16, 32, 64, 128), 4000) == (None, 5718)
 
 
 def test_budget_zero_scans_nothing():
