@@ -20,7 +20,7 @@ from .form import BcdeParams, CyclicParams, eval_form, from_bcde, reduce_to_g
 from .harness import STRATA, FuzzConfig, fuzz_compare, params_dict, record_line, verdict_table
 from .quartic_rules import SpecialQuartic, discriminants, is_nonneg
 from .roots import is_nonneg_everywhere, revise, root_count, sign_list
-from .scalars import format_rational, parse_rational
+from .scalars import exact_rational, format_rational
 from .unipoly import UniPoly, discriminant_sequence
 
 EXIT_PSD = 0
@@ -31,7 +31,7 @@ EXIT_INTERNAL = 3
 # argparse reads "-3/7" and "-1,0,1" as option flags: its own pattern for a
 # negative number knows only "-3" and "-.5".  No option here starts with a
 # minus and a digit, so such an argument is always a number.
-_NEGATIVE_NUMBER = re.compile(r"^-\.?\d")
+_NEGATIVE_NUMBER = re.compile(r"^-\.?[0-9]")
 
 
 def _budget(text: str) -> int:
@@ -53,13 +53,8 @@ def _emit(payload: dict, pretty: bool) -> None:
     sys.stdout.write("\n")
 
 
-def _rationals(args, names) -> list:
-    """The named arguments, parsed as exact rationals in the order given."""
-    return [parse_rational(getattr(args, name)) for name in names]
-
-
 def _params_from_args(args) -> CyclicParams:
-    return CyclicParams(*_rationals(args, "klmn"))
+    return CyclicParams(args.k, args.l, args.m, args.n)
 
 
 def _g_coefficients(g: SpecialQuartic) -> list[tuple]:
@@ -125,12 +120,12 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_convert(args) -> int:
-    _emit(params_dict(from_bcde(BcdeParams(*_rationals(args, "BCDE")))), args.pretty)
+    _emit(params_dict(from_bcde(BcdeParams(args.B, args.C, args.D, args.E))), args.pretty)
     return EXIT_PSD
 
 
 def _cmd_roots(args) -> int:
-    poly = UniPoly([parse_rational(part) for part in args.coefficients.split(",")])
+    poly = UniPoly([exact_rational(part) for part in args.coefficients.split(",")])
     if poly.degree < 1:
         raise ValueError("root classification needs degree >= 1")
     seq = discriminant_sequence(poly)
@@ -152,7 +147,7 @@ def _cmd_roots(args) -> int:
 
 
 def _cmd_quartic(args) -> int:
-    quartic = SpecialQuartic.from_a1(*_rationals(args, ("a0", "a1", "a2", "a4")))
+    quartic = SpecialQuartic.from_a1(args.a0, args.a1, args.a2, args.a4)
     out = _discriminant_strings(quartic)
     psd = is_nonneg(quartic)
     out["psd"] = psd

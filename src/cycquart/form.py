@@ -37,7 +37,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .quartic_rules import SpecialQuartic
-from .scalars import exact_rational
+from .scalars import exact_fields
 
 __all__ = [
     "CyclicParams",
@@ -65,10 +65,7 @@ class CyclicParams:
     n: Fraction
 
     def __post_init__(self):
-        for name in ("k", "l", "m", "n"):
-            value = getattr(self, name)
-            if type(value) is not Fraction:
-                object.__setattr__(self, name, exact_rational(value))
+        exact_fields(self, "klmn")
 
     @cached_property
     def _integers(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -99,8 +96,7 @@ class BcdeParams:
     E: Fraction
 
     def __post_init__(self):
-        for name in ("B", "C", "D", "E"):
-            object.__setattr__(self, name, exact_rational(getattr(self, name)))
+        exact_fields(self, "BCDE")
 
 
 def scaled_coefficients(c: CyclicParams) -> tuple[int, int, int, int, int]:

@@ -118,12 +118,7 @@ class FuzzConfig:
         unknown = sorted(set(data) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError(f"unknown fuzz config keys: {', '.join(unknown)}")
-        kwargs = dict(data)
-        bounds = kwargs.get("coefficient_range")
-        if isinstance(bounds, (list, tuple)):
-            # via str, so that a JSON float 0.1 reads as 1/10
-            kwargs["coefficient_range"] = tuple(Fraction(str(v)) for v in bounds)
-        return cls(**kwargs)
+        return cls(**data)
 
 
 @dataclass

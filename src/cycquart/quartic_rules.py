@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .scalars import QuadExt, exact_rational, is_perfect_square, rational_sqrt, sgn
+from .scalars import QuadExt, exact_fields, exact_rational, is_perfect_square, rational_sqrt, sgn
 from .unipoly import UniPoly, squarefree_sturm
 
 __all__ = [
@@ -50,10 +50,7 @@ class SpecialQuartic:
     a4: Fraction
 
     def __post_init__(self):
-        for name in ("a0", "a1_squared", "a2", "a4"):
-            value = getattr(self, name)
-            if type(value) is not Fraction:
-                object.__setattr__(self, name, exact_rational(value))
+        exact_fields(self, ("a0", "a1_squared", "a2", "a4"))
         if self.a1_squared < 0:
             raise ValueError("a1_squared must be nonnegative")
         if self.a1_sign not in (-1, 0, 1):

@@ -29,23 +29,25 @@ __all__ = [
     "QuadExt",
     "parse_rational",
     "exact_rational",
+    "exact_fields",
     "format_rational",
     "is_perfect_square",
     "rational_sqrt",
     "sgn",
 ]
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse an exact rational literal such as ``-3/7`` or ``12``.
 
     Floating-point and scientific notation are rejected: exact contexts
-    must never receive approximate input.
+    must never receive approximate input.  Digits are ASCII only, though
+    ``int`` would also read other scripts' digits.
     """
     text = text.strip()
-    if not _RATIONAL_RE.match(text):
+    if not _RATIONAL_RE.fullmatch(text):
         raise ValueError(f"not an exact rational literal: {text!r}")
     if "/" in text:
         num, den = text.split("/")
@@ -56,12 +58,23 @@ def parse_rational(text: str) -> Fraction:
 
 
 def exact_rational(value) -> Fraction:
-    """``Fraction(value)`` for an int, a rational string or another exact
-    rational; TypeError for a float, whose binary value is seldom the number
-    it was written as (0.1 is 3602879701896397/36028797018963968)."""
-    if isinstance(value, float):
-        raise TypeError(f"{value!r} is a float; give an exact rational such as '1/10'")
-    return Fraction(value)
+    """The one way a rational enters the package: ``parse_rational`` of a
+    ``str``, ``Fraction`` of an ``int`` or a ``Fraction``, and TypeError for
+    a bool, a Decimal or a float (0.1 is 3602879701896397/36028797018963968)."""
+    if isinstance(value, int) and not isinstance(value, bool) or isinstance(value, Fraction):
+        return Fraction(value)
+    if isinstance(value, str):
+        return parse_rational(value)
+    raise TypeError(f"{value!r} is a {type(value).__name__}; give an exact rational such as '1/10'")
+
+
+def exact_fields(obj, names) -> None:
+    """Set each named field of the frozen dataclass ``obj`` to
+    ``exact_rational`` of its value; a ``Fraction`` is left as it is."""
+    for name in names:
+        value = getattr(obj, name)
+        if type(value) is not Fraction:
+            object.__setattr__(obj, name, exact_rational(value))
 
 
 def format_rational(value: Fraction) -> str:

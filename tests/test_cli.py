@@ -1,4 +1,7 @@
 import json
+from decimal import Decimal
+
+import pytest
 
 from cycquart.cli import main
 from cycquart.decider import find_witness
@@ -414,3 +417,38 @@ def test_unexpected_error_exits_3_with_traceback(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert "Traceback" in err and "RuntimeError: forced" in err
+
+
+# Inputs outside the one grammar of exact rationals (an int, a Fraction, or
+# ASCII text such as "-3/7"): each is refused with a TypeError or ValueError,
+# never read as a nearby number nor let out as a ZeroDivisionError; a CLI row
+# gives its exit code
+REFUSED = {
+    "decimal text": (lambda: CyclicParams("0.1", 0, 0, 0), ValueError),
+    "scientific text": (lambda: CyclicParams("1e3", 0, 0, 0), ValueError),
+    "arabic-indic digits": (lambda: CyclicParams("\u0661/\u0662", 0, 0, 0), ValueError),
+    "fullwidth digit": (lambda: parse_rational("\uff11"), ValueError),
+    "bool": (lambda: CyclicParams(True, 0, 0, 0), TypeError),
+    "decimal": (lambda: CyclicParams(Decimal("0.1"), 0, 0, 0), TypeError),
+    "zero denominator": (lambda: CyclicParams("1/0", 0, 0, 0), ValueError),
+    "config zero denominator": (lambda: FuzzConfig(coefficient_range=("1/0", 1)), ValueError),
+    "config json float": (
+        lambda: FuzzConfig.from_dict({"coefficient_range": [0.1, 1]}), ValueError),
+    "cli arabic-indic digit": (lambda: main(["decide", "\u0661", "0", "0", "0"]), 2),
+}
+
+
+@pytest.mark.parametrize("build, refusal", REFUSED.values(), ids=REFUSED)
+def test_inputs_outside_the_exact_grammar_are_refused(build, refusal, capsys):
+    if isinstance(refusal, int):
+        assert build() == refusal
+        assert "not an exact rational literal" in capsys.readouterr().err
+    else:
+        with pytest.raises(refusal):
+            build()
+
+
+def test_a_negative_decimal_reads_as_a_number_and_is_refused(capsys):
+    code, out, err = run(capsys, "decide", "-.5", "0", "0", "0")
+    assert (code, out) == (2, "")
+    assert "not an exact rational literal: '-.5'" in err

@@ -249,6 +249,13 @@ BOUNDARY_PINS = {
         (True, "case1/g1=0/1<=m<=4"), (True, "case1/g1=0/1<=m<=4"),
         (True, "case1/g1=0/1<=m<=4"),
     ],
+    # g = 27*t**2: lead 0 and c = 0 in the biquadratic, so a _biquadratic_nonneg
+    # that reads c >= 0 as c > 0 calls it NotPSD
+    (0, -3, 1, 1): [
+        (True, "R=0/biquadratic/lead=0/b>=0,c>=0"), (True, "g-nonneg"),
+        (True, "case1/g1=0/1<=m<=4"), (True, "case1/g1=0/1<=m<=4"),
+        (True, "case1/g1=0/1<=m<=4"),
+    ],
     # a biquadratic with double roots: b*b = 4*a*c, g2 = 0
     (F(33, 4), F(35, 2), 5, 5): [
         (True, "R=0/biquadratic/c>=0/b<0/disc<=0"), (True, "g-nonneg"),

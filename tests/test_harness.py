@@ -24,6 +24,7 @@ from cycquart.harness import (
     DiscrepancyReport,
     FuzzConfig,
     fuzz_compare,
+    params_dict,
     stratum_sampler,
 )
 from cycquart.kernels import find_negative_on_faces
@@ -110,6 +111,15 @@ def test_sampler_lands_in_narrow_ranges(lo, hi, bound):
     cfg = FuzzConfig.from_dict(
         {"sample_count": 5, "coefficient_range": [str(lo), str(hi)], "denominator_bound": bound})
     assert fuzz_compare(cfg).summary["samples"] == 5
+
+
+def test_params_dict_round_trips_through_cyclic_params():
+    # the strings a record writes are read back by the one grammar
+    for stratum in STRATA:
+        rng = random.Random(11)
+        for _ in range(8 if stratum == "f5_zero_near" else 50):
+            c = stratum_sampler(stratum, rng)
+            assert CyclicParams(**params_dict(c)) == c
 
 
 def test_config_refuses_a_float_bound():
