@@ -22,8 +22,8 @@
 
 * ``decide_oracle`` runs the everywhere-nonnegativity oracle (squarefree
   decomposition plus Sturm counting) on ``reduce_to_g(c).to_unipoly()``,
-  over Q when sqrt(R) is rational and otherwise with sqrt(R) its one
-  coefficient in Q(sqrt(R)) -- no discriminant sequences, no clause
+  in Z[t] on g's primitive integer multiple when sqrt(R) is rational, and
+  otherwise with sqrt(R) its one coefficient in Q(sqrt(R)) -- no discriminant sequences, no clause
   polynomials, hence an independent implementation path.
 
 Each returns a ``Verdict``: PSD or not, the method and the fired clause,
@@ -269,7 +269,7 @@ def decide_structural(c: CyclicParams) -> Verdict:
 
 
 def decide_oracle(c: CyclicParams) -> Verdict:
-    """Sturm-based oracle: everywhere-nonnegativity of g, over Q when
+    """Sturm-based oracle: everywhere-nonnegativity of g, in Z[t] when
     sqrt(R) is rational and over Q(sqrt(R)) otherwise."""
     ok = is_nonneg_everywhere(reduce_to_g(c).to_unipoly())
     return _verdict(ok, "sturm_oracle", "g-nonneg" if ok else "g-negative")

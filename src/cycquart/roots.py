@@ -23,7 +23,7 @@ from .unipoly import (
     UniPoly,
     count_sign_changes,
     discriminant_sequence,
-    squarefree_decompose,
+    squarefree_factors,
     sturm_count,
 )
 
@@ -94,7 +94,10 @@ def is_nonneg_everywhere(p: UniPoly) -> bool:
     Decided by squarefree structure and Sturm counting: zero polynomial is
     nonnegative, constants go by their sign, odd degree or a negative
     leading coefficient fail, and otherwise nonnegativity is equivalent to
-    every odd-multiplicity squarefree factor having no real root.
+    every odd-multiplicity squarefree factor having no real root.  A
+    rational ``p`` runs as its primitive integer multiple, in Z[x]
+    (``squarefree_factors``): a positive scalar leaves its nonnegativity,
+    its multiplicities and every Sturm count as they are.
     """
     if p.is_zero:
         return True
@@ -102,7 +105,7 @@ def is_nonneg_everywhere(p: UniPoly) -> bool:
         return sgn(p.leading) >= 0
     if p.degree % 2 == 1 or sgn(p.leading) < 0:
         return False
-    for factor, multiplicity in squarefree_decompose(p):
+    for factor, multiplicity in squarefree_factors(p):
         if multiplicity % 2 == 1 and sturm_count(factor) > 0:
             return False
     return True

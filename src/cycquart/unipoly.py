@@ -1,4 +1,4 @@
-"""Dense univariate polynomials over Fraction or QuadExt scalars.
+"""Dense univariate polynomials over int, Fraction or QuadExt scalars.
 
 Coefficients are stored leading-first: ``[a0, a1, ..., an]`` represents
 ``a0*x**n + a1*x**(n-1) + ... + an``.  The module provides evaluation,
@@ -12,14 +12,24 @@ p / gcd(p, p').  Yun's squarefree decomposition computes gcd(p, p') by a
 remainder sequence of its own.  The sequence divides by no coefficient:
 each remainder is a signed pseudo-remainder, a positive multiple of the
 negated field remainder, divided by its positive rational content.  Only
-``monic`` and the exact quotients of ``poly_divmod`` (Yun, the squarefree
-part) invert a coefficient, once per call (``QuadExt.reciprocal``).
+``monic`` and the exact quotients of ``poly_divmod`` (the squarefree part,
+Yun over Q(sqrt(R))) invert a coefficient, once per call
+(``QuadExt.reciprocal``, or ``Fraction(1) / lead``).
 
-Each coefficient keeps its own domain: rationals are ``Fraction`` and a
-``QuadExt`` stays as given, so the reduced quartic, whose only irrational
-coefficient is sqrt(R), does rational arithmetic wherever it can.  The
-scalars' own operators mix the two domains and reject two different
-radicands; zero tests are exact signs.
+Each coefficient keeps its own domain: an ``int`` stays an ``int``, other
+rationals are ``Fraction`` and a ``QuadExt`` stays as given, so the reduced
+quartic, whose only irrational coefficient is sqrt(R), does rational
+arithmetic wherever it can.  The scalars' own operators mix the domains
+and reject two different radicands; zero tests are exact signs.
+
+A rational polynomial runs in Z[x] (Collins 1967): Yun's decomposition
+(Yun 1976) takes its primitive integer multiple with a positive leading
+coefficient, divides by primitive divisors exactly (integral by Gauss's
+lemma), and returns primitive factors; the remainder sequence of two
+integer polynomials divides each entry by its integer content.  A positive
+scalar changes no sign, multiplicity or root count.  The domain is decided
+once per decomposition and once per remainder sequence, from the
+coefficients' types.
 """
 
 from __future__ import annotations
@@ -34,6 +44,7 @@ __all__ = [
     "UniPoly",
     "poly_gcd",
     "squarefree_decompose",
+    "squarefree_factors",
     "sturm_chain",
     "squarefree_sturm",
     "chain_variations",
@@ -43,13 +54,16 @@ __all__ = [
 ]
 
 
+_KEPT = (int, Fraction, QuadExt)  # coefficient types stored as given
+
+
 class UniPoly:
     """Immutable dense polynomial; the zero polynomial has no coefficients."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable) -> None:
-        items = [c if isinstance(c, QuadExt) else Fraction(c) for c in coeffs]
+        items = [c if type(c) in _KEPT else Fraction(c) for c in coeffs]
         idx = 0
         while idx < len(items) and sgn(items[idx]) == 0:
             idx += 1
@@ -102,7 +116,7 @@ class UniPoly:
     def __mul__(self, other: "UniPoly") -> "UniPoly":
         if self.is_zero or other.is_zero:
             return UniPoly([])
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             for j, b in enumerate(other.coeffs):
                 out[i + j] = out[i + j] + a * b
@@ -133,7 +147,7 @@ class UniPoly:
         if self.is_zero:
             return self
         lead = self.leading
-        inv = lead.reciprocal() if isinstance(lead, QuadExt) else 1 / lead
+        inv = lead.reciprocal() if isinstance(lead, QuadExt) else Fraction(1) / lead
         return UniPoly([c * inv for c in self.coeffs])
 
 
@@ -150,10 +164,43 @@ def _positive_content(p: UniPoly) -> Fraction:
     return Fraction(num, math.lcm(*(f.denominator for f in parts)))
 
 
-def _normalized(p: UniPoly, sign: int = 1) -> UniPoly:
-    """Divide by the positive content, and multiply by ``sign`` (1 or -1)."""
+def _normalized(p: UniPoly, sign: int = 1, integral: bool = False) -> UniPoly:
+    """Divide by the positive content, and multiply by ``sign`` (1 or -1);
+    an ``integral`` p, all of whose coefficients are ints, by its integer
+    content, with ``//``."""
+    if integral:
+        c = sign * math.gcd(*p.coeffs)
+        return p if c == 1 else UniPoly([a // c for a in p.coeffs])
     c = _positive_content(p)
     return p if c == sign else p.scale(Fraction(sign) / c)
+
+
+def _primitive(p: UniPoly) -> UniPoly:
+    """The primitive integer multiple of a rational ``p`` with a positive
+    leading coefficient."""
+    den = math.lcm(*(c.denominator for c in p.coeffs))
+    ints = [c.numerator * (den // c.denominator) for c in p.coeffs]
+    content = math.gcd(*ints)
+    if ints[0] < 0:
+        content = -content
+    return UniPoly([a // content for a in ints])
+
+
+def _exact_quotient(f: UniPoly, g: UniPoly) -> UniPoly:
+    """``f / g`` for an integer ``f`` and a primitive integer divisor ``g``
+    of it, integral by Gauss's lemma; ArithmeticError when a step leaves a
+    remainder, that is, when ``g`` does not divide ``f`` in Z[x]."""
+    rem = list(f.coeffs)
+    quot = []
+    for i in range(f.degree - g.degree + 1):
+        q = rem[i] // g.leading
+        quot.append(q)
+        if q:
+            for j, gc in enumerate(g.coeffs, i):
+                rem[j] = rem[j] - q * gc
+    if any(rem):
+        raise ArithmeticError(f"{g} does not divide {f} in Z[x]")
+    return UniPoly(quot)
 
 
 def poly_divmod(f: UniPoly, g: UniPoly) -> tuple[UniPoly, UniPoly]:
@@ -166,7 +213,7 @@ def poly_divmod(f: UniPoly, g: UniPoly) -> tuple[UniPoly, UniPoly]:
         return UniPoly([]), f
     quot = [Fraction(0)] * (f.degree - dg + 1)
     lead = g.leading
-    inv = lead.reciprocal() if isinstance(lead, QuadExt) else 1 / lead
+    inv = lead.reciprocal() if isinstance(lead, QuadExt) else Fraction(1) / lead
     for i in range(len(quot)):
         c = rem[i]
         if sgn(c) == 0:
@@ -211,21 +258,74 @@ def _remainder_sequence(a: UniPoly, b: UniPoly) -> list[UniPoly]:
     into the negation, so each entry is a positive multiple of the negated
     field remainder, and no step divides by a coefficient.  Stops at the
     first zero remainder, so only ``b`` may be zero; the last nonzero entry
-    is a multiple of gcd(a, b).
+    is a multiple of gcd(a, b).  Two integer polynomials give integer
+    entries, each divided by its integer content.
     """
+    integral = all(type(c) is int for c in a.coeffs + b.coeffs)
     seq = [a, b]
     while not seq[-1].is_zero:
         r, factor_sign = _pseudo_remainder(seq[-2], seq[-1])
         if r.is_zero:
             break
-        seq.append(_normalized(r, -factor_sign))
+        seq.append(_normalized(r, -factor_sign, integral))
     return seq
 
 
-def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
-    """Monic gcd: the last nonzero entry of the remainder sequence."""
+def _gcd_multiple(a: UniPoly, b: UniPoly) -> UniPoly:
+    """A multiple of gcd(a, b): the last nonzero entry of the remainder
+    sequence."""
     seq = _remainder_sequence(a, b)
-    return (seq[-2] if seq[-1].is_zero else seq[-1]).monic()
+    return seq[-2] if seq[-1].is_zero else seq[-1]
+
+
+def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
+    """Monic gcd."""
+    return _gcd_multiple(a, b).monic()
+
+
+def _field_quotient(f: UniPoly, g: UniPoly) -> UniPoly:
+    return poly_divmod(f, g)[0]
+
+
+def squarefree_factors(p: UniPoly) -> list[tuple[UniPoly, int]]:
+    """Yun decomposition ``p = c * prod(factor**multiplicity)``, c a scalar.
+
+    Factors are squarefree, pairwise coprime, and of positive degree.  A
+    rational ``p`` is decomposed in Z[x], as its primitive integer multiple:
+    its factors are primitive integer polynomials with positive leading
+    coefficients.  Otherwise (a ``QuadExt`` coefficient) the factors are
+    monic.  Only the normal form of each polynomial and the exact quotient
+    depend on that domain, which is decided once.
+    """
+    if p.is_zero:
+        raise ValueError("cannot decompose the zero polynomial")
+    if p.degree == 0:
+        return []
+    if any(isinstance(c, QuadExt) for c in p.coeffs):
+        normal, divide = UniPoly.monic, _field_quotient
+    else:
+        normal, divide = _primitive, _exact_quotient
+    work = normal(p)
+    deriv = work.derivative()
+    g = normal(_gcd_multiple(work, deriv))
+    if g.degree == 0:
+        return [(work, 1)]
+    w = divide(work, g)
+    y = divide(deriv, g)
+    z = y - w.derivative()
+    factors: list[tuple[UniPoly, int]] = []
+    mult = 1
+    while not z.is_zero:
+        h = normal(_gcd_multiple(w, z))
+        if h.degree > 0:
+            factors.append((h, mult))
+        w = divide(w, h)
+        y = divide(z, h)
+        z = y - w.derivative()
+        mult += 1
+    if w.degree > 0:
+        factors.append((w, mult))
+    return factors
 
 
 def squarefree_decompose(p: UniPoly) -> list[tuple[UniPoly, int]]:
@@ -234,31 +334,7 @@ def squarefree_decompose(p: UniPoly) -> list[tuple[UniPoly, int]]:
     Factors are monic, squarefree, pairwise coprime, and of positive degree;
     ``lc`` is the leading coefficient of ``p``.
     """
-    if p.is_zero:
-        raise ValueError("cannot decompose the zero polynomial")
-    if p.degree == 0:
-        return []
-    work = p.monic()
-    deriv = work.derivative()
-    g = poly_gcd(work, deriv)
-    if g.degree == 0:
-        return [(work, 1)]
-    w, _ = poly_divmod(work, g)
-    y, _ = poly_divmod(deriv, g)
-    z = y - w.derivative()
-    factors: list[tuple[UniPoly, int]] = []
-    mult = 1
-    while not z.is_zero:
-        h = poly_gcd(w, z)
-        if h.degree > 0:
-            factors.append((h, mult))
-        w, _ = poly_divmod(w, h)
-        y, _ = poly_divmod(z, h)
-        z = y - w.derivative()
-        mult += 1
-    if w.degree > 0:
-        factors.append((w, mult))
-    return factors
+    return [(factor.monic(), mult) for factor, mult in squarefree_factors(p)]
 
 
 # -- Sturm chains ------------------------------------------------------------

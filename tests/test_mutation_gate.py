@@ -7,7 +7,9 @@ module's namespace and patched in.  Every flip must change some verdict or
 fired clause on a fixed set of forms, or be listed in ``EQUIVALENT`` with the
 reason no input can tell it apart (DeMillo, Lipton & Sayward, *Computer*
 11(4), 1978).  A surviving flip is killed by adding an input to the set,
-never by weakening the comparison.
+never by weakening the comparison.  A second gate edits the helpers of the
+Sturm oracle's integer path in ``unipoly`` in the same way, and checks the
+oracle against the structural decider.
 """
 
 import ast
@@ -16,9 +18,10 @@ import itertools
 import random
 from fractions import Fraction as F
 
-from cycquart import decider, quartic_rules
-from cycquart.form import CyclicParams
+from cycquart import decider, quartic_rules, unipoly
+from cycquart.form import CyclicParams, reduce_to_g
 from cycquart.harness import STRATA, stratum_sampler
+from cycquart.scalars import is_perfect_square
 
 from test_decider import BOUNDARY_PINS
 
@@ -95,3 +98,72 @@ def test_every_comparison_flip_in_the_structural_decider_is_killed_or_equivalent
                 if outcomes() == reference:
                     survivors.append(label)
     assert sorted(survivors) == sorted(EQUIVALENT)
+
+
+# The integer core of the Sturm oracle (unipoly's Z[x] path): each mutant is
+# one edit of the source of a helper, (function, text, replacement).  It is
+# killed when decide_oracle, on the forms of the fixed set whose g is
+# rational, disagrees with decide_structural or raises.
+INTEGER_MUTANTS = {
+    "_primitive: leading-coefficient sign": ("_primitive", "ints[0] < 0", "ints[0] > 0"),
+    "_primitive: content division // -> /": ("_primitive", "a // content", "a / content"),
+    "_primitive: content division // -> *": ("_primitive", "a // content", "a * content"),
+    "_normalized: content division // -> /": ("_normalized", "a // c", "a / c"),
+    "_normalized: content sign dropped": ("_normalized", "sign * math.gcd", "math.gcd"),
+    "_normalized: c == 1 -> c != 1": ("_normalized", "p if c == 1", "p if c != 1"),
+    "_exact_quotient: exactness check negated": ("_exact_quotient", "if any(rem)", "if not any(rem)"),
+}
+
+INTEGER_EQUIVALENT = {
+    "_primitive: leading-coefficient sign": "every factor and gcd is then negated: Yun's "
+    "quotients stay exact, and the Sturm chain of -f is the chain of f negated, with the "
+    "same sign changes; test_integer_factors_reproduce_the_primitive_part pins the sign",
+}
+
+
+def source_mutant(module, name, old, new):
+    """``module.name`` with the one occurrence of ``old`` in its source
+    replaced by ``new``, compiled into a copy of the module's namespace."""
+    source = inspect.getsource(getattr(module, name))
+    assert source.count(old) == 1, (name, old)
+    namespace = dict(vars(module))
+    exec(compile(source.replace(old, new), module.__file__, "exec"), namespace)
+    return namespace[name]
+
+
+def tight_r_zero(r):
+    """The R = 0 form whose g is ``27/(r-1)**2 * (t**2 - r)**2``: PSD, with
+    double roots.  With m = n and l = 2k + m - 4, g/3 is
+    (2+k-2m)t**4 + (8+m-2k)t**2 + (k+m-1), whose three coefficients sum to 9."""
+    a = F(9, (r - 1) ** 2)
+    m = (a * r * r - a + 3) / 3
+    k = a * r * r + 1 - m
+    return CyclicParams(k, 2 * k + m - 4, m, m)
+
+
+def test_every_integer_oracle_mutant_is_killed_or_equivalent(monkeypatch):
+    # the rational-g forms of the fixed set, and one whose constant term
+    # (10**8 + 1)**2 is past 2**53, where a float division of the content
+    # rounds it and the double roots split
+    forms = [c for c in fixed_set() if is_perfect_square(reduce_to_g(c).a1_squared)]
+    forms.append(tight_r_zero(10**8 + 1))
+    assert len(forms) >= 400
+    expected = [decider.decide_structural(c).is_psd for c in forms]
+
+    def outcomes():
+        found = []
+        for c in forms:
+            try:
+                found.append(decider.decide_oracle(c).is_psd)
+            except (ArithmeticError, AttributeError, TypeError) as error:
+                found.append(type(error).__name__)
+        return found
+
+    assert outcomes() == expected
+    survivors = []
+    for label, (name, old, new) in INTEGER_MUTANTS.items():
+        with monkeypatch.context() as patch:
+            patch.setattr(unipoly, name, source_mutant(unipoly, name, old, new))
+            if outcomes() == expected:
+                survivors.append(label)
+    assert sorted(survivors) == sorted(INTEGER_EQUIVALENT)

@@ -1,9 +1,11 @@
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
 
 from cycquart.quartic_rules import SpecialQuartic, discriminants
+from cycquart.roots import is_nonneg_everywhere
 from cycquart.scalars import QuadExt, sgn
 from cycquart.unipoly import (
     UniPoly,
@@ -12,6 +14,7 @@ from cycquart.unipoly import (
     poly_divmod,
     poly_gcd,
     squarefree_decompose,
+    squarefree_factors,
     squarefree_sturm,
     sturm_chain,
     sturm_count,
@@ -358,3 +361,92 @@ def test_gcd_matches_the_euclidean_loop():
                 assert poly_divmod(operand, g)[1].is_zero
         degrees.append(g.degree)
     assert degrees.count(0) >= 30 and sum(d > 0 for d in degrees) >= 100
+
+
+def exact(value):
+    """True when a scalar, or every coefficient of a polynomial, is an int
+    or a Fraction: no float reaches the result."""
+    if isinstance(value, UniPoly):
+        return all(exact(c) for c in value.coeffs)
+    return type(value) in (int, F)
+
+
+def test_integer_input_gives_no_float_and_the_fraction_values():
+    # each polynomial built twice, from ints and from the same Fractions;
+    # leading coefficients other than 1 and -1 make ``1 / lead`` a float
+    rng = random.Random(67)
+    cases = []
+    for _ in range(30):
+        root = [rng.choice([-3, -2, 2, 5]), rng.randint(-6, 6)]
+        quad = [rng.choice([-4, 3, 6]), rng.randint(-5, 5), rng.randint(-5, 5)]
+        cases += [quad, list((UniPoly(root) * UniPoly(root) * UniPoly(quad)).coeffs)]
+        cases.append([rng.randint(2, 7)] + [rng.randint(-9, 9) for _ in range(rng.randint(1, 5))])
+    ranges = [(None, None), (F(-1, 3), F(5, 2)), (F(0), None), (None, F(-7, 4))]
+    repeated = 0
+    for coeffs, divisor in zip(cases, cases[1:] + cases[:1]):
+        ints, fracs = UniPoly(coeffs), UniPoly([F(c) for c in coeffs])
+        int_div, frac_div = UniPoly(divisor), UniPoly([F(c) for c in divisor])
+        assert all(type(c) is int for c in ints.coeffs + int_div.coeffs)
+        polys = [
+            (ints.monic(), fracs.monic()),
+            *zip(poly_divmod(ints, int_div), poly_divmod(fracs, frac_div)),
+            (poly_gcd(ints, ints.derivative()), poly_gcd(fracs, fracs.derivative())),
+            (poly_gcd(ints, int_div), poly_gcd(fracs, frac_div)),
+        ]
+        decomposed = squarefree_decompose(ints), squarefree_decompose(fracs)
+        polys += [(a, b) for (a, _), (b, _) in zip(*decomposed)]
+        for from_ints, from_fracs in polys:
+            assert exact(from_ints) and from_ints == from_fracs
+        assert [m for _, m in decomposed[0]] == [m for _, m in decomposed[1]]
+        repeated += any(m > 1 for _, m in decomposed[0])
+        seqs = discriminant_sequence(ints), discriminant_sequence(fracs)
+        assert all(map(exact, seqs[0])) and seqs[0] == seqs[1]
+        for lo, hi in ranges:
+            assert sturm_count(ints, lo, hi) == sturm_count(fracs, lo, hi)
+    assert repeated >= 30
+
+
+def primitive_part(p):
+    """The primitive integer multiple of a rational p with a positive
+    leading coefficient, as a list of ints."""
+    den = math.lcm(*(c.denominator for c in p.coeffs))
+    ints = [c.numerator * (den // c.denominator) for c in p.coeffs]
+    content = math.gcd(*ints) * (1 if ints[0] > 0 else -1)
+    return [c // content for c in ints]
+
+
+def test_integer_factors_reproduce_the_primitive_part():
+    # products of random rational factors, some repeated and some positive
+    # definite, up to degree 8; the rational ones run in Z[x]
+    rng = random.Random(73)
+    verdicts = {True: 0, False: 0}
+    repeated = 0
+    for _ in range(120):
+        p = UniPoly([rand_fraction(rng) or F(1, 2)])
+        while p.degree < 8:
+            if rng.random() < 0.3:
+                factor = UniPoly([rand_fraction(rng) or 1, 0, F(rng.randint(1, 9), rng.randint(1, 5))])
+            else:
+                factor = rand_poly(rng, rng.randint(1, 2))
+            mult = rng.choice([1, 1, 2, 3])
+            if p.degree + factor.degree * mult > 8:
+                break
+            for _ in range(mult):
+                p = p * factor
+        if p.degree < 1:
+            continue
+        factors = squarefree_factors(p)
+        product = UniPoly([1])
+        for factor, mult in factors:
+            assert all(type(c) is int for c in factor.coeffs)
+            assert math.gcd(*factor.coeffs) == 1 and factor.leading > 0
+            for _ in range(mult):
+                product = product * factor
+        assert list(product.coeffs) == primitive_part(p)
+        assert [(f.monic(), m) for f, m in factors] == squarefree_decompose(p)
+        repeated += any(m > 1 for _, m in factors)
+        q = F(rng.randint(1, 20), rng.randint(1, 20))
+        nonneg = is_nonneg_everywhere(p)
+        assert nonneg == is_nonneg_everywhere(p.scale(q))
+        verdicts[nonneg] += 1
+    assert repeated >= 40 and min(verdicts.values()) >= 10
