@@ -16,11 +16,11 @@ import sys
 import traceback
 
 from .decider import _METHODS, DEFAULT_WITNESS_BUDGET, decide, find_witness
-from .form import BcdeParams, CyclicParams, eval_form, from_bcde, reduce_to_g
+from .form import BcdeParams, CyclicParams, form_quotient, from_bcde, reduce_to_g
 from .harness import STRATA, FuzzConfig, fuzz_compare, params_dict, record_line, verdict_table
 from .quartic_rules import SpecialQuartic, discriminants, is_nonneg
 from .roots import is_nonneg_everywhere, revise, root_count, sign_list
-from .scalars import exact_rational, format_rational
+from .scalars import exact_rational, format_quotient, format_rational
 from .unipoly import UniPoly, discriminant_sequence
 
 EXIT_PSD = 0
@@ -89,17 +89,17 @@ def _cmd_decide(args) -> int:
         witness = find_witness(c, args.budget)
         found = witness is not None
         out["witness"] = [format_rational(v) for v in witness] if found else None
-        out["value"] = format_rational(eval_form(c, *witness)) if found else None
+        out["value"] = format_quotient(*form_quotient(c, *witness)) if found else None
     _emit(out, args.pretty)
     return EXIT_PSD if verdict.is_psd else EXIT_NOT_PSD
 
 
 def _cmd_explain(args) -> int:
     c = _params_from_args(args)
-    polys, verdicts, out = verdict_table(c)
+    (numerators, _), verdicts, out = verdict_table(c)
     g = reduce_to_g(c)
     out["g_coefficients"] = _g_strings(g)
-    out["g_discriminants"] = _discriminant_strings(g) if polys.f1 != 0 else None
+    out["g_discriminants"] = _discriminant_strings(g) if numerators.f1 != 0 else None
     _emit(out, args.pretty)
     return EXIT_PSD if verdicts["structural"].is_psd else EXIT_NOT_PSD
 

@@ -1,16 +1,18 @@
 """Three decision procedures for the cyclic ternary quartic.
 
-* ``decide_closed_form`` evaluates a quantifier-free formula in the clause
-  polynomials of (k, l, m, n) (``eval_polys``).  All eleven are read off
-  the integers the form keeps: f1, f2 and f3 off g, f5, f6 and f7 off the
-  cofactors of its discriminants, f4 and g1..g4 off d*(k, l, m, n).  So
-  this path shares g's reduction and discriminant formulas with
+* ``decide_closed_form`` evaluates a quantifier-free formula in the signs
+  of the clause polynomials of (k, l, m, n).  All eleven are read off the
+  integers the form keeps, as integer numerators over positive
+  denominators (``clause_pairs``): f1, f2 and f3 off g, f5, f6 and f7 off
+  the cofactors of its discriminants, f4 and g1..g4 off d*(k, l, m, n).
+  So this path shares g's reduction and discriminant formulas with
   ``decide_structural``; the published polynomials are the references of
-  the tests.  Three textual variants are shipped because the source
-  formula is self-contradictory on boundary strata: the ``theorem``
-  variant uses the strict comparisons ``f6 < 0 or f7 < 0``, the ``proof``
-  variant the non-strict ones, and the ``corrected`` variant adds the
-  missing guard ``k + m - 1 >= 0`` to the degenerate-radicand clause (see
+  the tests, and ``eval_polys`` gives the values as fractions.  Three
+  textual variants are shipped because the source formula is
+  self-contradictory on boundary strata: the ``theorem`` variant uses the
+  strict comparisons ``f6 < 0 or f7 < 0``, the ``proof`` variant the
+  non-strict ones, and the ``corrected`` variant adds the missing guard
+  ``k + m - 1 >= 0`` to the degenerate-radicand clause (see
   ``decide_closed_form``).
 
 * ``decide_structural`` reduces to the univariate quartic g(t) and decides
@@ -21,10 +23,11 @@
   ``form.reduced_coefficients``, where g is computed once per form.
 
 * ``decide_oracle`` runs the everywhere-nonnegativity oracle (squarefree
-  decomposition plus Sturm counting) on ``reduce_to_g(c).to_unipoly()``,
-  in Z[t] on g's primitive integer multiple when sqrt(R) is rational, and
-  otherwise with sqrt(R) its one coefficient in Q(sqrt(R)) -- no discriminant sequences, no clause
-  polynomials, hence an independent implementation path.
+  decomposition plus Sturm counting) on g: in Z[t] on the integers of d*g
+  when sqrt(R) is rational, and otherwise on ``reduce_to_g(c).to_unipoly()``,
+  with sqrt(R) its one coefficient in Q(sqrt(R)) -- no discriminant
+  sequences, no clause polynomials, hence an independent implementation
+  path.
 
 Each returns a ``Verdict``: PSD or not, the method and the fired clause,
 one shared immutable instance per clause.  A counterexample is not part of
@@ -63,7 +66,7 @@ from .form import (
 from .quartic_rules import SpecialQuartic, discriminant_cofactors, discriminant_rule
 from .roots import is_nonneg_everywhere
 from .scalars import sgn
-from .unipoly import chain_variations, count_sign_changes
+from .unipoly import UniPoly, chain_variations, count_sign_changes
 
 __all__ = [
     "ClausePolynomials",
@@ -71,6 +74,7 @@ __all__ = [
     "Verdict",
     "CLOSED_FORM_VARIANTS",
     "clause_quotients",
+    "clause_pairs",
     "eval_polys",
     "decide_closed_form",
     "closed_form_verdict",
@@ -88,7 +92,9 @@ DEFAULT_WITNESS_BUDGET = 40000
 
 @dataclass(frozen=True, slots=True)
 class ClausePolynomials:
-    """The eleven coefficient polynomials of the closed-form criterion.
+    """The eleven coefficient polynomials of the closed-form criterion, by
+    name: their values (``eval_polys``), or their integer numerators and
+    positive denominators (``clause_pairs``).
 
     f1 = F(1,-1,0) and 3*f3 = F(1,1,1) are necessary-condition values;
     f2 and g4 determine the radicand through R = 27*g4**2 + f2**2; f5, f6,
@@ -160,6 +166,14 @@ def clause_quotients(scaled, reduced) -> tuple[tuple, tuple]:
     return numerators, denominators
 
 
+def clause_pairs(c: CyclicParams) -> tuple[ClausePolynomials, ClausePolynomials]:
+    """``(numerators, denominators)``: ``clause_quotients`` on the integers
+    kept on ``c``, by name.  Each numerator has the sign of its clause value
+    and each denominator is positive; neither is reduced."""
+    numerators, denominators = clause_quotients(scaled_coefficients(c), reduced_coefficients(c))
+    return ClausePolynomials(*numerators), ClausePolynomials(*denominators)
+
+
 def eval_polys(c: CyclicParams) -> ClausePolynomials:
     """Exact values of f1..f7 and g1..g4 at ``c``: ``clause_quotients`` on
     the integers kept on ``c``, and one exact division per value."""
@@ -168,13 +182,15 @@ def eval_polys(c: CyclicParams) -> ClausePolynomials:
 
 
 def decide_closed_form(c: CyclicParams, variant: str = "theorem") -> Verdict:
-    """Evaluate the quantifier-free formula at ``c``; see ``closed_form_verdict``."""
-    return closed_form_verdict(c, eval_polys(c), variant)
+    """Evaluate the quantifier-free formula at ``c`` on the clause numerators
+    of ``clause_pairs``; see ``closed_form_verdict``."""
+    return closed_form_verdict(c, clause_pairs(c)[0], variant)
 
 
 def closed_form_verdict(c: CyclicParams, P: ClausePolynomials, variant: str) -> Verdict:
-    """The quantifier-free formula read off the clause polynomials ``P`` of
-    ``c``; three disjuncts.
+    """The quantifier-free formula read off the signs of the clause
+    polynomials ``P`` of ``c``, so ``P`` may hold their values or their
+    numerators over positive denominators; three disjuncts.
 
     1. Degenerate radicand (g4 = 0 and f2 = 0):
        (g1 = 0 and 1 <= m <= 4) or (g1 > 0 and g2 >= 0) or (g1 > 0 and
@@ -191,17 +207,18 @@ def closed_form_verdict(c: CyclicParams, P: ClausePolynomials, variant: str) -> 
     if variant not in CLOSED_FORM_VARIANTS:
         raise ValueError(f"unknown closed-form variant {variant!r}")
     method = f"closed_form_{variant}"
-    m = c.m
+    # m and k + m - 1 are compared on the integers d*(1, k, m), d > 0
+    d, K, _, M, _ = scaled_coefficients(c)
 
     if P.g4 == 0 and P.f2 == 0:
-        if P.g1 == 0 and 1 <= m <= 4:
+        if P.g1 == 0 and d <= M <= 4 * d:
             return _verdict(True, method, "case1/g1=0/1<=m<=4")
         if P.g1 > 0 and P.g2 >= 0:
             return _verdict(True, method, "case1/g1>0/g2>=0")
         if P.g1 > 0 and P.g3 >= 0:
             if variant != "corrected":
                 return _verdict(True, method, "case1/g1>0/g3>=0")
-            if c.k + m - 1 >= 0:
+            if K + M - d >= 0:
                 return _verdict(True, method, "case1/g1>0/g3>=0/k+m-1>=0")
     else:
         if P.f1 > 0 and P.f3 == 0 and P.f4 >= 0:
@@ -269,9 +286,18 @@ def decide_structural(c: CyclicParams) -> Verdict:
 
 
 def decide_oracle(c: CyclicParams) -> Verdict:
-    """Sturm-based oracle: everywhere-nonnegativity of g, in Z[t] when
-    sqrt(R) is rational and over Q(sqrt(R)) otherwise."""
-    ok = is_nonneg_everywhere(reduce_to_g(c).to_unipoly())
+    """Sturm-based oracle: everywhere-nonnegativity of g.  When S = d**2*R
+    is a perfect square it runs on the integers of d*g, ``(A0, -isqrt(S),
+    A2, 0, A4)`` (``reduced_coefficients``), whose primitive part, and so
+    every step of Yun's decomposition and of each Sturm count, is g's own;
+    otherwise on g over Q(sqrt(R))."""
+    _, a0, s, a2, a4, _ = reduced_coefficients(c)
+    root = math.isqrt(s)
+    if root * root == s:
+        g = UniPoly([a0, -root, a2, 0, a4])
+    else:
+        g = reduce_to_g(c).to_unipoly()
+    ok = is_nonneg_everywhere(g)
     return _verdict(ok, "sturm_oracle", "g-nonneg" if ok else "g-negative")
 
 

@@ -45,6 +45,7 @@ __all__ = [
     "scaled_coefficients",
     "cyclic_sums",
     "form_numerator",
+    "form_quotient",
     "eval_form",
     "r_range",
     "radicand",
@@ -135,21 +136,26 @@ def form_numerator(c: CyclicParams, x, y, z) -> int:
     return d * s4 + K * s22 + L * s211 + M * s31 + N * s13
 
 
-def eval_form(c: CyclicParams, x, y, z) -> Fraction:
-    """Exact value of F at a rational point with ``int`` or ``Fraction``
-    coordinates.
+def form_quotient(c: CyclicParams, x, y, z) -> tuple[int, int]:
+    """F at a rational point with ``int`` or ``Fraction`` coordinates, as
+    ``(numerator, denominator)``, not reduced.
 
     With ``(d, K, L, M, N) = scaled_coefficients(c)`` and the point written
     as (X, Y, Z)/e over the least common denominator e of its coordinates,
 
         F(x, y, z) = (d*S4 + K*S22 + L*S211 + M*S31 + N*S13)(X, Y, Z) / (d*e**4),
 
-    the integer sum ``kernels.first_negative`` evaluates on its tables.
-    The numerator is ``form_numerator``; only this quotient is a Fraction,
-    and it serves output values, such as a witness's F value.
+    the integer sum ``kernels.first_negative`` evaluates on its tables.  The
+    numerator is ``form_numerator``, and the denominator is positive.  A
+    witness's F value is printed from this pair (``format_quotient``).
     """
     e = math.lcm(x.denominator, y.denominator, z.denominator)
-    return Fraction(form_numerator(c, x, y, z), scaled_coefficients(c)[0] * e**4)
+    return form_numerator(c, x, y, z), scaled_coefficients(c)[0] * e**4
+
+
+def eval_form(c: CyclicParams, x, y, z) -> Fraction:
+    """Exact value of F at a rational point: ``form_quotient`` as a Fraction."""
+    return Fraction(*form_quotient(c, x, y, z))
 
 
 def r_range(t: Fraction) -> tuple[Fraction, Fraction]:

@@ -30,15 +30,15 @@ from .decider import (
     CLOSED_FORM_VARIANTS,
     ClausePolynomials,
     Verdict,
+    clause_pairs,
     closed_form_verdict,
     decide_oracle,
     decide_structural,
-    eval_polys,
     find_witness,
 )
-from .form import CyclicParams, eval_form, radicand, reduced_coefficients
+from .form import CyclicParams, form_quotient, reduced_coefficients
 from .quartic_rules import discriminants_of
-from .scalars import exact_rational, format_rational
+from .scalars import exact_rational, format_quotient, format_rational
 
 __all__ = [
     "STRATA",
@@ -255,11 +255,14 @@ def stratum_sampler(
     if stratum == "f5_zero_near":
         batch = [CyclicParams(draw(), draw(), draw(), draw()) for _ in range(32)]
         # ranked by the published f5 in Fraction arithmetic: 32 evaluations of
-        # 60 monomials, about 40 ms a draw, which sets the fuzz's p90 latency.
+        # 60 monomials, about 28 ms a draw, which sets the fuzz's p90 latency.
         # f5 read off the integers (``eval_polys``) has the same values and
         # would pick the same draw some 30 times faster.  The ranking stays
         # until an exact D4 = 0 stratum replaces it, so that the fuzz
-        # workload's cost changes once, together with its inputs.
+        # workload's cost changes once, together with its inputs, and after
+        # the benchmark's runner stops keeping every answer: ranked off the
+        # integers, a fuzz run serves four times the samples and its peak
+        # RSS grows past the benchmark's bound.
         return min(
             batch, key=lambda c: (abs(published_f5(c.k, c.l, c.m, c.n)), c.k, c.l, c.m, c.n)
         )
@@ -272,8 +275,10 @@ def stratum_sampler(
 
 
 def _classify_disagreement(polys: ClausePolynomials, verdicts: dict[str, Verdict]) -> str:
-    # the theorem fires case1/g1>0/g3>=0 exactly when g4 = f2 = 0, g1 > 0,
-    # g2 < 0 and g3 >= 0, and corrected then refuses exactly when k + m < 1
+    # reads only which clause values are 0, so ``polys`` may hold the
+    # numerators of ``clause_pairs``.  The theorem fires case1/g1>0/g3>=0
+    # exactly when g4 = f2 = 0, g1 > 0, g2 < 0 and g3 >= 0, and corrected
+    # then refuses exactly when k + m < 1
     if (
         verdicts["closed_theorem"].fired_clause == "case1/g1>0/g3>=0"
         and not verdicts["closed_corrected"].is_psd
@@ -296,48 +301,59 @@ def params_dict(c: CyclicParams) -> dict:
     return {name: format_rational(getattr(c, name)) for name in "klmn"}
 
 
-def verdict_table(c: CyclicParams) -> tuple[ClausePolynomials, dict[str, Verdict], dict]:
-    """The clause polynomials of ``c``, its five verdicts keyed structural,
-    oracle and closed_<variant>, and the ``params``, ``R``, ``polys`` and
-    ``verdicts`` blocks that a fuzz record and ``cycquart explain`` print."""
-    polys = eval_polys(c)
+def verdict_table(
+    c: CyclicParams,
+) -> tuple[tuple[ClausePolynomials, ClausePolynomials], dict[str, Verdict], dict]:
+    """The clause pairs of ``c`` (``clause_pairs``: integer numerators over
+    positive denominators), its five verdicts keyed structural, oracle and
+    closed_<variant>, and the ``params``, ``R``, ``polys`` and ``verdicts``
+    blocks that a fuzz record and ``cycquart explain`` print.  The closed
+    forms read the numerators, and each printed rational is its pair in
+    lowest terms (``format_quotient``): no Fraction is built."""
+    numerators, denominators = clause_pairs(c)
     verdicts = {
         "structural": decide_structural(c),
         "oracle": decide_oracle(c),
         **{
-            f"closed_{variant}": closed_form_verdict(c, polys, variant)
+            f"closed_{variant}": closed_form_verdict(c, numerators, variant)
             for variant in CLOSED_FORM_VARIANTS
         },
     }
+    d, _, s, _, _, _ = reduced_coefficients(c)  # R = s/d**2
     blocks = {
         "params": params_dict(c),
-        "R": format_rational(radicand(c)),
-        "polys": {name: format_rational(getattr(polys, name)) for name in CLAUSE_POLYNOMIAL_NAMES},
+        "R": format_quotient(s, d * d),
+        "polys": {
+            name: format_quotient(getattr(numerators, name), getattr(denominators, name))
+            for name in CLAUSE_POLYNOMIAL_NAMES
+        },
         "verdicts": {
             name: {"is_psd": v.is_psd, "fired_clause": v.fired_clause}
             for name, v in verdicts.items()
         },
     }
-    return polys, verdicts, blocks
+    return (numerators, denominators), verdicts, blocks
 
 
-def _discriminant_identities(c: CyclicParams, polys: ClausePolynomials) -> tuple[bool, bool, bool]:
+def _discriminant_identities(
+    c: CyclicParams, numerators: ClausePolynomials, denominators: ClausePolynomials
+) -> tuple[bool, bool, bool]:
     """Whether D2 = 108*f1**2*f6, D3 = 324*f1**2*f7 and D4 =
     104976*f1**2*f3*f5 hold between the discriminants of g and the clause
-    values ``polys``, in integers, for f1 != 0.  The discriminants of d*g
-    (``reduced_coefficients``) are d**4, d**6 and d**8 times g's, and each
-    clause value n/q is cross-multiplied by its denominator."""
+    values ``numerators/denominators``, in integers, for f1 != 0.  The
+    discriminants of d*g (``reduced_coefficients``) are d**4, d**6 and d**8
+    times g's, and each clause value is cross-multiplied by its positive
+    denominator, so a pair need not be in lowest terms."""
     d, a0, s, a2, a4, _ = reduced_coefficients(c)
     _, d2, d3, d4 = discriminants_of(a0, s, a2, a4)
-    f1, f3, f5, f6, f7 = polys.f1, polys.f3, polys.f5, polys.f6, polys.f7
-    n1_sq, q1_sq = f1.numerator ** 2, f1.denominator ** 2
+    n, q = numerators, denominators
+    n1_sq, q1_sq = n.f1 * n.f1, q.f1 * q.f1
     dd = d * d
     d4th = dd * dd
     return (
-        d2 * q1_sq * f6.denominator == 108 * n1_sq * f6.numerator * d4th,
-        d3 * q1_sq * f7.denominator == 324 * n1_sq * f7.numerator * d4th * dd,
-        d4 * q1_sq * f3.denominator * f5.denominator
-        == 104976 * n1_sq * f3.numerator * f5.numerator * d4th * d4th,
+        d2 * q1_sq * q.f6 == 108 * n1_sq * n.f6 * d4th,
+        d3 * q1_sq * q.f7 == 324 * n1_sq * n.f7 * d4th * dd,
+        d4 * q1_sq * q.f3 * q.f5 == 104976 * n1_sq * n.f3 * n.f5 * d4th * d4th,
     )
 
 
@@ -364,7 +380,7 @@ def fuzz_compare(cfg: FuzzConfig, record_sink=None) -> DiscrepancyReport:
         rng = random.Random(cfg.seed ^ index)
         c = stratum_sampler(stratum, rng, cfg.coefficient_range, cfg.denominator_bound)
 
-        polys, verdicts, blocks = verdict_table(c)
+        (numerators, denominators), verdicts, blocks = verdict_table(c)
         structural, oracle = verdicts["structural"], verdicts["oracle"]
         if structural.is_psd != oracle.is_psd:
             raise AssertionError(
@@ -385,7 +401,7 @@ def fuzz_compare(cfg: FuzzConfig, record_sink=None) -> DiscrepancyReport:
         else:
             witness = find_witness(c)
 
-        if polys.f1 != 0:
+        if numerators.f1 != 0:
             # D2 = 108*f1^2*f6, D3 = 324*f1^2*f7 and D4 = 104976*f1^2*f3*f5,
             # compared on the integers of d*g.  f5, f6 and f7 are read off
             # the cofactors of D4, D2 and D3, so these comparisons cannot
@@ -393,21 +409,22 @@ def fuzz_compare(cfg: FuzzConfig, record_sink=None) -> DiscrepancyReport:
             # reads the counts.  The sympy proof against the published
             # polynomials is the check of the formulas
             identity_checked += 1
-            for name, holds in zip(("d2", "d3", "d4"), _discriminant_identities(c, polys)):
-                identity_holds[name] += holds
+            holds = _discriminant_identities(c, numerators, denominators)
+            for name, held in zip(("d2", "d3", "d4"), holds):
+                identity_holds[name] += held
 
         record = {
             "index": index,
             "stratum": stratum,
             **blocks,
             "witness": [format_rational(v) for v in witness] if witness else None,
-            "witness_value": format_rational(eval_form(c, *witness)) if witness else None,
+            "witness_value": format_quotient(*form_quotient(c, *witness)) if witness else None,
             "witness_budget_exhausted": not structural.is_psd and witness is None,
             "falsifier_checked": falsifier_checked,
             "closed_form_disagreements": {
                 variant: "agree"
                 if verdicts[f"closed_{variant}"].is_psd == structural.is_psd
-                else _classify_disagreement(polys, verdicts)
+                else _classify_disagreement(numerators, verdicts)
                 for variant in CLOSED_FORM_VARIANTS
             },
         }
@@ -446,7 +463,7 @@ def fuzz_compare(cfg: FuzzConfig, record_sink=None) -> DiscrepancyReport:
             "checked": identity_checked,
             "holds": identity_holds,
         },
-        # format_rational writes "0" for zero only
+        # format_quotient writes "0" for zero only
         "boundary_tallies": {
             f"{name}_zero": sum(rec["polys"][name] == "0" for rec in records)
             for name in ("f5", "f6", "f7")

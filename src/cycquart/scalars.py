@@ -31,6 +31,7 @@ __all__ = [
     "exact_rational",
     "exact_fields",
     "format_rational",
+    "format_quotient",
     "is_perfect_square",
     "rational_sqrt",
     "sgn",
@@ -81,7 +82,18 @@ def format_rational(value: Fraction) -> str:
     """Serialize a rational as :func:`parse_rational` reads it, at any size,
     though ``parse_rational`` refuses a literal past the interpreter's digit
     limit: the limit guards input, and a witness's value can exceed it."""
-    num, den = value.numerator, value.denominator
+    return _format_lowest(value.numerator, value.denominator)
+
+
+def format_quotient(num: int, den: int) -> str:
+    """``format_rational(Fraction(num, den))`` for ``den > 0``: one gcd
+    brings the pair to lowest terms, and no Fraction is built."""
+    common = math.gcd(num, den)
+    return _format_lowest(num // common, den // common)
+
+
+def _format_lowest(num: int, den: int) -> str:
+    """The one serializer of a rational ``num/den`` in lowest terms, den > 0."""
     return _digits(num) if den == 1 else f"{_digits(num)}/{_digits(den)}"
 
 

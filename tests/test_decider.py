@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import math
 import random
 from collections import Counter
 from dataclasses import FrozenInstanceError, fields
@@ -9,6 +10,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from cycquart import decider as decider_module
 from cycquart.decider import (
     CLAUSE_POLYNOMIAL_NAMES,
     CLOSED_FORM_VARIANTS,
@@ -20,6 +22,7 @@ from cycquart.decider import (
     _find_negative_t,
     _locus_roots,
     _seeded_search,
+    clause_pairs,
     clause_quotients,
     closed_form_verdict,
     decide,
@@ -36,6 +39,7 @@ from cycquart.form import (
     radicand,
     reduce_scaled,
     reduce_to_g,
+    reduced_coefficients,
     scaled_coefficients,
 )
 from cycquart.harness import STRATA, published_f5, stratum_sampler
@@ -51,6 +55,7 @@ from cycquart.unipoly import (
     UniPoly,
     chain_variations,
     squarefree_decompose,
+    squarefree_factors,
     squarefree_sturm,
     sturm_chain,
 )
@@ -294,6 +299,46 @@ BOUNDARY_PINS = {
 }
 
 
+def fixed_set():
+    """BOUNDARY_PINS, 200 draws of every stratum but f5_zero_near (whose
+    ranking by the published f5 costs about 28 ms a draw), and the
+    half-integer grid of [-1, 2]**4."""
+    forms = [CyclicParams(*params) for params in BOUNDARY_PINS]
+    for stratum in STRATA:
+        if stratum != "f5_zero_near":
+            forms += [stratum_sampler(stratum, random.Random(seed)) for seed in range(200)]
+    halves = [F(i, 2) for i in range(-2, 5)]
+    forms += [CyclicParams(*params) for params in itertools.product(halves, repeat=4)]
+    return forms
+
+
+def test_closed_forms_read_the_same_verdict_off_numerators_and_values():
+    # closed_form_verdict reads only signs, and each clause numerator of
+    # clause_pairs has its value's sign; on the fixed set of the mutation
+    # gate and draws of every stratum, f5_zero_near too, each variant returns
+    # the one shared Verdict either way, and decide_closed_form reads the
+    # numerators.  m's clause is also checked against m itself.
+    forms = fixed_set() + [
+        stratum_sampler(stratum, random.Random(seed)) for stratum in STRATA for seed in range(4)
+    ]
+    fired = Counter()
+    for c in forms:
+        values = eval_polys(c)
+        numerators, denominators = clause_pairs(c)
+        for name in CLAUSE_POLYNOMIAL_NAMES:
+            num, den = getattr(numerators, name), getattr(denominators, name)
+            assert den > 0 and F(num, den) == getattr(values, name), (c, name)
+        for variant in CLOSED_FORM_VARIANTS:
+            verdict = closed_form_verdict(c, values, variant)
+            assert closed_form_verdict(c, numerators, variant) is verdict, (c, variant)
+            assert decide_closed_form(c, variant) is verdict, (c, variant)
+            in_m_clause = values.g4 == values.f2 == values.g1 == 0 and 1 <= c.m <= 4
+            assert (verdict.fired_clause == "case1/g1=0/1<=m<=4") == in_m_clause, c
+            fired[variant, verdict.fired_clause] += 1
+    # each variant's six clauses and "none" all fire, at least four times
+    assert len(fired) == 3 * 7 and min(fired.values()) >= 4
+
+
 def test_boundary_comparisons_are_pinned():
     methods = ("structural", "oracle", "closed-theorem", "closed-proof", "closed-corrected")
     for params, expected in BOUNDARY_PINS.items():
@@ -323,6 +368,41 @@ def test_oracle_examples():
     assert decide_oracle(CyclicParams(2, 0, 0, 0)).is_psd
     assert not decide_oracle(CyclicParams(0, 0, 2, 2)).is_psd
     assert not decide_oracle(CyclicParams(0, 0, -3, 0)).is_psd
+
+
+def test_oracle_on_a_rational_g_runs_on_the_integers_of_d_g(monkeypatch):
+    # where sqrt(R) is rational, decide_oracle hands is_nonneg_everywhere the
+    # integers of d*g; their Yun factors, and so every Sturm count, are those
+    # of g's own polynomial, which the oracle decided before
+    forms = {
+        (2, 0, 0, 0): True,  # R = 0, PSD
+        (F(1, 2), -3, 0, 0): False,  # R = 0, negative constant term
+        (1, -2, 0, 0): True,  # R = 0, g = 9*t**2*(t**2 + 2)
+        (2, 6, F(3, 2), F(3, 2)): True,  # m = n, f2 = -9: R = 81, double root
+        (14, 30, F(15, 2), F(15, 2)): False,  # m = n, f2 = 3: R = 9, double root
+        (F(7, 3), F(5, 6), F(1, 3), F(1, 3)): True,  # m = n, f2 = 1/3: R = 1/9
+        (0, 0, 1, 1): False,  # a0 = 0: g is a cubic
+        (0, 0, 2, 2): False,  # a0 < 0
+        (-1, -2, 1, 1): False,  # a0 < 0 and a4 = 0
+        (0, -1, 0, 0): True,  # a4 = 0: g = t**2 * (6*t**2 - 6*t + 15)
+        (F(-3, 2), F(1, 2), 0, 0): False,  # a4 = 0, a0 > 0 and R > 4*a0*a2
+    }
+    seen = []
+    monkeypatch.setattr(decider_module, "is_nonneg_everywhere",
+                        lambda p: seen.append(p) or is_nonneg_everywhere(p))
+    for params, psd in forms.items():
+        c = CyclicParams(*params)
+        d, a0, s, a2, a4, _ = reduced_coefficients(c)
+        assert is_perfect_square(radicand(c)), params
+        g = reduce_to_g(c).to_unipoly()
+        assert decide_oracle(c).is_psd == is_nonneg_everywhere(g) == psd, params
+        assert decide_structural(c).is_psd == psd, params
+        ints = seen.pop()
+        assert all(type(v) is int for v in ints.coeffs), params
+        assert ints == g.scale(d) and ints.coeffs == UniPoly([a0, -math.isqrt(s), a2, 0, a4]).coeffs
+        if g.degree > 0:
+            assert [(f.coeffs, e) for f, e in squarefree_factors(ints)] == [
+                (f.coeffs, e) for f, e in squarefree_factors(g)], params
 
 
 def test_structural_equals_oracle_on_random_samples():

@@ -10,7 +10,7 @@ import pytest
 
 from cycquart import harness, kernels
 from cycquart.cli import main
-from cycquart.decider import CLOSED_FORM_VARIANTS, closed_form_verdict, eval_polys
+from cycquart.decider import CLOSED_FORM_VARIANTS, clause_pairs, closed_form_verdict, eval_polys
 from cycquart.form import CyclicParams, eval_form, radicand, reduce_to_g
 from cycquart.harness import (
     _FALSIFIER_FACES,
@@ -230,9 +230,10 @@ def fraction_identities(c, P):
 
 
 def test_integer_discriminant_identities_match_fraction_ones_and_can_fail():
-    # the fuzz compares d*g's discriminants with the clause values in
-    # integers; on sample_forms() with f1 != 0 each comparison equals the
-    # Fraction one on g, and a clause value moved by 1/7 fails it, so it
+    # the fuzz compares d*g's discriminants with the clause pairs of
+    # clause_pairs, unreduced, in integers; on sample_forms() with f1 != 0
+    # each comparison equals the Fraction one on g, and a clause value moved
+    # by 1/7 (the pair n/q moved to (7*n + q)/(7*q)) fails it, so it
     # compares two values, not one with itself.
     # D4's moves f5 where f3 != 0 and f3 where f5 != 0 (f3_zero has f3 = 0)
     inputs = [c for c in sample_forms() if eval_polys(c).f1 != 0]
@@ -240,13 +241,20 @@ def test_integer_discriminant_identities_match_fraction_ones_and_can_fail():
     moves = 0
     for c in inputs:
         P = eval_polys(c)
-        assert _discriminant_identities(c, P) == fraction_identities(c, P) == (True,) * 3, c
+        nums, dens = clause_pairs(c)
+        holds = _discriminant_identities(c, nums, dens)
+        assert holds == fraction_identities(c, P) == (True,) * 3, c
         for index, name, factor in ((0, "f6", None), (1, "f7", None), (2, "f5", "f3"),
                                     (2, "f3", "f5")):
             if factor is not None and getattr(P, factor) == 0:
                 continue
             moved = dataclasses.replace(P, **{name: getattr(P, name) + F(1, 7)})
-            holds = _discriminant_identities(c, moved)
+            num, den = getattr(nums, name), getattr(dens, name)
+            holds = _discriminant_identities(
+                c,
+                dataclasses.replace(nums, **{name: 7 * num + den}),
+                dataclasses.replace(dens, **{name: 7 * den}),
+            )
             assert holds == fraction_identities(c, moved), (c, name)
             assert holds[index] is False, (c, name)
             moves += 1
@@ -388,6 +396,10 @@ def test_fuzz_with_coefficients_past_the_int_digit_limit():
     assert report.summary["structural_oracle_disagreements"] == 0
     assert report.summary["config"]["coefficient_range"] == ["-1" + "0" * 900, "1" + "0" * 900]
     assert max(len(r["polys"]["f5"]) for r in report.records) > 4300
+    # the record text of values past 2000 bits, printed by _digits in parts,
+    # pinned since before the records were printed from integer pairs
+    digest = hashlib.sha256(report.to_jsonl().encode()).hexdigest()
+    assert digest == "c2c03a5f6a670610113efd7670b753e8bbaec2c8864a7423f619b521fb365884"
 
 
 def test_fuzz_records_shape():

@@ -14,16 +14,14 @@ oracle against the structural decider.
 
 import ast
 import inspect
-import itertools
-import random
 from fractions import Fraction as F
 
 from cycquart import decider, quartic_rules, unipoly
 from cycquart.form import CyclicParams, reduce_to_g
-from cycquart.harness import STRATA, stratum_sampler
+from cycquart.harness import STRATA
 from cycquart.scalars import is_perfect_square
 
-from test_decider import BOUNDARY_PINS
+from test_decider import BOUNDARY_PINS, fixed_set
 
 _FLIP = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt}
 
@@ -64,19 +62,6 @@ def mutant(module, name, index):
     namespace = dict(vars(module))
     exec(compile(tree, module.__file__, "exec"), namespace)
     return namespace[name], label
-
-
-def fixed_set():
-    """BOUNDARY_PINS, 200 draws of every stratum but f5_zero_near (whose
-    ranking by the published f5 costs about 40 ms a draw), and the
-    half-integer grid of [-1, 2]**4."""
-    forms = [CyclicParams(*params) for params in BOUNDARY_PINS]
-    for stratum in STRATA:
-        if stratum != "f5_zero_near":
-            forms += [stratum_sampler(stratum, random.Random(seed)) for seed in range(200)]
-    halves = [F(i, 2) for i in range(-2, 5)]
-    forms += [CyclicParams(*params) for params in itertools.product(halves, repeat=4)]
-    return forms
 
 
 def test_every_comparison_flip_in_the_structural_decider_is_killed_or_equivalent(monkeypatch):

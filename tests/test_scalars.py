@@ -7,6 +7,7 @@ import pytest
 
 from cycquart.scalars import (
     QuadExt,
+    format_quotient,
     format_rational,
     is_perfect_square,
     parse_rational,
@@ -185,6 +186,19 @@ def test_format_rational_writes_a_rational_of_any_size():
         assert format_rational(value) == str(value)
     if limit is not None:
         assert sys.get_int_max_str_digits() == limit
+
+
+def test_format_quotient_is_format_rational_of_the_pair():
+    # the pair need not be in lowest terms, and the value may be zero,
+    # negative, past 2000 bits (printed by _digits in parts) or past 4300
+    # digits (the interpreter's int/str limit)
+    big = 10**4400 + 3
+    pairs = [(0, 1), (0, 11664), (-6, 4), (-3, 7), (12, 1), (24, 2), (-5, 5),
+             (7 * 2**2100 + 1, 3 * 2**2100), (-(2**2001) * 9, 6 * 2**2001), (2**2001, 1),
+             (big * 6, 4), (-big, 10**4350), (big * big, big)]
+    for num, den in pairs:
+        assert format_quotient(num, den) == format_rational(F(num, den)), (num.bit_length(), den)
+    assert format_quotient(-big * 14, 21) == "-2" + "0" * 4399 + "6/3"
 
 
 @pytest.mark.parametrize("bad", ["1.5", "1e3", "", "/3", "3/0", "nan", "0x10", "1/2/3"])
