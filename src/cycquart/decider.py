@@ -40,8 +40,9 @@ anywhere: the seeded stage finds an exact t* with g(t*) < 0 by Sturm
 bisection, then the point of the locus over t* by sign bisection of a cubic
 between its rational critical points, run on integer numerators over the
 common denominator 3*b*2**s of its ends, t* = a/b.  The Sturm chain is
-``SpecialQuartic.sturm_in_t``, built over Q; this module names no element
-of Q(sqrt(R)), and only the chain's values at a point t lie there.
+p(u)'s over Q, read at u = sqrt(R)*t (at t when R = 0), from
+``SpecialQuartic.sturm_in_t``; this module names no element of Q(sqrt(R)),
+where only u and the chain's values at u lie.
 """
 
 from __future__ import annotations
@@ -356,16 +357,16 @@ def _find_negative_t(q: SpecialQuartic, budget: _Budget) -> Optional[Fraction]:
     """Exact rational t >= 0 with g(t) < 0, g = ``q.to_unipoly()``, by
     Sturm-guided bisection.
 
-    Builds the Sturm chain of the squarefree part once, over Q
-    (``SpecialQuartic.sturm_in_t``), brackets all real roots with a
+    Builds one Sturm chain over Q, of the squarefree part of
+    p(u) = s**2*g(u/sqrt(s)), and reads it at u = sqrt(s)*t
+    (``SpecialQuartic.sturm_in_t``); brackets all real roots with a
     doubling bound, and bisects only subintervals that still contain roots;
-    every evaluated midpoint is sign-checked exactly, so the first midpoint
-    inside the (open) negative region is returned.
+    g is signed exactly at every midpoint, so the first midpoint inside the
+    (open) negative region is returned.
 
     Each queued bracket carries the chain's sign variations at both its
-    ends, so a midpoint costs one chain evaluation; a squarefree g heads
-    its own chain, and its sign there is the chain's first value, read
-    before the rest of the chain is evaluated.  A midpoint is charged
+    ends, so a midpoint costs one chain evaluation, at one u; a squarefree
+    p heads its chain with g's sign, read first.  A midpoint is charged
     ``len(chain) + 1`` budget units either way.  The count at 0 is taken
     once, and the one at the final doubling bound is reused.
     """
@@ -374,16 +375,16 @@ def _find_negative_t(q: SpecialQuartic, budget: _Budget) -> Optional[Fraction]:
         return None
     if sgn(g.eval(Fraction(0))) < 0:
         return Fraction(0)
-    chain, vars_minus_inf, vars_plus_inf = q.sturm_in_t()
+    chain, vars_minus_inf, vars_plus_inf, at = q.sturm_in_t()
     total_roots = vars_minus_inf - vars_plus_inf
 
     top = Fraction(2)
-    v_top = chain_variations(chain, top)
-    while chain_variations(chain, -top) - v_top < total_roots:
+    v_top = chain_variations(chain, at(top))
+    while chain_variations(chain, at(-top)) - v_top < total_roots:
         top *= 2
         if not budget.spend(len(chain)):
             return None
-        v_top = chain_variations(chain, top)
+        v_top = chain_variations(chain, at(top))
     if sgn(g.eval(top)) < 0:
         return top
 
@@ -391,7 +392,9 @@ def _find_negative_t(q: SpecialQuartic, budget: _Budget) -> Optional[Fraction]:
     v_zero = chain_variations(chain, Fraction(0))
     if v_zero > v_top:
         queue.append((Fraction(0), top, v_zero, v_top))
-    tail = chain[1:] if chain[0] is g else None
+    # p heads its chain exactly when it is squarefree, of g's degree
+    skip = int(chain[0].degree == g.degree)
+    rest = chain[skip:]
     while queue:
         lo, hi, v_lo, v_hi = queue.popleft()
         mid = (lo + hi) / 2
@@ -400,10 +403,8 @@ def _find_negative_t(q: SpecialQuartic, budget: _Budget) -> Optional[Fraction]:
         g_sign = sgn(g.eval(mid))
         if g_sign < 0:
             return mid
-        if tail is None:
-            v_mid = chain_variations(chain, mid)
-        else:
-            v_mid = count_sign_changes([g_sign] + [sgn(q.eval(mid)) for q in tail])
+        u = at(mid)
+        v_mid = count_sign_changes([g_sign] * skip + [sgn(r.eval(u)) for r in rest])
         if v_lo > v_mid:
             queue.append((lo, mid, v_lo, v_mid))
         if v_mid > v_hi:

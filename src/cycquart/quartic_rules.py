@@ -7,8 +7,8 @@ serve rational test quartics and reduced quartics whose cubic coefficient
 is ``-sqrt(R)`` with irrational ``sqrt(R)``: the whole decision stays in
 rational arithmetic.  As a polynomial it is g itself (``to_unipoly``, in
 Q(sqrt(R)) only for an irrational sqrt(R)) or the rational
-p(u) = R**2 * g(u/sqrt(R)) (``to_unipoly_in_u``), read back at t by
-``sturm_in_t``.
+p(u) = s**2 * g(u/sqrt(s)), s = R or, when R = 0, 1 (``to_unipoly_in_u``),
+whose chain ``sturm_in_t`` builds over Q, to be read at u = sqrt(s)*t.
 
 For ``a0 > 0``, ``a4 > 0``, ``a1 != 0``, the quartic is nonnegative on all
 of R iff
@@ -77,27 +77,24 @@ class SpecialQuartic:
 
     def to_unipoly_in_u(self) -> UniPoly:
         """p(u) = s**2 * g(u/sqrt(s)) = a0*u**4 + a1_sign*s*u**3 + a2*s*u**2
-        + a4*s**2, s = ``a1_squared``; for s > 0, p >= 0 on R iff g is."""
-        s = self.a1_squared
+        + a4*s**2, s = ``a1_squared``, or 1 when that is 0, where p = g:
+        rational, and p >= 0 on R iff g is."""
+        s = self.a1_squared or Fraction(1)
         return UniPoly([self.a0, self.a1_sign * s, self.a2 * s, Fraction(0), self.a4 * s * s])
 
-    def sturm_in_t(self) -> tuple[list[UniPoly], int, int]:
-        """``squarefree_sturm(g)`` up to positive factors, built over Q: g's
-        own when sqrt(R), R = ``a1_squared``, is rational, else p(u)'s with
-        entry i written as p_i(sqrt(R)*t): the coefficient c of u**j becomes
-        c*R**(j/2), a ``QuadExt`` with no rational part for odd j.  Each step
-        scales by a positive factor, so every sign count is that of g's own
-        chain.  A squarefree g heads the chain itself."""
-        rad = self.a1_squared
-        if is_perfect_square(rad):
-            return squarefree_sturm(self._g)
-        p = self.to_unipoly_in_u()
-        chain, at_minus, at_plus = squarefree_sturm(p)
-        head = [self._g] if chain[0] is p else []
-        return head + [UniPoly([
-            QuadExt(0, c * rad ** (j // 2), rad) if j % 2 else c * rad ** (j // 2)
-            for j, c in zip(range(r.degree, -1, -1), r.coeffs)
-        ]) for r in chain[len(head):]], at_minus, at_plus
+    def sturm_in_t(self) -> tuple:
+        """``squarefree_sturm(p)`` of p = ``to_unipoly_in_u()``, over Q, and
+        the map t -> u = sqrt(s)*t to read it at: a ``Fraction`` for a
+        rational sqrt(s), else ``QuadExt(0, t, s)``.  Entry i at u is a
+        positive multiple of entry i of g's own chain at t, so every sign
+        count is g's; a squarefree p heads the chain, and p(u) = s**2*g(t)."""
+        s = self.a1_squared or Fraction(1)
+        if is_perfect_square(s):
+            root = rational_sqrt(s)
+            at = lambda t: root * t
+        else:
+            at = lambda t: QuadExt(0, t, s)
+        return (*squarefree_sturm(self.to_unipoly_in_u()), at)
 
 
 def discriminants(q: SpecialQuartic) -> tuple[Fraction, Fraction, Fraction, Fraction]:

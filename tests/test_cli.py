@@ -5,7 +5,7 @@ import pytest
 
 from cycquart.cli import main
 from cycquart.decider import find_witness
-from cycquart.form import CyclicParams, eval_form
+from cycquart.form import CyclicParams, eval_form, radicand
 from cycquart.harness import FuzzConfig
 from cycquart.scalars import Fraction, format_rational, parse_rational
 
@@ -146,6 +146,25 @@ def test_reduce_and_explain_output_is_pinned(capsys):
             code, out, _ = run(capsys, command, *params.split())
             assert code == 0
             assert out == json.dumps(expected, sort_keys=True) + "\n", (command, params)
+
+
+# Witnesses of the seeded search at a rational sqrt(R), R = 25 and R = 0,
+# whose Sturm chain is read at a rational point u = sqrt(R)*t (t itself when
+# R = 0); the CI pins the same two lines.
+SEEDED_AT_A_RATIONAL_SQRT_R = {
+    ("3", "2", "-5/2", "-5/2"): (25, '{"fired_clause": "f3>0/quartic-rule/D4<0", "is_psd": false, "method": "structural", "params": {"k": "3", "l": "2", "m": "-5/2", "n": "-5/2"}, "value": "-1385/884736", "witness": ["23/48", "23/48", "1/24"]}'),
+    ("253", "2135/4", "127/4", "127/4"): (0, '{"fired_clause": "R=0/biquadratic/c>=0/b<0/disc>0", "is_psd": false, "method": "structural", "params": {"k": "253", "l": "2135/4", "m": "127/4", "n": "127/4"}, "value": "-50713/33554432", "witness": ["45/64", "45/64", "-13/32"]}'),
+}
+
+
+def test_seeded_witnesses_at_a_rational_sqrt_r_are_pinned(capsys):
+    for params, (rad, line) in SEEDED_AT_A_RATIONAL_SQRT_R.items():
+        c = CyclicParams(*map(parse_rational, params))
+        assert radicand(c) == rad
+        # the ten probes and the face grids of denominators 1 to 4 miss
+        assert find_witness(c, 10 + 9 + 25 + 49 + 81) is None
+        code, out, _ = run(capsys, "decide", *params, "--witness")
+        assert (code, out) == (1, line + "\n")
 
 
 def test_decide_witness_keys_stay_when_the_budget_runs_out(capsys):

@@ -50,7 +50,7 @@ from cycquart.quartic_rules import (
     discriminants,
 )
 from cycquart.roots import is_nonneg_everywhere
-from cycquart.scalars import QuadExt, is_perfect_square, sgn
+from cycquart.scalars import QuadExt, is_perfect_square, rational_sqrt, sgn
 from cycquart.unipoly import (
     UniPoly,
     chain_variations,
@@ -975,57 +975,91 @@ def test_find_negative_t_matches_the_three_evaluation_bisection():
         assert new.left == old.left
 
 
+def chain_inputs():
+    """``bisection_inputs``, then quartics with a double root at 0 whose p
+    is not squarefree, with a rational sqrt(R) or R = 0:
+    a0*t**2*(t - rho)*(t - sigma), negative only between two close positive
+    roots, and t**2*(a*t**2 - b), negative only on (0, sqrt(b/a)), a small
+    interval that the bisection reaches after a few midpoints."""
+    rng = random.Random(83)
+    extra = []
+    for _ in range(20):
+        a0 = F(rng.randint(1, 6), rng.randint(1, 3))
+        rho = F(rng.randint(1, 12), rng.randint(1, 4))
+        sigma = rho + F(1, rng.randint(10, 1000))
+        extra.append(SpecialQuartic.from_a1(a0, -a0 * (rho + sigma), a0 * rho * sigma, 0))
+        extra.append(SpecialQuartic.from_a1(rng.randint(50, 5000), 0, -rng.randint(1, 6), 0))
+    return bisection_inputs() + extra
+
+
+def chain_kind(quartic):
+    """Which sqrt(s) the chain of ``quartic`` is read through, s = R or 1."""
+    rad = quartic.a1_squared
+    return "zero" if rad == 0 else "square" if is_perfect_square(rad) else "irrational"
+
+
+def in_t(r, s):
+    """r(sqrt(s)*t) written in t: the coefficient c of u**j times sqrt(s)**j,
+    in Q(sqrt(s)) at odd j when sqrt(s) is irrational."""
+    powers = range(r.degree, -1, -1)
+    if is_perfect_square(s):
+        root = rational_sqrt(s)
+        return UniPoly([c * root ** j for j, c in zip(powers, r.coeffs)])
+    return UniPoly([QuadExt(0, c * s ** (j // 2), s) if j % 2 else c * s ** (j // 2)
+                    for j, c in zip(powers, r.coeffs)])
+
+
 def test_rational_chain_matches_the_chain_of_g(monkeypatch):
-    # For g with an irrational sqrt(R), the chain is built on the rational
-    # p(u) = R**2 * g(u/sqrt(R)) and read at u = sqrt(R)*t.  Each entry is a
-    # positive multiple of the same entry of g's own chain over Q(sqrt(R)),
-    # so the two agree in length, degrees, counts at -oo and +oo, and sign
-    # at every point the bisection visits.
-    points = []
-    inner = UniPoly.eval
+    # For every R the chain is built on the rational p(u) = s**2 * g(u/sqrt(s)),
+    # s = R, or 1 when R = 0, and read at u = sqrt(s)*t.  Entry i in t is a
+    # positive multiple of the same entry of g's own chain (over Q(sqrt(R))
+    # for an irrational sqrt(R)), so the two agree in length, degrees, counts
+    # at -oo and +oo, and sign at every t the bisection visits.
+    visited = []
+    inner = SpecialQuartic.sturm_in_t
 
-    def recorded(self, x):
-        points.append(x)
-        return inner(self, x)
+    def recorded(self):
+        chain, at_minus, at_plus, at = inner(self)
 
-    compared = {True: 0, False: 0}
-    for quartic in bisection_inputs():
-        g = quartic.to_unipoly()
-        if is_perfect_square(quartic.a1_squared):
-            assert all(type(v) is F for v in g.coeffs)
-            assert quartic.sturm_in_t() == squarefree_sturm(g)
-            continue
+        def recorded_at(t):
+            visited.append(t)
+            return at(t)
+
+        return chain, at_minus, at_plus, recorded_at
+
+    compared = Counter()
+    for quartic in chain_inputs():
+        g, p = quartic.to_unipoly(), quartic.to_unipoly_in_u()
         own, own_minus, own_plus = squarefree_sturm(g)
-        chain, at_minus, at_plus = quartic.sturm_in_t()
+        chain, at_minus, at_plus, at = quartic.sturm_in_t()
         assert (at_minus, at_plus) == (own_minus, own_plus)
         assert [q.degree for q in chain] == [q.degree for q in own]
         squarefree = own[0] is g
-        assert (chain[0] is g) == squarefree
+        assert (chain[0] == p) == squarefree
         for q, ref in zip(chain, own):
+            assert all(type(v) in (int, F) for v in q.coeffs)
+            q = in_t(q, quartic.a1_squared or F(1))
             lead = ref.leading
             factor = q.leading * (lead.reciprocal() if isinstance(lead, QuadExt) else 1 / lead)
             assert sgn(factor) > 0 and ref.scale(factor) == q
-        # every entry but g itself is p_i(sqrt(R)*t) for a rational p_i:
-        # rational at even powers of t, a rational multiple of sqrt(R) at odd
-        for q in chain[1:] if squarefree else chain:
-            for j, v in zip(range(q.degree, -1, -1), q.coeffs):
-                assert (type(v) is QuadExt and v.u == 0) if j % 2 else type(v) is F
-        points.clear()
-        monkeypatch.setattr(UniPoly, "eval", recorded)
+        visited.clear()
+        monkeypatch.setattr(SpecialQuartic, "sturm_in_t", recorded)
         _find_negative_t(quartic, _Budget(40000))
         monkeypatch.undo()
-        assert points
-        for x in set(points):
-            assert [sgn(q.eval(x)) for q in chain] == [sgn(q.eval(x)) for q in own]
-        compared[squarefree] += 1
-    assert compared[True] >= 100 and compared[False] >= 100
+        for t in {F(0), *visited}:
+            assert [sgn(q.eval(at(t))) for q in chain] == [sgn(q.eval(t)) for q in own]
+        compared[chain_kind(quartic), squarefree] += bool(visited)
+    assert compared["irrational", True] >= 100 and compared["irrational", False] >= 100
+    assert compared["square", True] >= 15 and compared["square", False] >= 15
+    assert compared["zero", True] >= 10 and compared["zero", False] >= 15
 
 
 def test_find_negative_t_evaluates_the_chain_once_per_midpoint(monkeypatch):
     # Every UniPoly.eval in _find_negative_t, as (polynomial, point).  g is
     # signed at 0 first; when the chain is evaluated at 0 too, bisection
-    # follows it, and each later point is a midpoint.  Midpoints follow one
-    # another without repeating.
+    # follows it.  Each midpoint t signs g and then evaluates the chain at
+    # one point u = sqrt(s)*t, built once, without its head when that is p.
+    # Midpoints follow one another without repeating.
     calls = []
     inner = UniPoly.eval
 
@@ -1033,12 +1067,12 @@ def test_find_negative_t_evaluates_the_chain_once_per_midpoint(monkeypatch):
         calls.append((self, x))
         return inner(self, x)
 
-    bisected = {True: 0, False: 0}
+    bisected = Counter()
     returned = 0
-    for q in bisection_inputs():
+    for q in chain_inputs():
         g = q.to_unipoly()
-        chain, _, _ = squarefree_sturm(g)
-        squarefree = chain[0] is g
+        chain, _, _, at = q.sturm_in_t()
+        squarefree = chain[0] == q.to_unipoly_in_u()
         calls.clear()
         monkeypatch.setattr(UniPoly, "eval", counted)
         t = _find_negative_t(q, _Budget(40000))
@@ -1046,19 +1080,54 @@ def test_find_negative_t_evaluates_the_chain_once_per_midpoint(monkeypatch):
         zeros = [i for i, (_, x) in enumerate(calls) if x == 0]
         if len(zeros) == 1:
             continue
-        midpoints = [list(run) for _, run in itertools.groupby(
-            calls[zeros[-1] + 1:], key=lambda call: call[1])]
+        midpoints = []
+        for poly, x in calls[zeros[-1] + 1:]:
+            if poly is g:
+                midpoints.append([(poly, x)])
+            else:
+                midpoints[-1].append((poly, x))
         if not midpoints:
             continue
-        if t == midpoints[-1][0][1]:
+        ts = [run[0][1] for run in midpoints]
+        assert len(set(ts)) == len(ts)
+        if t == ts[-1]:
             # the returning midpoint signs g and nothing else
-            last = midpoints.pop()
-            assert len(last) == 1 and last[0][0] == g
+            assert len(midpoints.pop()) == 1
             returned += 1
         for run in midpoints:
-            assert len(run) == (len(chain) if squarefree else len(chain) + 1)
-        bisected[squarefree] += len(midpoints) > 1
-    assert bisected[True] >= 50 and bisected[False] >= 20 and returned >= 100
+            (_, mid), rest = run[0], run[1:]
+            assert [r for r, _ in rest] == (chain[1:] if squarefree else chain)
+            assert len({id(u) for _, u in rest}) == 1 and rest[0][1] == at(mid)
+        bisected[chain_kind(q), squarefree] += len(midpoints) > 1
+    assert bisected["irrational", True] >= 20 and bisected["irrational", False] >= 20
+    assert bisected["square", True] >= 15 and bisected["square", False] >= 15
+    assert bisected["zero", True] >= 10 and bisected["zero", False] >= 15
+    assert returned >= 100
+
+
+def test_the_seeded_search_evaluates_no_quadext_coefficient(monkeypatch):
+    # Every polynomial that _find_negative_t evaluates, g aside, is a chain
+    # entry over Q: for an irrational sqrt(R) only the points u = sqrt(R)*t
+    # and the values there are in Q(sqrt(R)).  g keeps sqrt(R) as its
+    # coefficient and is signed at t.
+    evaluated = []
+    inner = UniPoly.eval
+
+    def recorded(self, x):
+        evaluated.append(self)
+        return inner(self, x)
+
+    irrational = 0
+    for q in chain_inputs():
+        g = q.to_unipoly()
+        evaluated.clear()
+        monkeypatch.setattr(UniPoly, "eval", recorded)
+        _find_negative_t(q, _Budget(40000))
+        monkeypatch.undo()
+        entries = [r for r in evaluated if r is not g]
+        assert all(type(v) in (int, F) for r in entries for v in r.coeffs)
+        irrational += chain_kind(q) == "irrational" and bool(entries)
+    assert irrational >= 150
 
 
 def test_reduced_quartic_keeps_rational_coefficients_rational():

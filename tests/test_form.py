@@ -206,16 +206,19 @@ def test_reduction_matches_the_papers_g():
 
 def test_p_of_u_is_r_squared_g_of_u_over_sqrt_r():
     # coefficient by coefficient from g's own polynomial: the coefficient of
-    # t**j, written as c*sqrt(R) for odd j, gives c * R**(2 - j//2) at u**j
-    checked = {True: 0, False: 0}
+    # t**j, written as c*sqrt(R) for odd j, gives c * R**(2 - j//2) at u**j;
+    # at R = 0, where g is even, R is read as 1 and p is g
+    checked = {True: 0, False: 0, "zero": 0}
     for c in reduction_inputs():
         q = reduce_to_g(c)
         rad = q.a1_squared
-        if rad == 0:
-            continue
-        square = is_perfect_square(rad)
         g, p = q.to_unipoly(), q.to_unipoly_in_u()
         assert all(type(v) is F for v in p.coeffs)
+        if rad == 0:
+            assert p == g and p.coeffs == g.coeffs, c
+            checked["zero"] += 1
+            continue
+        square = is_perfect_square(rad)
         expected = []
         for j, v in zip(range(g.degree, -1, -1), g.coeffs):
             if isinstance(v, QuadExt):
@@ -231,7 +234,7 @@ def test_p_of_u_is_r_squared_g_of_u_over_sqrt_r():
             for u in (F(0), F(1), F(-3, 2), F(7, 5)):
                 assert p.eval(u) == rad**2 * g.eval(u / root)
         checked[square] += 1
-    assert checked[True] >= 3 and checked[False] >= 100
+    assert checked[True] >= 3 and checked[False] >= 100 and checked["zero"] >= 3
 
 
 def test_to_unipoly_is_rational_exactly_when_r_is_a_square():
