@@ -34,12 +34,17 @@ EXIT_INTERNAL = 3
 _NEGATIVE_NUMBER = re.compile(r"^-\.?[0-9]")
 
 
+def _integer(text: str) -> int:
+    """argparse type of ``--count`` and ``--seed``: ASCII ``[+-]?[0-9]+`` as in a
+    coefficient, though int() also reads " 7 ", "1_0" and other scripts' digits."""
+    if not re.fullmatch(r"[+-]?[0-9]+", text):
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def _budget(text: str) -> int:
-    """argparse type of ``decide --budget``: a nonnegative integer."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    """argparse type of ``decide --budget``: a nonnegative ``_integer``."""
+    value = _integer(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
     return value
@@ -235,8 +240,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_quartic)
 
     p = sub.add_parser("fuzz", help="differential testing of all deciders")
-    p.add_argument("--count", type=int)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--count", type=_integer)
+    p.add_argument("--seed", type=_integer)
     p.add_argument(
         "--strata",
         type=lambda text: text.split(","),

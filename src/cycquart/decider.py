@@ -23,11 +23,10 @@
   ``form.reduced_coefficients``, where g is computed once per form.
 
 * ``decide_oracle`` runs the everywhere-nonnegativity oracle (squarefree
-  decomposition plus Sturm counting) on g: in Z[t] on the integers of d*g
-  when sqrt(R) is rational, and otherwise on ``reduce_to_g(c).to_unipoly()``,
-  with sqrt(R) its one coefficient in Q(sqrt(R)) -- no discriminant
-  sequences, no clause polynomials, hence an independent implementation
-  path.
+  decomposition plus Sturm counting) on d*g (``quartic_rules.g_polynomial``):
+  in Z[t] when sqrt(R) is rational, else with -d*sqrt(R) its one coefficient
+  in Q(sqrt(R)) -- no discriminant sequences, no clause polynomials, hence
+  an independent implementation path.
 
 Each returns a ``Verdict``: PSD or not, the method and the fired clause,
 one shared immutable instance per clause.  A counterexample is not part of
@@ -64,10 +63,10 @@ from .form import (
     reduced_coefficients,
     scaled_coefficients,
 )
-from .quartic_rules import SpecialQuartic, discriminant_cofactors, discriminant_rule
+from .quartic_rules import SpecialQuartic, discriminant_cofactors, discriminant_rule, g_polynomial
 from .roots import is_nonneg_everywhere
 from .scalars import sgn
-from .unipoly import UniPoly, chain_variations, count_sign_changes
+from .unipoly import chain_variations, count_sign_changes
 
 __all__ = [
     "ClausePolynomials",
@@ -287,18 +286,11 @@ def decide_structural(c: CyclicParams) -> Verdict:
 
 
 def decide_oracle(c: CyclicParams) -> Verdict:
-    """Sturm-based oracle: everywhere-nonnegativity of g.  When S = d**2*R
-    is a perfect square it runs on the integers of d*g, ``(A0, -isqrt(S),
-    A2, 0, A4)`` (``reduced_coefficients``), whose primitive part, and so
-    every step of Yun's decomposition and of each Sturm count, is g's own;
-    otherwise on g over Q(sqrt(R))."""
+    """Sturm-based oracle: everywhere-nonnegativity of g, read on d*g, the
+    ``g_polynomial`` of the integers (A0, S, A2, A4) of ``reduced_coefficients``,
+    in Z[t] or over Q(sqrt(S)) = Q(sqrt(R)); d > 0 keeps every Sturm count."""
     _, a0, s, a2, a4, _ = reduced_coefficients(c)
-    root = math.isqrt(s)
-    if root * root == s:
-        g = UniPoly([a0, -root, a2, 0, a4])
-    else:
-        g = reduce_to_g(c).to_unipoly()
-    ok = is_nonneg_everywhere(g)
+    ok = is_nonneg_everywhere(g_polynomial(a0, s, -1, a2, a4))
     return _verdict(ok, "sturm_oracle", "g-nonneg" if ok else "g-negative")
 
 

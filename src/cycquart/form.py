@@ -16,9 +16,9 @@ F is nonnegative on all of R**3 iff the reduced quartic
 
 with R = 27*(m-n)**2 + (4*k+m+n-8-2*l)**2 is nonnegative on all of R.
 g is computed once per form, over the integers (``reduce_scaled``, kept
-by ``reduced_coefficients``).  ``decide_structural`` reads those integers;
-every other reader shares the one ``SpecialQuartic`` that ``reduce_to_g``
-reads off them (a1 = -sqrt(R), held as R and a sign).
+by ``reduced_coefficients``).  ``decide_structural`` and ``decide_oracle``
+read those integers; every other reader shares the one ``SpecialQuartic``
+that ``reduce_to_g`` reads off them (a1 = -sqrt(R), held as R and a sign).
 The reduction runs through elementary symmetric coordinates
 p = x+y+z, q = xy+yz+zx, r = xyz and the substitution t = sqrt(1-3q) on
 the slice p = 1; realizability of (1, q, r) by real (x, y, z) is exactly

@@ -5,10 +5,9 @@ The cubic-coefficient ``a1`` enters the four discriminants only through
 (a rational) together with the sign of ``a1``.  That lets the same rule
 serve rational test quartics and reduced quartics whose cubic coefficient
 is ``-sqrt(R)`` with irrational ``sqrt(R)``: the whole decision stays in
-rational arithmetic.  As a polynomial it is g itself (``to_unipoly``, in
-Q(sqrt(R)) only for an irrational sqrt(R)) or the rational
-p(u) = s**2 * g(u/sqrt(s)), s = R or, when R = 0, 1 (``to_unipoly_in_u``),
-whose chain ``sturm_in_t`` builds over Q, to be read at u = sqrt(s)*t.
+rational arithmetic.  Its polynomials, g and the rational p(u) = w**2 *
+g(u/sqrt(w)) with p's Sturm chain, are written once, from ints or Fractions
+(a0, s, sign, a2, a4): ``g_polynomial``, ``p_polynomial``, ``p_sturm_in_t``.
 
 For ``a0 > 0``, ``a4 > 0``, ``a1 != 0``, the quartic is nonnegative on all
 of R iff
@@ -26,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .scalars import QuadExt, exact_fields, exact_rational, is_perfect_square, rational_sqrt, sgn
+from .scalars import QuadExt, exact_fields, exact_rational, rational_sqrt, sgn
 from .unipoly import UniPoly, squarefree_sturm
 
 __all__ = [
@@ -34,6 +33,7 @@ __all__ = [
     "discriminants",
     "discriminants_of",
     "discriminant_cofactors",
+    "g_polynomial",
     "discriminant_rule",
     "is_nonneg",
 ]
@@ -69,32 +69,15 @@ class SpecialQuartic:
 
     @cached_property
     def _g(self) -> UniPoly:
-        if is_perfect_square(self.a1_squared):
-            a1 = self.a1_sign * rational_sqrt(self.a1_squared)
-        else:
-            a1 = QuadExt(0, self.a1_sign, self.a1_squared)
-        return UniPoly([self.a0, a1, self.a2, Fraction(0), self.a4])
+        return g_polynomial(self.a0, self.a1_squared, self.a1_sign, self.a2, self.a4)
 
     def to_unipoly_in_u(self) -> UniPoly:
-        """p(u) = s**2 * g(u/sqrt(s)) = a0*u**4 + a1_sign*s*u**3 + a2*s*u**2
-        + a4*s**2, s = ``a1_squared``, or 1 when that is 0, where p = g:
-        rational, and p >= 0 on R iff g is."""
-        s = self.a1_squared or Fraction(1)
-        return UniPoly([self.a0, self.a1_sign * s, self.a2 * s, Fraction(0), self.a4 * s * s])
+        """p(u), rational, of this quartic (``p_polynomial``)."""
+        return p_polynomial(self.a0, self.a1_squared, self.a1_sign, self.a2, self.a4)
 
     def sturm_in_t(self) -> tuple:
-        """``squarefree_sturm(p)`` of p = ``to_unipoly_in_u()``, over Q, and
-        the map t -> u = sqrt(s)*t to read it at: a ``Fraction`` for a
-        rational sqrt(s), else ``QuadExt(0, t, s)``.  Entry i at u is a
-        positive multiple of entry i of g's own chain at t, so every sign
-        count is g's; a squarefree p heads the chain, and p(u) = s**2*g(t)."""
-        s = self.a1_squared or Fraction(1)
-        if is_perfect_square(s):
-            root = rational_sqrt(s)
-            at = lambda t: root * t
-        else:
-            at = lambda t: QuadExt(0, t, s)
-        return (*squarefree_sturm(self.to_unipoly_in_u()), at)
+        """p(u)'s chain over Q and the map t -> u to read it at (``p_sturm_in_t``)."""
+        return p_sturm_in_t(self.a0, self.a1_squared, self.a1_sign, self.a2, self.a4)
 
 
 def discriminants(q: SpecialQuartic) -> tuple[Fraction, Fraction, Fraction, Fraction]:
@@ -138,6 +121,29 @@ def discriminant_cofactors(a0, s, a2, a4) -> tuple:
         + 256 * a0 ** 3 * a4 ** 2
     )
     return e2, e3, e4
+
+
+def g_polynomial(a0, s, sign, a2, a4) -> UniPoly:
+    """g = a0*t**4 + sign*sqrt(s)*t**3 + a2*t**2 + a4 in the type of its int or
+    Fraction fields, but for ``QuadExt(0, sign, s)`` at an irrational sqrt(s)."""
+    root = rational_sqrt(s)
+    return UniPoly([a0, QuadExt(0, sign, s) if root is None else sign * root, a2, 0 * a4, a4])
+
+
+def p_polynomial(a0, s, sign, a2, a4) -> UniPoly:
+    """p(u) = w**2*g(u/sqrt(w)) = a0*u**4 + sign*s*u**3 + a2*w*u**2 + a4*w**2,
+    w = s or, at s = 0, 1 (p = g): in the fields' type, p >= 0 on R iff g is."""
+    w = s or s + 1
+    return UniPoly([a0, sign * s, a2 * w, 0 * a4, a4 * w * w])
+
+
+def p_sturm_in_t(a0, s, sign, a2, a4) -> tuple:
+    """``squarefree_sturm`` of that p and the map t -> u = sqrt(w)*t: entry i
+    at u is a positive multiple of entry i of g's chain at t, so every sign
+    count is g's; a squarefree p heads the chain, as p(u) = w**2*g(t)."""
+    root = rational_sqrt(s or s + 1)
+    at = (lambda t: QuadExt(0, t, s)) if root is None else (lambda t: root * t)
+    return (*squarefree_sturm(p_polynomial(a0, s, sign, a2, a4)), at)
 
 
 def discriminant_rule(d2: Fraction, d3: Fraction, d4: Fraction) -> tuple[bool, str]:

@@ -8,9 +8,9 @@ Two scalar domains are used throughout the package:
   representations.
 * :class:`QuadExt` -- elements ``u + v*sqrt(R)`` of the real quadratic
   extension Q(sqrt(R)) with a fixed positive rational radicand ``R``.
-  The package builds them only for an irrational sqrt(R); the sign is
-  exact for any positive ``R``, and the one inverse, ``reciprocal``, also
-  needs ``R`` to be a non-square.
+  The package builds them only where :func:`rational_sqrt` finds sqrt(R)
+  irrational; the sign is exact for any positive ``R``, and the one
+  inverse, ``reciprocal``, also needs ``R`` to be a non-square.
 
 A polynomial keeps each coefficient in its own domain, and a rational
 operand is coerced into the radicand of the ``QuadExt`` it meets.
@@ -32,7 +32,6 @@ __all__ = [
     "exact_fields",
     "format_rational",
     "format_quotient",
-    "is_perfect_square",
     "rational_sqrt",
     "sgn",
 ]
@@ -106,19 +105,16 @@ def _digits(n: int) -> str:
     return ("-" if n < 0 else "") + _digits(hi) + _digits(lo).zfill(k)
 
 
-def is_perfect_square(value: Fraction) -> bool:
-    """True iff ``value`` is the square of a rational."""
+def rational_sqrt(value):
+    """The nonnegative square root of an ``int`` or ``Fraction`` in its own
+    type when it is rational, else None: the package's one test of whether
+    a square root is rational."""
     if value < 0:
-        return False
-    n, d = value.numerator, value.denominator
-    return math.isqrt(n) ** 2 == n and math.isqrt(d) ** 2 == d
-
-
-def rational_sqrt(value: Fraction) -> Fraction:
-    """Exact nonnegative square root of a perfect-square rational."""
-    if not is_perfect_square(value):
-        raise ValueError(f"{value} is not a perfect square of a rational")
-    return Fraction(math.isqrt(value.numerator), math.isqrt(value.denominator))
+        return None
+    n, d = math.isqrt(value.numerator), math.isqrt(value.denominator)
+    if n * n != value.numerator or d * d != value.denominator:
+        return None
+    return n if type(value) is int else Fraction(n, d)
 
 
 class QuadExt:

@@ -5,7 +5,7 @@ import pytest
 
 from cycquart.cli import main
 from cycquart.decider import find_witness
-from cycquart.form import CyclicParams, eval_form, radicand
+from cycquart.form import CyclicParams, eval_form, radicand, reduced_coefficients
 from cycquart.harness import FuzzConfig
 from cycquart.scalars import Fraction, format_rational, parse_rational
 
@@ -165,6 +165,23 @@ def test_seeded_witnesses_at_a_rational_sqrt_r_are_pinned(capsys):
         assert find_witness(c, 10 + 9 + 25 + 49 + 81) is None
         code, out, _ = run(capsys, "decide", *params, "--witness")
         assert (code, out) == (1, line + "\n")
+
+
+# The Sturm oracle on forms with common denominator d > 1 and an irrational
+# sqrt(R): it runs on d*g, over Q(sqrt(d**2*R)) = Q(sqrt(R)).  The first is
+# PSD through Yun's decomposition and a Sturm count; the CI pins both lines.
+ORACLE_AT_AN_IRRATIONAL_SQRT_R = {
+    ("-1/2", "-1/2", "0", "1/2"): (2, 79, 0, '{"fired_clause": "g-nonneg", "is_psd": true, "method": "sturm_oracle", "params": {"k": "-1/2", "l": "-1/2", "m": "0", "n": "1/2"}}'),
+    ("29/8", "-1", "-2", "4"): (8, Fraction(4329, 4), 1, '{"fired_clause": "g-negative", "is_psd": false, "method": "sturm_oracle", "params": {"k": "29/8", "l": "-1", "m": "-2", "n": "4"}}'),
+}
+
+
+def test_oracle_runs_at_an_irrational_sqrt_r_are_pinned(capsys):
+    for params, (d, rad, exit_code, line) in ORACLE_AT_AN_IRRATIONAL_SQRT_R.items():
+        c = CyclicParams(*map(parse_rational, params))
+        assert reduced_coefficients(c)[0] == d and radicand(c) == rad
+        code, out, _ = run(capsys, "decide", *params, "--method", "oracle")
+        assert (code, out) == (exit_code, line + "\n")
 
 
 def test_decide_witness_keys_stay_when_the_budget_runs_out(capsys):
@@ -385,6 +402,23 @@ def test_decide_rejects_a_negative_budget(capsys):
     assert code == 2
     assert out == ""
     assert "--budget" in err
+
+
+# An integer flag reads the integer half of a coefficient's grammar: ASCII
+# digits, with no space and no underscore, though int() reads all three.
+INTEGER_FLAGS = {
+    "--budget": ("decide", "0", "0", "-3", "0", "--witness", "--budget"),
+    "--count": ("fuzz", "--count"),
+    "--seed": ("fuzz", "--count", "1", "--seed"),
+}
+
+
+@pytest.mark.parametrize("argv", INTEGER_FLAGS.values(), ids=INTEGER_FLAGS)
+def test_integer_flags_take_ascii_digits_only(argv, capsys):
+    for value in ("\u0661\u0660", "1_0", " 7 "):
+        code, out, err = run(capsys, *argv, value)
+        assert (code, out) == (2, ""), value
+        assert f"not an integer: {value!r}" in err
 
 
 def test_fuzz_rejects_a_negative_witness_budget(capsys):

@@ -50,7 +50,7 @@ from cycquart.quartic_rules import (
     discriminants,
 )
 from cycquart.roots import is_nonneg_everywhere
-from cycquart.scalars import QuadExt, is_perfect_square, rational_sqrt, sgn
+from cycquart.scalars import QuadExt, rational_sqrt, sgn
 from cycquart.unipoly import (
     UniPoly,
     chain_variations,
@@ -59,7 +59,7 @@ from cycquart.unipoly import (
     squarefree_sturm,
     sturm_chain,
 )
-from test_form import paper_g
+from test_form import is_perfect_square, paper_g
 from test_identities import symbolic_polys
 
 
@@ -403,6 +403,42 @@ def test_oracle_on_a_rational_g_runs_on_the_integers_of_d_g(monkeypatch):
         if g.degree > 0:
             assert [(f.coeffs, e) for f, e in squarefree_factors(ints)] == [
                 (f.coeffs, e) for f, e in squarefree_factors(g)], params
+
+
+def test_the_oracle_runs_on_the_integers_of_d_g_for_every_r(monkeypatch):
+    # whatever R is, decide_oracle hands is_nonneg_everywhere d*g written from
+    # the integers (A0, S, A2, A4) of reduced_coefficients: -sqrt(S) is an int
+    # when it is rational, and QuadExt(0, -1, S), S = d**2*R, when it is not.
+    # d > 0, so the verdict is that of g's own polynomial.
+    rng = random.Random(89)
+    forms = [stratum_sampler(stratum, random.Random(seed))
+             for stratum in ("R_zero", "case1_boundary", "generic", "f3_zero")
+             for seed in range(60)]
+    for _ in range(120):
+        k, l, m = (F(rng.randint(-12, 12), rng.randint(1, 6)) for _ in range(3))
+        forms.append(CyclicParams(k, l, m, m))  # m = n: R = f2**2
+
+    def exact(v):
+        return (QuadExt, v.u, v.v, v.radicand) if type(v) is QuadExt else (type(v), v)
+
+    seen = []
+    monkeypatch.setattr(decider_module, "is_nonneg_everywhere",
+                        lambda p: seen.append(p) or is_nonneg_everywhere(p))
+    checked = Counter()
+    for c in forms:
+        d, a0, s, a2, a4, _ = reduced_coefficients(c)
+        if d == 1:
+            continue
+        psd = decide_oracle(c).is_psd
+        root = math.isqrt(s)
+        a1 = -root if root * root == s else QuadExt(0, -1, s)
+        expected = UniPoly([a0, a1, a2, 0, a4])
+        assert [exact(v) for v in seen.pop().coeffs] == [exact(v) for v in expected.coeffs], c
+        assert psd == is_nonneg_everywhere(reduce_to_g(c).to_unipoly()), c
+        checked[chain_kind(reduce_to_g(c)), psd] += 1
+    assert sum(checked.values()) >= 300
+    for kind in ("zero", "square", "irrational"):
+        assert checked[kind, True] + checked[kind, False] >= 30, checked
 
 
 def test_structural_equals_oracle_on_random_samples():

@@ -18,8 +18,13 @@ from cycquart.form import (
 from cycquart.decider import eval_polys
 from cycquart.harness import STRATA, stratum_sampler
 from cycquart.quartic_rules import SpecialQuartic
-from cycquart.scalars import QuadExt, is_perfect_square, rational_sqrt, sgn
+from cycquart.scalars import QuadExt, rational_sqrt, sgn
 from test_identities import h_parts, odd_part, power_sums, symmetric_part, vandermonde_square
+
+
+def is_perfect_square(value):
+    """True iff ``value`` is the square of a rational."""
+    return rational_sqrt(value) is not None
 
 
 def rand_fraction(rng, span=9, den=6):

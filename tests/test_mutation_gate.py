@@ -19,9 +19,9 @@ from fractions import Fraction as F
 from cycquart import decider, quartic_rules, unipoly
 from cycquart.form import CyclicParams, reduce_to_g
 from cycquart.harness import STRATA
-from cycquart.scalars import is_perfect_square
 
 from test_decider import BOUNDARY_PINS, fixed_set
+from test_form import is_perfect_square
 
 _FLIP = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt}
 

@@ -1,14 +1,15 @@
 """Q(sqrt(R)) stays below the deciders: only the scalar, polynomial and
 special-quartic layers (and the package's re-export) name ``QuadExt`` or
-decide, by ``is_perfect_square``, when g needs it.  Deleting the extension
-field then touches those modules only."""
+decide, by ``rational_sqrt``, when g needs it; the deciders hand g's
+numbers to ``quartic_rules.g_polynomial``.  Deleting the extension field
+then touches those modules only."""
 
 import ast
 from pathlib import Path
 
 import cycquart
 
-CONFINED = {"QuadExt", "is_perfect_square"}
+CONFINED = {"QuadExt", "rational_sqrt"}
 ALLOWED = {"scalars.py", "unipoly.py", "quartic_rules.py", "__init__.py"}
 
 
@@ -40,9 +41,9 @@ def test_guard_sees_each_kind_of_use():
     source = (
         "from .scalars import QuadExt, sgn\n"
         "import cycquart.scalars as s\n"
-        "a = s.is_perfect_square(r)\n"
+        "a = s.rational_sqrt(r)\n"
         "b = QuadExt(0, 1, r)\n"
         "c = 'QuadExt'\n"
     )
     kinds = [what for _, what in confined_names(ast.parse(source))]
-    assert sorted(kinds) == ["QuadExt", "import QuadExt", "is_perfect_square"]
+    assert sorted(kinds) == ["QuadExt", "import QuadExt", "rational_sqrt"]

@@ -9,7 +9,6 @@ from cycquart.scalars import (
     QuadExt,
     format_quotient,
     format_rational,
-    is_perfect_square,
     parse_rational,
     rational_sqrt,
     sgn,
@@ -208,10 +207,10 @@ def test_parse_rejects_inexact(bad):
 
 
 def test_perfect_square_helpers():
-    assert is_perfect_square(F(64))
-    assert is_perfect_square(F(9, 4))
-    assert not is_perfect_square(F(2))
-    assert not is_perfect_square(F(-4))
-    assert rational_sqrt(F(9, 4)) == F(3, 2)
-    with pytest.raises(ValueError):
-        rational_sqrt(F(2))
+    # the root comes back in the value's own type, or None when irrational
+    for value, root in ((64, 8), (0, 0), (10**40, 10**20)):
+        assert type(rational_sqrt(value)) is int and rational_sqrt(value) == root
+    for value, root in ((F(64), F(8)), (F(9, 4), F(3, 2)), (F(0), F(0))):
+        assert type(rational_sqrt(value)) is F and rational_sqrt(value) == root
+    for value in (2, -4, F(8, 9), F(2), F(-4)):
+        assert rational_sqrt(value) is None
