@@ -20,7 +20,7 @@ from .form import BcdeParams, CyclicParams, form_quotient, from_bcde, reduce_to_
 from .harness import STRATA, FuzzConfig, fuzz_compare, params_dict, record_line, verdict_table
 from .quartic_rules import SpecialQuartic, discriminants, is_nonneg
 from .roots import is_nonneg_everywhere, revise, root_count, sign_list
-from .scalars import exact_rational, format_quotient, format_rational
+from .scalars import INTEGER_RE, exact_rational, format_quotient, format_rational
 from .unipoly import UniPoly, discriminant_sequence
 
 EXIT_PSD = 0
@@ -35,9 +35,8 @@ _NEGATIVE_NUMBER = re.compile(r"^-\.?[0-9]")
 
 
 def _integer(text: str) -> int:
-    """argparse type of ``--count`` and ``--seed``: ASCII ``[+-]?[0-9]+`` as in a
-    coefficient, though int() also reads " 7 ", "1_0" and other scripts' digits."""
-    if not re.fullmatch(r"[+-]?[0-9]+", text):
+    """argparse type of ``--count`` and ``--seed``: a coefficient's ``INTEGER_RE``."""
+    if not INTEGER_RE.fullmatch(text):
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
     return int(text)
 

@@ -16,9 +16,9 @@ F is nonnegative on all of R**3 iff the reduced quartic
 
 with R = 27*(m-n)**2 + (4*k+m+n-8-2*l)**2 is nonnegative on all of R.
 g is computed once per form, over the integers (``reduce_scaled``, kept
-by ``reduced_coefficients``).  ``decide_structural`` and ``decide_oracle``
-read those integers; every other reader shares the one ``SpecialQuartic``
-that ``reduce_to_g`` reads off them (a1 = -sqrt(R), held as R and a sign).
+by ``reduced_coefficients``), the form's only copy of g.  The deciders read
+them, and ``reduce_to_g`` builds a ``SpecialQuartic`` off them at each call
+(a1 = -sqrt(R), held as R and a sign) for the witness search and the CLI.
 The reduction runs through elementary symmetric coordinates
 p = x+y+z, q = xy+yz+zx, r = xyz and the substitution t = sqrt(1-3q) on
 the slice p = 1; realizability of (1, q, r) by real (x, y, z) is exactly
@@ -81,12 +81,6 @@ class CyclicParams:
             n.numerator * (d // n.denominator),
         )
         return scaled, (d, *reduce_scaled(*scaled))
-
-    @cached_property
-    def _g(self) -> SpecialQuartic:
-        d, a0, s, a2, a4, _ = self._integers[1]
-        return SpecialQuartic(Fraction(a0, d), Fraction(s, d * d), -1 if s else 0,
-                              Fraction(a2, d), Fraction(a4, d))
 
 
 @dataclass(frozen=True)
@@ -189,8 +183,9 @@ def reduced_coefficients(c: CyclicParams) -> tuple[int, int, int, int, int, int]
 
 
 def radicand(c: CyclicParams) -> Fraction:
-    """``R = 27*(m-n)**2 + (4k+m+n-8-2l)**2``; zero iff both squares vanish."""
-    return reduce_to_g(c).a1_squared
+    """``R = 27*(m-n)**2 + (4k+m+n-8-2l)**2 = S/d**2``; zero iff both squares vanish."""
+    d, _, s, _, _, _ = reduced_coefficients(c)
+    return Fraction(s, d * d)
 
 
 def reduce_to_g(c: CyclicParams) -> SpecialQuartic:
@@ -198,10 +193,12 @@ def reduce_to_g(c: CyclicParams) -> SpecialQuartic:
 
     ``a1`` is carried as ``R`` and a sign, so the discriminants of g stay
     rational; the sign is 0 exactly when R = 0.  Coefficients are never
-    normalized, and ``to_unipoly()`` is rational whenever sqrt(R) is.  Read
-    off ``reduced_coefficients`` once per form and shared by every caller.
+    normalized, and ``to_unipoly()`` is rational whenever sqrt(R) is.  Built
+    off ``reduced_coefficients`` at each call; the form keeps only integers.
     """
-    return c._g
+    d, a0, s, a2, a4, _ = reduced_coefficients(c)
+    return SpecialQuartic(Fraction(a0, d), Fraction(s, d * d), -1 if s else 0,
+                          Fraction(a2, d), Fraction(a4, d))
 
 
 def from_bcde(b: BcdeParams) -> CyclicParams:

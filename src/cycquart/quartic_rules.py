@@ -7,7 +7,8 @@ serve rational test quartics and reduced quartics whose cubic coefficient
 is ``-sqrt(R)`` with irrational ``sqrt(R)``: the whole decision stays in
 rational arithmetic.  Its polynomials, g and the rational p(u) = w**2 *
 g(u/sqrt(w)) with p's Sturm chain, are written once, from ints or Fractions
-(a0, s, sign, a2, a4): ``g_polynomial``, ``p_polynomial``, ``p_sturm_in_t``.
+(a0, s, sign, a2, a4): ``g_polynomial``, ``p_polynomial``, ``p_sturm_in_t``,
+each multiple of a square root in them by ``scalars.sqrt_multiplier``.
 
 For ``a0 > 0``, ``a4 > 0``, ``a1 != 0``, the quartic is nonnegative on all
 of R iff
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .scalars import QuadExt, exact_fields, exact_rational, rational_sqrt, sgn
+from .scalars import exact_fields, exact_rational, sgn, sqrt_multiplier
 from .unipoly import UniPoly, squarefree_sturm
 
 __all__ = [
@@ -70,10 +71,6 @@ class SpecialQuartic:
     @cached_property
     def _g(self) -> UniPoly:
         return g_polynomial(self.a0, self.a1_squared, self.a1_sign, self.a2, self.a4)
-
-    def to_unipoly_in_u(self) -> UniPoly:
-        """p(u), rational, of this quartic (``p_polynomial``)."""
-        return p_polynomial(self.a0, self.a1_squared, self.a1_sign, self.a2, self.a4)
 
     def sturm_in_t(self) -> tuple:
         """p(u)'s chain over Q and the map t -> u to read it at (``p_sturm_in_t``)."""
@@ -125,9 +122,8 @@ def discriminant_cofactors(a0, s, a2, a4) -> tuple:
 
 def g_polynomial(a0, s, sign, a2, a4) -> UniPoly:
     """g = a0*t**4 + sign*sqrt(s)*t**3 + a2*t**2 + a4 in the type of its int or
-    Fraction fields, but for ``QuadExt(0, sign, s)`` at an irrational sqrt(s)."""
-    root = rational_sqrt(s)
-    return UniPoly([a0, QuadExt(0, sign, s) if root is None else sign * root, a2, 0 * a4, a4])
+    Fraction fields, but for its cubic coefficient in Q(sqrt(s)) at an irrational sqrt(s)."""
+    return UniPoly([a0, sqrt_multiplier(s)(sign), a2, 0 * a4, a4])
 
 
 def p_polynomial(a0, s, sign, a2, a4) -> UniPoly:
@@ -141,9 +137,7 @@ def p_sturm_in_t(a0, s, sign, a2, a4) -> tuple:
     """``squarefree_sturm`` of that p and the map t -> u = sqrt(w)*t: entry i
     at u is a positive multiple of entry i of g's chain at t, so every sign
     count is g's; a squarefree p heads the chain, as p(u) = w**2*g(t)."""
-    root = rational_sqrt(s or s + 1)
-    at = (lambda t: QuadExt(0, t, s)) if root is None else (lambda t: root * t)
-    return (*squarefree_sturm(p_polynomial(a0, s, sign, a2, a4)), at)
+    return (*squarefree_sturm(p_polynomial(a0, s, sign, a2, a4)), sqrt_multiplier(s or s + 1))
 
 
 def discriminant_rule(d2: Fraction, d3: Fraction, d4: Fraction) -> tuple[bool, str]:

@@ -8,9 +8,9 @@ Two scalar domains are used throughout the package:
   representations.
 * :class:`QuadExt` -- elements ``u + v*sqrt(R)`` of the real quadratic
   extension Q(sqrt(R)) with a fixed positive rational radicand ``R``.
-  The package builds them only where :func:`rational_sqrt` finds sqrt(R)
-  irrational; the sign is exact for any positive ``R``, and the one
-  inverse, ``reciprocal``, also needs ``R`` to be a non-square.
+  One enters the package only through :func:`sqrt_multiplier`, where
+  sqrt(R) is irrational; the sign is exact for any positive ``R``, and
+  the one inverse, ``reciprocal``, also needs ``R`` to be a non-square.
 
 A polynomial keeps each coefficient in its own domain, and a rational
 operand is coerced into the radicand of the ``QuadExt`` it meets.
@@ -33,20 +33,21 @@ __all__ = [
     "format_rational",
     "format_quotient",
     "rational_sqrt",
+    "sqrt_multiplier",
     "sgn",
 ]
 
-_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+INTEGER_RE = re.compile(r"[+-]?[0-9]+")
+_RATIONAL_RE = re.compile(INTEGER_RE.pattern + r"(?:/[0-9]+)?")
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse an exact rational literal such as ``-3/7`` or ``12``.
 
     Floating-point and scientific notation are rejected: exact contexts
-    must never receive approximate input.  Digits are ASCII only, though
-    ``int`` would also read other scripts' digits.
+    must never receive approximate input.  Digits are ASCII only, and no
+    space is read around them, though ``int`` would read both.
     """
-    text = text.strip()
     if not _RATIONAL_RE.fullmatch(text):
         raise ValueError(f"not an exact rational literal: {text!r}")
     if "/" in text:
@@ -115,6 +116,13 @@ def rational_sqrt(value):
     if n * n != value.numerator or d * d != value.denominator:
         return None
     return n if type(value) is int else Fraction(n, d)
+
+
+def sqrt_multiplier(s):
+    """The map v -> v*sqrt(s) for an ``int`` or ``Fraction`` s >= 0, testing sqrt(s)
+    once: ``root * v`` in the operands' type at a rational root, else ``QuadExt(0, v, s)``."""
+    root = rational_sqrt(s)
+    return (lambda v: QuadExt(0, v, s)) if root is None else (lambda v: root * v)
 
 
 class QuadExt:

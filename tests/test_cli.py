@@ -148,40 +148,138 @@ def test_reduce_and_explain_output_is_pinned(capsys):
             assert out == json.dumps(expected, sort_keys=True) + "\n", (command, params)
 
 
+# k = 29/8 + 10**-4290, written with 4292 digits above and 4291 below, under
+# Python's 4300-digit limit on int/str conversion
+BIG_K = f"{29 * 10**4290 + 8}/{8 * 10**4290}"
+
+# Every pinned run of the CLI, as (argv, exit code, stdout line or None): a
+# line is the whole stdout, byte for byte, and None pins the exit code only.
+# Exit codes: 0 = PSD (or success), 1 = NotPSD, 2 = usage error.  Tier-1 runs
+# each row through cli.main, and the CI runs it through the installed
+# console script ([project.scripts]).
+CLI_PINS = [
+    # the structural decider on a PSD form, and the Sturm oracle on d*g in
+    # Q(sqrt(R)), as sqrt(252) is irrational
+    (("decide", "2", "0", "-3", "0"), 0, None),
+    (("decide", "2", "0", "-3", "0", "--method", "oracle"), 0, None),
+    (("decide", "0", "0", "-3", "0", "--method", "oracle"), 1, None),
+    # a zero denominator is a usage error
+    (("decide", "1/0", "0", "0", "0"), 2, None),
+    # decide --witness exits by the verdict: 0 on a PSD form
+    (("decide", "2", "0", "0", "0", "--witness", "--budget", "2000"), 0, None),
+    # there is no witness subcommand: decide --witness finds witnesses
+    (("witness", "0", "0", "-3", "0"), 2, None),
+    # the digit limit guards the input only: BIG_K parses, and its witness's
+    # value, longer than the limit, is printed; a 5000-digit k is refused
+    (("decide", BIG_K, "-1", "-2", "4", "--witness"), 1, None),
+    (("decide", "1" * 5000, "-1", "-2", "4"), 2, None),
+    # a rational is ASCII text such as -3/7: an Arabic-Indic digit, which
+    # int() would read, is refused, and so is an Arabic-Indic --budget, and
+    # a coefficient with a space around it
+    (("decide", "\u0661", "0", "0", "0"), 2, None),
+    (("decide", "0", "0", "-3", "0", "--witness", "--budget", "\u0661\u0660"), 2, None),
+    (("decide", " 2", "0", "-3", "0"), 2, None),
+    # the probe points and the face grids miss (29/8, -1, -2, 4), so its
+    # witness comes from the seeded search
+    (("decide", "29/8", "-1", "-2", "4", "--witness"), 1, '{"fired_clause": "f3>0/quartic-rule/D4<0", "is_psd": false, "method": "structural", "params": {"k": "29/8", "l": "-1", "m": "-2", "n": "4"}, "value": "-567284820673/4947802324992", "witness": ["-727/1536", "1919/1536", "347/1536"]}'),
+    # they miss (3, 2, -5/2, -5/2), R = 25, and (253, 2135/4, 127/4, 127/4),
+    # R = 0, too, whose seeded searches read the Sturm chain of p(u) at a
+    # rational point u = sqrt(R)*t (t itself when R = 0)
+    (("decide", "3", "2", "-5/2", "-5/2", "--witness"), 1, '{"fired_clause": "f3>0/quartic-rule/D4<0", "is_psd": false, "method": "structural", "params": {"k": "3", "l": "2", "m": "-5/2", "n": "-5/2"}, "value": "-1385/884736", "witness": ["23/48", "23/48", "1/24"]}'),
+    (("decide", "253", "2135/4", "127/4", "127/4", "--witness"), 1, '{"fired_clause": "R=0/biquadratic/c>=0/b<0/disc>0", "is_psd": false, "method": "structural", "params": {"k": "253", "l": "2135/4", "m": "127/4", "n": "127/4"}, "value": "-50713/33554432", "witness": ["45/64", "45/64", "-13/32"]}'),
+    # a face witness: the probes miss (-1/2, -1, 3/2, -1), and face 3 finds
+    # (1, -2/3, 1/3) at the 46th face point, so a change to the probe order
+    # or the scan order fails here.  Faces 1 and 2 are charged whole (9 + 25
+    # points), so after the ten probes a budget of 44 ends the search before
+    # face 3 (witness and value null, exit 1 by the verdict) and 45 finds it
+    (("decide", "-1/2", "-1", "3/2", "-1", "--witness"), 1, '{"fired_clause": "f3=0/quadratic/disc>0", "is_psd": false, "method": "structural", "params": {"k": "-1/2", "l": "-1", "m": "3/2", "n": "-1"}, "value": "-4/81", "witness": ["1", "-2/3", "1/3"]}'),
+    (("decide", "-1/2", "-1", "3/2", "-1", "--witness", "--budget", "44"), 1, '{"fired_clause": "f3=0/quadratic/disc>0", "is_psd": false, "method": "structural", "params": {"k": "-1/2", "l": "-1", "m": "3/2", "n": "-1"}, "value": null, "witness": null}'),
+    (("decide", "-1/2", "-1", "3/2", "-1", "--witness", "--budget", "45"), 1, '{"fired_clause": "f3=0/quadratic/disc>0", "is_psd": false, "method": "structural", "params": {"k": "-1/2", "l": "-1", "m": "3/2", "n": "-1"}, "value": "-4/81", "witness": ["1", "-2/3", "1/3"]}'),
+    # a probe witness, (1, 1, 1), and a budget that runs out before one is found
+    (("decide", "0", "0", "-3", "0", "--witness"), 1, '{"fired_clause": "f3<0/g(0)<0", "is_psd": false, "method": "structural", "params": {"k": "0", "l": "0", "m": "-3", "n": "0"}, "value": "-6", "witness": ["1", "1", "1"]}'),
+    (("decide", "0", "0", "-3", "0", "--witness", "--budget", "0"), 1, '{"fired_clause": "f3<0/g(0)<0", "is_psd": false, "method": "structural", "params": {"k": "0", "l": "0", "m": "-3", "n": "0"}, "value": null, "witness": null}'),
+    # on a PSD form neither witness key is printed
+    (("decide", "2", "0", "0", "0", "--witness"), 0, '{"fired_clause": "R=0/biquadratic/c>=0/b>=0", "is_psd": true, "method": "structural", "params": {"k": "2", "l": "0", "m": "0", "n": "0"}}'),
+    # the Sturm oracle in Z[t] on two R = 0 forms: g = 3*(52t^4 - 47t^2 + 4)
+    # has real roots, and g = 9t^2*(t^2 + 2) a double root at 0, so Yun's
+    # loop runs in Z
+    (("decide", "20", "21", "-15", "-15", "--method", "oracle"), 1, '{"fired_clause": "g-negative", "is_psd": false, "method": "sturm_oracle", "params": {"k": "20", "l": "21", "m": "-15", "n": "-15"}}'),
+    (("decide", "1", "-2", "0", "0", "--method", "oracle"), 0, '{"fired_clause": "g-nonneg", "is_psd": true, "method": "sturm_oracle", "params": {"k": "1", "l": "-2", "m": "0", "n": "0"}}'),
+    # the Sturm oracle on d*g with d > 1 and an irrational sqrt(R), where the
+    # cubic coefficient is -sqrt(d^2*R): d = 2 and R = 79, PSD through Yun
+    # and Sturm, and d = 8 and R = 4329/4, NotPSD
+    (("decide", "-1/2", "-1/2", "0", "1/2", "--method", "oracle"), 0, '{"fired_clause": "g-nonneg", "is_psd": true, "method": "sturm_oracle", "params": {"k": "-1/2", "l": "-1/2", "m": "0", "n": "1/2"}}'),
+    (("decide", "29/8", "-1", "-2", "4", "--method", "oracle"), 1, '{"fired_clause": "g-negative", "is_psd": false, "method": "sturm_oracle", "params": {"k": "29/8", "l": "-1", "m": "-2", "n": "4"}}'),
+    # the erratum region (R = 0, g1 > 0, g2 < 0, g3 >= 0, k + m - 1 < 0): the
+    # theorem accepts it by case1/g1>0/g3>=0, and the corrected variant's
+    # guard refuses it
+    (("decide", "0", "-6", "-2", "-2", "--method", "closed-theorem"), 0, '{"fired_clause": "case1/g1>0/g3>=0", "is_psd": true, "method": "closed_form_theorem", "params": {"k": "0", "l": "-6", "m": "-2", "n": "-2"}}'),
+    (("decide", "0", "-6", "-2", "-2", "--method", "closed-corrected"), 1, '{"fired_clause": "none", "is_psd": false, "method": "closed_form_corrected", "params": {"k": "0", "l": "-6", "m": "-2", "n": "-2"}}'),
+    # x**4 + 1 and x**5 - x, whose remainder sequences of (f, f') skip
+    # degrees, so some discriminants vanish between nonzero ones
+    (("roots", "1,0,0,0,1"), 0, '{"coefficients": ["1", "0", "0", "0", "1"], "discriminant_sequence": ["4", "0", "0", "256"], "distinct_real": 0, "imaginary_pairs": 2, "nonvanishing": 4, "revised_sign_list": [1, -1, -1, 1], "sign_list": [1, 0, 0, 1], "v": 2}'),
+    (("roots", "1,0,0,0,-1,0"), 0, '{"coefficients": ["1", "0", "0", "0", "-1", "0"], "discriminant_sequence": ["5", "0", "0", "-320", "-256"], "distinct_real": 3, "imaginary_pairs": 1, "nonvanishing": 5, "revised_sign_list": [1, -1, -1, -1, -1], "sign_list": [1, 0, 0, -1, -1], "v": 1}'),
+    # D4 < 0: NotPSD by the rule and by the oracle
+    (("quartic", "1", "-3", "1", "1"), 1, '{"D1": "1", "D2": "19", "D3": "-33", "D4": "-783", "oracle_psd": false, "psd": false}'),
+    # explain on (29/8, -1, -2, 4); on (0, 0, 1, 1), where f1 = 0, so
+    # g_discriminants is null and f6 and f7 cannot be read off D2 and D3; and
+    # on (2, 6, 3/2, 3/2), an exact f5 = 0 point with d = 2, where f5 is read
+    # off D4 = 0 and fires case3/f5=0/f7<0: a changed digit of any clause
+    # polynomial fails here
+    (("explain", "29/8", "-1", "-2", "4"), 1, '{"R": "4329/4", "g_coefficients": ["87/8", "-1*sqrt(4329/4)", "21", "0", "45/8"], "g_discriminants": {"D1": "7569/64", "D2": "42984351/256", "D3": "-96184467765/8192", "D4": "-60340878450675/8192"}, "params": {"k": "29/8", "l": "-1", "m": "-2", "n": "4"}, "polys": {"f1": "29/8", "f2": "21/2", "f3": "45/8", "f4": "15/8", "f5": "-243015/256", "f6": "1893/16", "f7": "-1411965/512", "g1": "77/8", "g2": "5/2", "g3": "-5/4", "g4": "-6"}, "verdicts": {"closed_corrected": {"fired_clause": "none", "is_psd": false}, "closed_proof": {"fired_clause": "none", "is_psd": false}, "closed_theorem": {"fired_clause": "none", "is_psd": false}, "oracle": {"fired_clause": "g-negative", "is_psd": false}, "structural": {"fired_clause": "f3>0/quartic-rule/D4<0", "is_psd": false}}}'),
+    (("explain", "0", "0", "1", "1"), 1, '{"R": "36", "g_coefficients": ["0", "-1*sqrt(36)", "18", "0", "3"], "g_discriminants": null, "params": {"k": "0", "l": "0", "m": "1", "n": "1"}, "polys": {"f1": "0", "f2": "-6", "f3": "3", "f4": "0", "f5": "-81", "f6": "9", "f7": "324", "g1": "0", "g2": "-9", "g3": "9", "g4": "0"}, "verdicts": {"closed_corrected": {"fired_clause": "none", "is_psd": false}, "closed_proof": {"fired_clause": "none", "is_psd": false}, "closed_theorem": {"fired_clause": "none", "is_psd": false}, "oracle": {"fired_clause": "g-negative", "is_psd": false}, "structural": {"fired_clause": "f3>0/f1<=0", "is_psd": false}}}'),
+    (("explain", "2", "6", "3/2", "3/2"), 0, '{"R": "81", "g_coefficients": ["3", "-1*sqrt(81)", "3", "0", "12"], "g_discriminants": {"D1": "9", "D2": "1539", "D3": "-107163", "D4": "0"}, "params": {"k": "2", "l": "6", "m": "3/2", "n": "3/2"}, "polys": {"f1": "1", "f2": "-9", "f3": "12", "f4": "9/4", "f5": "0", "f6": "57/4", "f7": "-1323/4", "g1": "1", "g2": "-9/4", "g3": "11/2", "g4": "0"}, "verdicts": {"closed_corrected": {"fired_clause": "case3/f5=0/f7<0", "is_psd": true}, "closed_proof": {"fired_clause": "case3/f5=0/f7<0", "is_psd": true}, "closed_theorem": {"fired_clause": "case3/f5=0/f7<0", "is_psd": true}, "oracle": {"fired_clause": "g-nonneg", "is_psd": true}, "structural": {"fired_clause": "f3>0/quartic-rule/D4=0/D3<0", "is_psd": true}}}'),
+]
+PINNED = {argv: (code, line) for argv, code, line in CLI_PINS}
+
+
+def test_every_pinned_cli_run_holds(capsys):
+    assert len(PINNED) == len(CLI_PINS)
+    failed = []
+    for argv, code, line in CLI_PINS:
+        got, out, _ = run(capsys, *argv)
+        if got != code or line is not None and out != line + "\n":
+            failed.append((" ".join(argv)[:80], got, out[:200]))
+    assert failed == []
+
+
 # Witnesses of the seeded search at a rational sqrt(R), R = 25 and R = 0,
 # whose Sturm chain is read at a rational point u = sqrt(R)*t (t itself when
-# R = 0); the CI pins the same two lines.
+# R = 0); their lines are CLI_PINS rows.
 SEEDED_AT_A_RATIONAL_SQRT_R = {
-    ("3", "2", "-5/2", "-5/2"): (25, '{"fired_clause": "f3>0/quartic-rule/D4<0", "is_psd": false, "method": "structural", "params": {"k": "3", "l": "2", "m": "-5/2", "n": "-5/2"}, "value": "-1385/884736", "witness": ["23/48", "23/48", "1/24"]}'),
-    ("253", "2135/4", "127/4", "127/4"): (0, '{"fired_clause": "R=0/biquadratic/c>=0/b<0/disc>0", "is_psd": false, "method": "structural", "params": {"k": "253", "l": "2135/4", "m": "127/4", "n": "127/4"}, "value": "-50713/33554432", "witness": ["45/64", "45/64", "-13/32"]}'),
+    ("3", "2", "-5/2", "-5/2"): 25,
+    ("253", "2135/4", "127/4", "127/4"): 0,
 }
 
 
 def test_seeded_witnesses_at_a_rational_sqrt_r_are_pinned(capsys):
-    for params, (rad, line) in SEEDED_AT_A_RATIONAL_SQRT_R.items():
+    for params, rad in SEEDED_AT_A_RATIONAL_SQRT_R.items():
         c = CyclicParams(*map(parse_rational, params))
         assert radicand(c) == rad
         # the ten probes and the face grids of denominators 1 to 4 miss
         assert find_witness(c, 10 + 9 + 25 + 49 + 81) is None
-        code, out, _ = run(capsys, "decide", *params, "--witness")
-        assert (code, out) == (1, line + "\n")
+        argv = ("decide", *params, "--witness")
+        code, line = PINNED[argv]
+        assert code == 1 and run(capsys, *argv)[:2] == (code, line + "\n")
 
 
 # The Sturm oracle on forms with common denominator d > 1 and an irrational
 # sqrt(R): it runs on d*g, over Q(sqrt(d**2*R)) = Q(sqrt(R)).  The first is
-# PSD through Yun's decomposition and a Sturm count; the CI pins both lines.
+# PSD through Yun's decomposition and a Sturm count; their lines are
+# CLI_PINS rows.
 ORACLE_AT_AN_IRRATIONAL_SQRT_R = {
-    ("-1/2", "-1/2", "0", "1/2"): (2, 79, 0, '{"fired_clause": "g-nonneg", "is_psd": true, "method": "sturm_oracle", "params": {"k": "-1/2", "l": "-1/2", "m": "0", "n": "1/2"}}'),
-    ("29/8", "-1", "-2", "4"): (8, Fraction(4329, 4), 1, '{"fired_clause": "g-negative", "is_psd": false, "method": "sturm_oracle", "params": {"k": "29/8", "l": "-1", "m": "-2", "n": "4"}}'),
+    ("-1/2", "-1/2", "0", "1/2"): (2, 79, 0),
+    ("29/8", "-1", "-2", "4"): (8, Fraction(4329, 4), 1),
 }
 
 
 def test_oracle_runs_at_an_irrational_sqrt_r_are_pinned(capsys):
-    for params, (d, rad, exit_code, line) in ORACLE_AT_AN_IRRATIONAL_SQRT_R.items():
+    for params, (d, rad, exit_code) in ORACLE_AT_AN_IRRATIONAL_SQRT_R.items():
         c = CyclicParams(*map(parse_rational, params))
         assert reduced_coefficients(c)[0] == d and radicand(c) == rad
-        code, out, _ = run(capsys, "decide", *params, "--method", "oracle")
-        assert (code, out) == (exit_code, line + "\n")
+        argv = ("decide", *params, "--method", "oracle")
+        code, line = PINNED[argv]
+        assert code == exit_code and run(capsys, *argv)[:2] == (code, line + "\n")
 
 
 def test_decide_witness_keys_stay_when_the_budget_runs_out(capsys):
@@ -488,6 +586,11 @@ REFUSED = {
     "config json float": (
         lambda: FuzzConfig.from_dict({"coefficient_range": [0.1, 1]}), ValueError),
     "cli arabic-indic digit": (lambda: main(["decide", "\u0661", "0", "0", "0"]), 2),
+    # str.strip would drop each of these spaces, U+3000 and U+00A0 among them
+    "leading space": (lambda: parse_rational(" 2"), ValueError),
+    "trailing space": (lambda: parse_rational("2 "), ValueError),
+    "ideographic space": (lambda: parse_rational("\u30002"), ValueError),
+    "no-break space": (lambda: parse_rational("\u00a02"), ValueError),
 }
 
 

@@ -48,6 +48,7 @@ from cycquart.quartic_rules import (
     discriminant_cofactors,
     discriminant_rule,
     discriminants,
+    p_polynomial,
 )
 from cycquart.roots import is_nonneg_everywhere
 from cycquart.scalars import QuadExt, rational_sqrt, sgn
@@ -1065,7 +1066,8 @@ def test_rational_chain_matches_the_chain_of_g(monkeypatch):
 
     compared = Counter()
     for quartic in chain_inputs():
-        g, p = quartic.to_unipoly(), quartic.to_unipoly_in_u()
+        g = quartic.to_unipoly()
+        p = p_polynomial(quartic.a0, quartic.a1_squared, quartic.a1_sign, quartic.a2, quartic.a4)
         own, own_minus, own_plus = squarefree_sturm(g)
         chain, at_minus, at_plus, at = quartic.sturm_in_t()
         assert (at_minus, at_plus) == (own_minus, own_plus)
@@ -1108,7 +1110,7 @@ def test_find_negative_t_evaluates_the_chain_once_per_midpoint(monkeypatch):
     for q in chain_inputs():
         g = q.to_unipoly()
         chain, _, _, at = q.sturm_in_t()
-        squarefree = chain[0] == q.to_unipoly_in_u()
+        squarefree = chain[0] == p_polynomial(q.a0, q.a1_squared, q.a1_sign, q.a2, q.a4)
         calls.clear()
         monkeypatch.setattr(UniPoly, "eval", counted)
         t = _find_negative_t(q, _Budget(40000))

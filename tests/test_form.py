@@ -17,7 +17,7 @@ from cycquart.form import (
 )
 from cycquart.decider import eval_polys
 from cycquart.harness import STRATA, stratum_sampler
-from cycquart.quartic_rules import SpecialQuartic
+from cycquart.quartic_rules import SpecialQuartic, p_polynomial
 from cycquart.scalars import QuadExt, rational_sqrt, sgn
 from test_identities import h_parts, odd_part, power_sums, symmetric_part, vandermonde_square
 
@@ -217,7 +217,7 @@ def test_p_of_u_is_r_squared_g_of_u_over_sqrt_r():
     for c in reduction_inputs():
         q = reduce_to_g(c)
         rad = q.a1_squared
-        g, p = q.to_unipoly(), q.to_unipoly_in_u()
+        g, p = q.to_unipoly(), p_polynomial(q.a0, q.a1_squared, q.a1_sign, q.a2, q.a4)
         assert all(type(v) is F for v in p.coeffs)
         if rad == 0:
             assert p == g and p.coeffs == g.coeffs, c

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from cycquart import scalars
 from cycquart.scalars import (
     QuadExt,
     format_quotient,
@@ -12,6 +13,7 @@ from cycquart.scalars import (
     parse_rational,
     rational_sqrt,
     sgn,
+    sqrt_multiplier,
 )
 
 # the radicands the package builds: positive and not a perfect square
@@ -214,3 +216,24 @@ def test_perfect_square_helpers():
         assert type(rational_sqrt(value)) is F and rational_sqrt(value) == root
     for value in (2, -4, F(8, 9), F(2), F(-4)):
         assert rational_sqrt(value) is None
+
+
+def test_sqrt_multiplier_tests_the_root_once_per_map(monkeypatch):
+    # v -> v*sqrt(s): in the operands' own type when sqrt(s) is rational,
+    # else in Q(sqrt(s)) with radicand s
+    for s, root in ((64, 8), (0, 0), (10**40, 10**20)):
+        v = sqrt_multiplier(s)(-3)
+        assert type(v) is int and v == -3 * root
+    v = sqrt_multiplier(F(9, 4))(2)
+    assert type(v) is F and v == 3
+    for s in (2, F(8, 9)):
+        v = sqrt_multiplier(s)(F(-1, 2))
+        assert type(v) is QuadExt and (v.u, v.v, v.radicand) == (0, F(-1, 2), s)
+    # sqrt(s) is tested when the map is made, not at each v
+    calls = []
+    monkeypatch.setattr(scalars, "rational_sqrt", lambda s: calls.append(s) or rational_sqrt(s))
+    for s, last in ((2, QuadExt(0, 3, 2)), (64, 24)):
+        calls.clear()
+        times = sqrt_multiplier(s)
+        assert [times(v) for v in range(4)][-1] == last
+        assert calls == [s]
